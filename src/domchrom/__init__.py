@@ -26,9 +26,8 @@ from .solver import (
     SolveOptions,
     SolveResult,
     brute_force_chi,
-    greedy_upper_bound,
+    hitting_set,
     solve_exact,
-    trivial_lower_bound,
 )
 from .trees import (
     BaseTree,
@@ -67,12 +66,11 @@ __all__ = [
     "delete_leaf",
     "directed_leaf_count",
     "dominated_classes",
-    "greedy_upper_bound",
+    "hitting_set",
     "is_proper",
     "recheck_certificate",
     "reverse",
     "solve_exact",
-    "trivial_lower_bound",
     "verify_dominator",
     "__version__",
 ]

@@ -3,8 +3,8 @@
 A report is campaign metadata plus an ordered record stream and a summary
 footer.  Serialization is byte-stable: fixed top-level key order, one compact
 record per line, sorted keys inside every object, and no wall-clock content.
-The JSON layout is written header-first so partially written files from an
-interrupted campaign still contain every completed record on its own line.
+The whole report is serialized and written once, after the campaign
+completes; an interrupted campaign leaves no report.
 """
 
 from __future__ import annotations

@@ -1,11 +1,20 @@
 """Exact dominator-chromatic-number solver plus an independent brute oracle.
 
-``solve_exact`` ascends k from a cheap lower bound, running one complete
-backtracking round per k (see the kernel modules for the search contract);
-the first success is the exact optimum.  ``brute_force_chi`` shares nothing
-with that search: it enumerates canonical colorings outright and filters them
-through the public verifier, which makes it a true cross-validation oracle
-for small instances.
+``solve_exact`` brackets χ between τ + 1 and τ + 2, where τ is the size of
+a smallest vertex set W that contains an out-neighbor of every non-sink
+(:func:`hitting_set`), and decides between the two with one complete
+backtracking round at k = τ + 1 (see the kernel modules for the search
+contract).
+
+- χ ≥ τ + 1: one vertex from each class dominated by some vertex forms such
+  a W, and a source lies in no out-neighborhood, so its class is one more.
+- χ ≤ τ + 2: give each vertex of W its own color (every non-sink dominates
+  one of these classes); V - W induces a forest, which two more colors
+  color properly.
+
+``brute_force_chi`` shares nothing with that search: it enumerates canonical
+colorings outright and filters them through the public verifier, which makes
+it a true cross-validation oracle for small instances.
 """
 
 from __future__ import annotations
@@ -60,48 +69,62 @@ def static_order(t: OrientedTree, policy: str) -> tuple[int, ...]:
     raise ValueError(f"unknown vertex order policy {policy!r}")
 
 
-def trivial_lower_bound(t: OrientedTree) -> int:
-    """Cheap lower bound on the dominator chromatic number.
+def _bfs(t: OrientedTree) -> tuple[list[int], list[int]]:
+    """BFS order of the underlying tree from vertex 0, and each vertex's
+    parent (-1 at the root)."""
+    nbrs = t.neighbors
+    parent = [-1] * t.n
+    order = [0]
+    for v in order:
+        for w in nbrs[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    return order, parent
 
-    Any vertex that is the sole out-neighbor of some other vertex must form a
-    singleton color class in every valid coloring (its in-neighbor has no
-    other class to dominate), and no source can be such a vertex, so one
-    extra color is always needed on top of the forced singletons.
+
+def hitting_set(t: OrientedTree) -> tuple[int, ...]:
+    """A minimum set W containing an out-neighbor of every non-sink vertex.
+
+    Linear greedy over the underlying tree rooted at vertex 0, children
+    before parents.  A vertex that some child deferred to joins W, hitting
+    all of its in-neighbors.  A non-sink still unhit afterwards defers to its
+    parent when it points there, and otherwise puts its smallest
+    out-neighbor (a child) into W.  Deferring is safe by exchange: the parent
+    hits everything a child of v would hit, and possibly more.
     """
-    if t.n == 1:
-        return 1
-    forced = {t.out_neighbors[u][0] for u in range(t.n) if t.out_degree(u) == 1}
-    return max(2, 1 + len(forced))
+    order, parent = _bfs(t)
+    out = t.out_masks
+    adj = t.adj_masks
+    w = 0
+    hit = 0
+    deferred = 0
+    for v in reversed(order):
+        if deferred >> v & 1:
+            w |= 1 << v
+            hit |= adj[v] & ~out[v]
+        if out[v] and not hit >> v & 1:
+            p = parent[v]
+            if p >= 0 and out[v] >> p & 1:
+                deferred |= 1 << p
+            else:
+                x = (out[v] & -out[v]).bit_length() - 1
+                w |= 1 << x
+                hit |= adj[x] & ~out[x]
+    return tuple(v for v in range(t.n) if w >> v & 1)
 
 
-def greedy_upper_bound(t: OrientedTree) -> Coloring:
-    """A valid dominator coloring built greedily; never fails, rarely optimal.
-
-    Every non-sink vertex is pointed at its smallest out-neighbor; those
-    targets get unique colors (singleton classes that satisfy domination),
-    and the remaining vertices are properly colored from a fresh palette.
-    """
-    n = t.n
-    designated = sorted({t.out_neighbors[u][0] for u in range(n) if t.out_degree(u) >= 1})
-    labels = [0] * n
-    nxt = 1
-    for v in designated:
-        labels[v] = nxt
-        nxt += 1
-    base = nxt
-    for v in range(n):
-        if labels[v]:
-            continue
-        taken = {labels[w] for w in t.neighbors[v] if labels[w]}
-        c = base
-        while c in taken:
-            c += 1
-        labels[v] = c
-    coloring = Coloring.from_labels(labels)
-    check = verify_dominator(t, coloring)
-    if not isinstance(check, DominatorCertificate):  # pragma: no cover
-        raise RuntimeError("greedy construction produced an invalid coloring")
-    return coloring
+def hitting_set_coloring(t: OrientedTree, w: tuple[int, ...]) -> Coloring:
+    """The dominator coloring with at most |w| + 2 colors that a hitting set
+    ``w`` gives: each vertex of w alone in its class, and the forest V - w
+    colored by BFS depth parity."""
+    order, parent = _bfs(t)
+    labels = [1] * t.n
+    for v in order[1:]:
+        labels[v] = 3 - labels[parent[v]]
+    for i, x in enumerate(w):
+        labels[x] = 3 + i
+    return Coloring.from_labels(labels)
 
 
 def solve_exact(
@@ -112,11 +135,16 @@ def solve_exact(
 ) -> SolveResult:
     """Exact minimum dominator coloring with certificate and search stats.
 
-    Tests k = lower bound, lower bound + 1, ... with one complete
-    backtracking round each; the first round that finds a coloring proves
-    optimality because every smaller k was exhausted.  Deterministic for
-    fixed input and options.  Raises :class:`BudgetExhaustedError` when a
-    node budget is set and hit.
+    χ is τ + 1 or τ + 2 for τ = |hitting_set(t)|.  Lower bound: picking one
+    vertex from each dominated class gives a hitting set, and the class of a
+    source is dominated by no vertex.  Upper bound:
+    :func:`hitting_set_coloring` colors W with singletons and the forest
+    V - W with two colors.  One complete round at k = τ + 1 decides which:
+    a coloring it finds is optimal, and an exhausted round proves χ = τ + 2,
+    for which the τ + 2 coloring is returned.  Either coloring is
+    re-verified before it is returned.  Deterministic for fixed input and
+    options.  Raises :class:`BudgetExhaustedError` when a node budget is set
+    and hit.
     """
     opts = opts or SolveOptions()
     kern = kernel if kernel is not None else get_kernel()
@@ -126,39 +154,33 @@ def solve_exact(
     nonsink = tuple(v for v in range(t.n) if out[v] != 0)
     budget = -1 if opts.node_budget is None else int(opts.node_budget)
 
-    nodes = 0
-    max_depth = 0
-    pp = 0
-    pd = 0
     start = time.perf_counter()
-    for k in range(trivial_lower_bound(t), t.n + 1):
-        remaining = -1 if budget < 0 else budget - nodes
-        status, colors, r_nodes, r_depth, r_pp, r_pd = kern.search_round(
-            t.n, k, order, adj, out, nonsink, remaining
+    w = hitting_set(t)
+    k = len(w) + 1
+    status, colors, nodes, max_depth, pp, pd = kern.search_round(
+        t.n, k, order, adj, out, nonsink, budget
+    )
+    if status == 2:
+        raise BudgetExhaustedError(
+            f"node budget {budget} exhausted while testing k={k}", nodes
         )
-        nodes += r_nodes
-        max_depth = max(max_depth, r_depth)
-        pp += r_pp
-        pd += r_pd
-        if status == 2:
-            raise BudgetExhaustedError(
-                f"node budget {budget} exhausted while testing k={k}", nodes
-            )
-        if status == 0:
-            coloring = Coloring.from_labels(colors)
-            if coloring.k != k:  # pragma: no cover - internal consistency
-                raise RuntimeError("search round returned a wrong color count")
-            cert = verify_dominator(t, coloring)
-            if not isinstance(cert, DominatorCertificate):  # pragma: no cover
-                raise RuntimeError("solver result failed re-verification")
-            stats = SearchStats(
-                nodes=nodes,
-                max_depth=max_depth,
-                prunes=PruneCounts(proper=pp, domination=pd),
-                elapsed=time.perf_counter() - start,
-            )
-            return SolveResult(chi=k, certificate=cert, stats=stats)
-    raise RuntimeError("unreachable: k = n always admits the all-distinct coloring")
+    if status == 0:
+        coloring = Coloring.from_labels(colors)
+    else:
+        k += 1
+        coloring = hitting_set_coloring(t, w)
+    if coloring.k != k:  # pragma: no cover - internal consistency
+        raise RuntimeError(f"coloring has {coloring.k} colors, expected {k}")
+    cert = verify_dominator(t, coloring)
+    if not isinstance(cert, DominatorCertificate):  # pragma: no cover
+        raise RuntimeError("solver result failed re-verification")
+    stats = SearchStats(
+        nodes=nodes,
+        max_depth=max_depth,
+        prunes=PruneCounts(proper=pp, domination=pd),
+        elapsed=time.perf_counter() - start,
+    )
+    return SolveResult(chi=k, certificate=cert, stats=stats)
 
 
 def _growth_sequences(n: int, k: int):

@@ -89,12 +89,6 @@ class BaseTree:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    @cached_property
-    def leaves(self) -> tuple[int, ...]:
-        if self.n == 1:
-            return (0,)
-        return tuple(v for v in range(self.n) if self.degree(v) == 1)
-
 
 @dataclass(frozen=True)
 class OrientedTree:

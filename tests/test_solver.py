@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import itertools
+import types
+
 import pytest
 from hypothesis import given, settings
 
-from domchrom.coloring import DominatorCertificate, verify_dominator
+from domchrom._backend import get_kernel
+from domchrom.coloring import DominatorCertificate, recheck_certificate, verify_dominator
 from domchrom.errors import BudgetExhaustedError, TooLargeError
 from domchrom.generators import free_trees, orient, orientations, path
 from domchrom.solver import (
     SolveOptions,
     brute_force_chi,
-    greedy_upper_bound,
+    hitting_set,
+    hitting_set_coloring,
     solve_exact,
-    trivial_lower_bound,
 )
 from domchrom.trees import build_tree, delete_leaf
 
@@ -82,34 +86,94 @@ class TestBruteForce:
             assert solve_exact(t).chi == brute_force_chi(t)
 
 
+def all_orientations(max_n):
+    for n in range(1, max_n + 1):
+        for base in free_trees(n):
+            yield from orientations(base)
+
+
+def hits_every_out_neighborhood(t, w):
+    mask = sum(1 << v for v in w)
+    return all(t.out_masks[u] & mask for u in range(t.n) if t.out_masks[u])
+
+
 class TestBounds:
     def test_lower_bound_single_vertex(self):
-        assert trivial_lower_bound(build_tree(1, [])) == 1
+        t = build_tree(1, [])
+        assert hitting_set(t) == ()
+        assert solve_exact(t).chi == 1
 
     def test_lower_bound_directed_path(self):
-        assert trivial_lower_bound(directed_path(7)) == 7
+        t = directed_path(7)
+        assert hitting_set(t) == (1, 2, 3, 4, 5, 6)
+        assert solve_exact(t).chi == 7
 
     def test_lower_bound_out_star(self):
         t = build_tree(4, [(0, 1), (0, 2), (0, 3)])
-        assert trivial_lower_bound(t) == 2
+        assert hitting_set(t) == (1,)
+        assert solve_exact(t).chi == 2
 
     def test_greedy_out_star_at_most_three(self):
         t = build_tree(6, [(0, i) for i in range(1, 6)])
-        assert greedy_upper_bound(t).k <= 3
+        coloring = hitting_set_coloring(t, hitting_set(t))
+        assert isinstance(verify_dominator(t, coloring), DominatorCertificate)
+        assert coloring.k <= 3
 
     def test_greedy_directed_p3_exact(self):
-        assert greedy_upper_bound(directed_path(3)).k == 3
+        t = directed_path(3)
+        assert hitting_set_coloring(t, hitting_set(t)).k == 3
 
     @given(oriented_trees(max_n=8))
     @settings(max_examples=60, deadline=None)
     def test_sandwich(self, t):
-        res = solve_exact(t)
-        assert (
-            trivial_lower_bound(t)
-            <= res.chi
-            <= greedy_upper_bound(t).k
-            <= t.n
-        )
+        w = hitting_set(t)
+        tau = len(w)
+        upper = hitting_set_coloring(t, w)
+        assert isinstance(verify_dominator(t, upper), DominatorCertificate)
+        assert tau + 1 <= solve_exact(t).chi <= upper.k <= min(tau + 2, t.n)
+
+    def test_hitting_set_is_minimum(self):
+        # free_trees numbers parents before children; the mirrored labels put
+        # the root and every parent after their children.
+        for t0 in all_orientations(8):
+            mirrored = build_tree(t0.n, [(t0.n - 1 - u, t0.n - 1 - v) for u, v in t0.arcs])
+            for t in (t0, mirrored):
+                w = hitting_set(t)
+                assert w == tuple(sorted(set(w)))
+                assert hits_every_out_neighborhood(t, w)
+                smaller = itertools.combinations(range(t.n), len(w) - 1) if w else ()
+                assert not any(hits_every_out_neighborhood(t, s) for s in smaller), t
+
+    def test_bracket_against_oracle(self):
+        for t in all_orientations(7):
+            tau = len(hitting_set(t))
+            assert tau + 1 <= brute_force_chi(t) <= tau + 2, t
+
+    def test_tau_plus_two_certificate_rechecks(self):
+        seen = 0
+        for t in all_orientations(8):
+            w = hitting_set(t)
+            res = solve_exact(t)
+            if res.chi == len(w) + 2:
+                seen += 1
+                assert res.certificate.coloring == hitting_set_coloring(t, w)
+                assert recheck_certificate(t, res.certificate), t
+        assert seen > 0
+
+    def test_one_kernel_round_per_solve(self, small_corpus):
+        rounds = []
+
+        def search_round(*args):
+            rounds.append(args[1])
+            return get_kernel().search_round(*args)
+
+        counting = types.SimpleNamespace(search_round=search_round)
+        for t in small_corpus:
+            before = len(rounds)
+            res = solve_exact(t, kernel=counting)
+            assert len(rounds) == before + 1
+            assert rounds[-1] == len(hitting_set(t)) + 1
+            assert res == solve_exact(t)
 
     @given(oriented_trees(min_n=2, max_n=8))
     @settings(max_examples=40, deadline=None)
