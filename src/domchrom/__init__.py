@@ -22,7 +22,6 @@ from .coloring import (
     verify_dominator,
 )
 from .solver import (
-    SearchStats,
     SolveOptions,
     SolveResult,
     brute_force_chi,
@@ -55,7 +54,6 @@ __all__ = [
     "OrientedTree",
     "RootClassification",
     "SINK_EXEMPT",
-    "SearchStats",
     "SolveOptions",
     "SolveResult",
     "brute_force_chi",

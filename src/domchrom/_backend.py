@@ -1,38 +1,16 @@
-"""Search-kernel selection: compiled extension when available, else pure Python.
+"""The backtracking search kernel, which the solver no longer uses.
 
-``DOMCHROM_BACKEND=python`` forces the fallback; ``DOMCHROM_BACKEND=cython``
-insists on the compiled kernel and fails loudly when it is missing.  Both
-kernels produce identical results and statistics.
+``_kernel_py.search_round`` stays as the tests' second exact oracle, beside
+``brute_force_chi``.  ``BACKEND`` names it for tools that report it.
 """
 
 from __future__ import annotations
 
-import os
+from . import _kernel_py
 
-
-def _load():
-    choice = os.environ.get("DOMCHROM_BACKEND", "").strip().lower()
-    if choice in ("py", "python", "pure"):
-        from . import _kernel_py
-
-        return _kernel_py, "python"
-    if choice in ("c", "cython", "compiled"):
-        from . import _kernel  # raises ImportError when not built
-
-        return _kernel, "cython"
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-
-        return _kernel, "cython"
-    except ImportError:
-        from . import _kernel_py
-
-        return _kernel_py, "python"
-
-
-_KERNEL, BACKEND = _load()
+BACKEND = "python"
 
 
 def get_kernel():
-    """The kernel module selected at import time."""
-    return _KERNEL
+    """The search kernel module."""
+    return _kernel_py

@@ -1,9 +1,9 @@
-"""Pure-Python search kernel: one fixed-k backtracking round.
+"""Search kernel: one complete fixed-k backtracking round.
 
-This module and the compiled extension ``_kernel`` implement the exact same
-search, node for node: identical candidate order, identical pruning tests,
-identical counters.  Keep the two in lockstep; the parity test suite compares
-them on a shared corpus.
+The solver decides χ with a tree program and does not search.  This round
+is kept as an exact oracle that shares no code with that program: the tests
+check that it finds a coloring at k = τ + 1 exactly where the program
+reports χ = τ + 1.
 
 Search contract
 ---------------

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 = completed and checked properties hold, 1 = counterexample or
-verification failure (or exhausted search budget), 2 = usage or input error.
+verification failure, 2 = usage or input error.
 ``--jobs`` defaults to the ``DOMCHROM_JOBS`` environment variable.
 """
 
@@ -14,7 +14,7 @@ import sys
 
 from . import harness
 from .coloring import DominatorCertificate, SINK_EXEMPT, verify_dominator
-from .errors import BudgetExhaustedError, DomchromError
+from .errors import DomchromError
 from .generators import (
     CaterpillarSpec,
     GsSpec,
@@ -35,7 +35,7 @@ from .io import (
     to_dot,
 )
 from .reports import ExperimentReport
-from .solver import SolveOptions, solve_exact
+from .solver import solve_exact
 
 
 def _default_jobs() -> int:
@@ -51,7 +51,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "text"), default=None)
     p.add_argument("--output", default=None, help="write output to this path")
     p.add_argument("--seed", type=int, default=None, help="seed for sampled campaigns")
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -152,24 +151,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     t = read_tree(args.tree)
-    opts = SolveOptions(node_budget=args.budget)
-    result = solve_exact(t, opts)
+    result = solve_exact(t)
+    bound = "lower" if result.chi == result.tau + 1 else "upper"
     if (args.format or "text") == "json":
         obj = {
             "chi": result.chi,
+            "tau": result.tau,
+            "bound": bound,
             "certificate": certificate_to_obj(result.certificate),
-            "stats": {
-                "nodes": result.stats.nodes,
-                "max_depth": result.stats.max_depth,
-                "prunes": {
-                    "proper": result.stats.prunes.proper,
-                    "domination": result.stats.prunes.domination,
-                },
-            },
         }
         _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.output)
     else:
-        _emit(f"chi = {result.chi}\n" + _cert_text(result.certificate), args.output)
+        offset = result.chi - result.tau
+        _emit(
+            f"chi = {result.chi}\ntau = {result.tau} (chi meets the {bound} bound tau + {offset})\n"
+            + _cert_text(result.certificate),
+            args.output,
+        )
     return 0
 
 
@@ -255,7 +253,7 @@ def _cmd_orientations(args) -> int:
     base = t.underlying()
     rows = []
     for mask, oriented in enumerate(orientations(base)):
-        result = solve_exact(oriented, SolveOptions(node_budget=args.budget))
+        result = solve_exact(oriented)
         rows.append((mask, result.chi))
     min_mask, min_chi = min(rows, key=lambda r: (r[1], r[0]))
     max_mask, max_chi = max(rows, key=lambda r: (r[1], -r[0]))
@@ -336,9 +334,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             )
             return _emit_report(report, args)
         raise AssertionError(f"unhandled command {args.command}")
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (DomchromError, FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

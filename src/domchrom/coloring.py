@@ -68,9 +68,10 @@ ColoringLike = Union[Coloring, Sequence[int]]
 
 
 def canonicalize(c: ColoringLike) -> Coloring:
-    """Return the canonical relabeling of ``c``; idempotent on colorings."""
+    """Return the canonical relabeling of ``c``.  A :class:`Coloring` is
+    canonical by construction and is returned as it is."""
     if isinstance(c, Coloring):
-        return Coloring.from_labels(c.colors)
+        return c
     return Coloring.from_labels(c)
 
 

@@ -21,7 +21,6 @@ from .formulas import (
     chi_path_orientation_min,
     chi_rooted,
     directed_spine_coloring,
-    gs_layered_bound,
     gs_uniform_chi,
 )
 from .generators import (
@@ -561,42 +560,4 @@ def check_rooted_formula(max_n: int, jobs: int = 1) -> ExperimentReport:
     counterexamples = [rec["instance"] for rec in records if not rec["equal"]]
     for rec in records:
         writer.add(rec)
-    return writer.finish(counterexamples)
-
-
-# ---------------------------------------------------------------------------
-# layered generalized stars (constructive, no solving)
-
-
-def check_layered_gs(n_cap: int = 17) -> ExperimentReport:
-    """Verify the layered construction for every even k with mk+1 <= n_cap."""
-    from .formulas import build_layered_gs
-
-    writer = ReportWriter("layered_gs", {"n_cap": n_cap})
-    counterexamples = []
-    for k in range(2, n_cap):
-        if k % 2:
-            continue
-        for m in range(1, n_cap):
-            if m * k + 1 > n_cap:
-                break
-            result = build_layered_gs(m, k)
-            bound = gs_layered_bound(m, k)
-            ok = result.verifies and result.colors_used == bound
-            record = {
-                "m": m,
-                "k": k,
-                "n": m * k + 1,
-                "colors_used": result.colors_used,
-                "bound": bound,
-                "verifies": result.verifies,
-                "instance": encode_tree(result.tree),
-                "certificate": certificate_to_obj(result.certificate)
-                if result.certificate
-                else None,
-                "ok": ok,
-            }
-            writer.add(record)
-            if not ok:
-                counterexamples.append(record["instance"])
     return writer.finish(counterexamples)

@@ -2,71 +2,65 @@
 
 ``solve_exact`` brackets χ between τ + 1 and τ + 2, where τ is the size of
 a smallest vertex set W that contains an out-neighbor of every non-sink
-(:func:`hitting_set`), and decides between the two with one complete
-backtracking round at k = τ + 1 (see the kernel modules for the search
-contract).
+(:func:`hitting_set`), and decides between the two with a linear dynamic
+program over the tree.
 
 - χ ≥ τ + 1: one vertex from each class dominated by some vertex forms such
   a W, and a source lies in no out-neighborhood, so its class is one more.
 - χ ≤ τ + 2: give each vertex of W its own color (every non-sink dominates
   one of these classes); V - W induces a forest, which two more colors
   color properly.
+- χ = τ + 1 exactly when a *one-free-class family* with m = τ exists: a
+  split of V into an independent class U and classes C_1..C_m, each inside
+  the out-neighborhood of some vertex, such that every non-sink's
+  out-neighborhood contains some C_i.  Such a family is a dominator coloring
+  with m + 1 colors, and m ≥ τ by the lower-bound argument.  Conversely a
+  coloring with τ + 1 colors has at least τ dominated classes; the class of
+  a source is not one of them, so exactly one class is undominated and the
+  coloring is such a family.  Hence χ = min(m* + 1, τ + 2) for the least m*,
+  which :func:`_least_family` computes bottom-up.
 
-``brute_force_chi`` shares nothing with that search: it enumerates canonical
-colorings outright and filters them through the public verifier, which makes
-it a true cross-validation oracle for small instances.
+``brute_force_chi`` shares nothing with that program: it enumerates
+canonical colorings outright and filters them through the public verifier,
+which makes it a true cross-validation oracle for small instances.  The
+backtracking kernel (``_kernel_py.search_round``) is the tests' second
+exact oracle.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ._backend import get_kernel
 from .coloring import Coloring, DominatorCertificate, _check_colors, verify_dominator
-from .errors import BudgetExhaustedError, TooLargeError
+from .errors import TooLargeError
 from .trees import OrientedTree
 
 _BRUTE_CAP = 10
 
+# Roles of a vertex in a one-free-class family: in U, a singleton class, in
+# the class its parent owns, in the class one of its children owns.
+_U, _S, _P, _C = range(4)
+_ROLES = (_U, _S, _P, _C)
+# The roles an out-child may take, by 2 * (parent in U) + (parent owns a class).
+_OUT_ROLES = ((_U, _S, _C), _ROLES, (_S, _C), (_S, _P, _C))
+
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs; the defaults give a complete, deterministic search."""
+    """Accepted for callers that pass a node budget.  The solver ignores it:
+    it runs a linear dynamic program, never a search, so no budget applies."""
 
     node_budget: int | None = None
-    vertex_order: str = "degree"  # "degree" (descending, ties by index) or "index"
-
-
-@dataclass(frozen=True)
-class PruneCounts:
-    proper: int
-    domination: int
-
-
-@dataclass(frozen=True)
-class SearchStats:
-    """Deterministic search counters; wall time is informational only."""
-
-    nodes: int
-    max_depth: int
-    prunes: PruneCounts
-    elapsed: float = field(compare=False, default=0.0)
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """χ, its re-verified certificate, and τ = |hitting_set(t)|; χ is τ + 1
+    (the lower bound) or τ + 2 (the upper bound)."""
+
     chi: int
     certificate: DominatorCertificate
-    stats: SearchStats
-
-
-def static_order(t: OrientedTree, policy: str) -> tuple[int, ...]:
-    if policy == "degree":
-        return tuple(sorted(range(t.n), key=lambda v: (-t.degree(v), v)))
-    if policy == "index":
-        return tuple(range(t.n))
-    raise ValueError(f"unknown vertex order policy {policy!r}")
+    tau: int
 
 
 def _bfs(t: OrientedTree) -> tuple[list[int], list[int]]:
@@ -93,7 +87,10 @@ def hitting_set(t: OrientedTree) -> tuple[int, ...]:
     out-neighbor (a child) into W.  Deferring is safe by exchange: the parent
     hits everything a child of v would hit, and possibly more.
     """
-    order, parent = _bfs(t)
+    return _hitting_set(t, *_bfs(t))
+
+
+def _hitting_set(t: OrientedTree, order: list[int], parent: list[int]) -> tuple[int, ...]:
     out = t.out_masks
     adj = t.adj_masks
     w = 0
@@ -118,7 +115,12 @@ def hitting_set_coloring(t: OrientedTree, w: tuple[int, ...]) -> Coloring:
     """The dominator coloring with at most |w| + 2 colors that a hitting set
     ``w`` gives: each vertex of w alone in its class, and the forest V - w
     colored by BFS depth parity."""
-    order, parent = _bfs(t)
+    return _parity_coloring(t, w, *_bfs(t))
+
+
+def _parity_coloring(
+    t: OrientedTree, w: tuple[int, ...], order: list[int], parent: list[int]
+) -> Coloring:
     labels = [1] * t.n
     for v in order[1:]:
         labels[v] = 3 - labels[parent[v]]
@@ -127,60 +129,197 @@ def hitting_set_coloring(t: OrientedTree, w: tuple[int, ...]) -> Coloring:
     return Coloring.from_labels(labels)
 
 
-def solve_exact(
-    t: OrientedTree,
-    opts: SolveOptions | None = None,
-    *,
-    kernel=None,
-) -> SolveResult:
-    """Exact minimum dominator coloring with certificate and search stats.
-
-    χ is τ + 1 or τ + 2 for τ = |hitting_set(t)|.  Lower bound: picking one
-    vertex from each dominated class gives a hitting set, and the class of a
-    source is dominated by no vertex.  Upper bound:
-    :func:`hitting_set_coloring` colors W with singletons and the forest
-    V - W with two colors.  One complete round at k = τ + 1 decides which:
-    a coloring it finds is optimal, and an exhausted round proves χ = τ + 2,
-    for which the τ + 2 coloring is returned.  Either coloring is
-    re-verified before it is returned.  Deterministic for fixed input and
-    options.  Raises :class:`BudgetExhaustedError` when a node budget is set
-    and hit.
-    """
-    opts = opts or SolveOptions()
-    kern = kernel if kernel is not None else get_kernel()
-    order = static_order(t, opts.vertex_order)
-    adj = t.adj_masks
-    out = t.out_masks
-    nonsink = tuple(v for v in range(t.n) if out[v] != 0)
-    budget = -1 if opts.node_budget is None else int(opts.node_budget)
-
-    start = time.perf_counter()
-    w = hitting_set(t)
-    k = len(w) + 1
-    status, colors, nodes, max_depth, pp, pd = kern.search_round(
-        t.n, k, order, adj, out, nonsink, budget
-    )
-    if status == 2:
-        raise BudgetExhaustedError(
-            f"node budget {budget} exhausted while testing k={k}", nodes
-        )
-    if status == 0:
-        coloring = Coloring.from_labels(colors)
+def _out_part(free: int, owned: int, dfree: int, downed: int, sink: bool):
+    """Combine a vertex's out-children: its least cost at levels 0, 1 and 2,
+    and whether it owns a class at the level-0 and level-1 optima (bits 0
+    and 1).  ``free``/``owned`` are the children's costs when v owns no
+    class / owns one (counted here), ``dfree``/``downed`` the extra cost of
+    making one of them dominate v."""
+    owned += 1
+    sat, sat_owned = (free, owned) if sink else (free + dfree, owned + downed)
+    if owned < free:
+        free = owned
+        bits = 1
     else:
-        k += 1
-        coloring = hitting_set_coloring(t, w)
+        bits = 0
+    if sat_owned < sat:
+        sat = sat_owned
+        bits |= 2
+    return free, sat, owned, bits
+
+
+def _argmin(row: tuple[int, ...], roles: tuple[int, ...], level: int) -> int:
+    best = roles[0]
+    for r in roles[1:]:
+        if row[3 * r + level] < row[3 * best + level]:
+            best = r
+    return best
+
+
+def _least_family(
+    t: OrientedTree, order: list[int], parent: list[int], tau: int
+) -> tuple[int, list[int] | None]:
+    """The least m of a one-free-class family, and the labels of one such
+    family when m = tau (``None`` otherwise).
+
+    A class of two or more vertices lies in exactly one out-neighborhood,
+    since two tree vertices share at most one neighbor; that vertex *owns*
+    the class.  A singleton class lies in the out-neighborhood of each of its
+    in-neighbors.  So every vertex takes one role: in U (no neighbor also in
+    U; the only role of a vertex without in-neighbors), a singleton (which
+    dominates all its in-neighbors), in the class its parent owns, or in the
+    class one of its children owns.
+
+    ``g[v][3 * role + level]`` is the least number of classes within the
+    subtree of v, with v in ``role``, when v is at least (level 0) anything,
+    (1) satisfied inside its subtree (a sink, or dominated by a singleton
+    child or by the class it owns), or (2) the owner of a class that its
+    parent joins.  A class is counted at its owner.  Each child hands its
+    parent four numbers, chosen by the direction of the arc between them.
+    Values of ``n + 1`` or more mark an infeasible choice; they stay exact
+    under the sums and differences below, so the minimum is exact.
+    """
+    n = t.n
+    out = t.out_masks
+    nbrs = t.neighbors
+    inf = n + 1
+    g: list[tuple[int, ...]] = [()] * n
+    hand: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * n
+    owns = [0] * n  # bit 2 * (v in U) + level: v owns a class at that optimum
+    dom_child = [()] * n  # per 2 * (v in U) + (v owns): cheapest dominating out-child
+    owner_child = [-1] * n  # cheapest in-child to own v's class in role C
+    for v in reversed(order):
+        p = parent[v]
+        ov = out[v]
+        # Out-children (v -> c), satisfied inside their subtrees.  Columns:
+        # v not in U and owning nothing / a class, v in U and the same.
+        b0 = b1 = b2 = b3 = 0
+        d0 = d1 = d2 = d3 = inf
+        k0 = k1 = k2 = k3 = -1
+        # In-children (c -> v): their least cost next to v in U, next to v a
+        # singleton (which satisfies them), next to v otherwise, and the
+        # least extra cost of one of them owning v's class.
+        in_u = in_s = in_other = 0
+        odelta = inf
+        down = p >= 0 and out[p] >> v & 1  # p -> v
+        has_in = down
+        for c in nbrs[v]:
+            if c == p:
+                continue
+            if ov >> c & 1:
+                u, s, pm, o = hand[c]
+                a2 = s if s < o else o
+                a0 = u if u < a2 else a2
+                a3 = pm if pm < a2 else a2
+                a1 = pm if pm < a0 else a0
+                sp = pm if pm < s else s
+                b0 += a0
+                b1 += a1
+                b2 += a2
+                b3 += a3
+                if s - a0 < d0:
+                    d0, k0 = s - a0, c
+                if sp - a1 < d1:
+                    d1, k1 = sp - a1, c
+                if s - a2 < d2:
+                    d2, k2 = s - a2, c
+                if sp - a3 < d3:
+                    d3, k3 = sp - a3, c
+            else:
+                has_in = True
+                nonu, any0, any1, any2 = hand[c]
+                in_u += nonu
+                in_s += any0
+                in_other += any1
+                if any2 - any1 < odelta:
+                    odelta = any2 - any1
+                    owner_child[v] = c
+        sink = not ov
+        n0, n1, n2, nbits = _out_part(b0, b1, d0, d1, sink)
+        u0, u1, u2, ubits = _out_part(b2, b3, d2, d3, sink)
+        xs = 1 + in_s if has_in else inf
+        xp = in_other if down else inf
+        xc = in_other + odelta
+        row = (
+            in_u + u0, in_u + u1, in_u + u2,
+            xs + n0, xs + n1, xs + n2,
+            xp + n0, xp + n1, xp + n2,
+            xc + n0, xc + n1, xc + n2,
+        )
+        g[v] = row
+        owns[v] = nbits | ubits << 2
+        dom_child[v] = (k0, k1, k2, k3)
+        if down:  # v in each role, satisfied inside its subtree
+            hand[v] = row[1], row[4], row[7], row[10]
+        elif p >= 0:  # v -> p: v not in U, and in any role at each level
+            x = xs if xs < xc else xc  # never in p's class
+            hand[v] = (x + n1, min(in_u + u0, x + n0), min(in_u + u1, x + n1), min(in_u + u2, x + n2))
+
+    m = min(g[0][1::3])
+    if m != tau:
+        return m, None
+
+    labels = [0] * n  # U is label 0, a singleton v is v + 1, v's class n + 1 + v
+    stack = [(0, _argmin(g[0], _ROLES, 1), 1)]
+    while stack:
+        v, r, level = stack.pop()
+        in_u = r == _U
+        own = level == 2 or bool(owns[v] >> (2 * in_u + level) & 1)
+        if r == _S:
+            labels[v] = v + 1
+        elif r == _P:
+            labels[v] = n + 1 + parent[v]
+        elif r == _C:
+            labels[v] = n + 1 + owner_child[v]
+        need = dom_child[v][2 * in_u + own] if level == 1 and out[v] else -1
+        for c in nbrs[v]:
+            if c == parent[v]:
+                continue
+            if out[v] >> c & 1:
+                if c == need:
+                    roles = (_S, _P) if own else (_S,)
+                else:
+                    roles = _OUT_ROLES[2 * in_u + own]
+                lvl = 1
+            elif r == _C and c == owner_child[v]:
+                roles, lvl = _ROLES, 2
+            elif r == _S:
+                roles, lvl = _ROLES, 0
+            else:
+                roles, lvl = ((_S, _C) if in_u else _ROLES), 1
+            stack.append((c, _argmin(g[c], roles, lvl), lvl))
+    return m, labels
+
+
+def solve_exact(t: OrientedTree, opts: SolveOptions | None = None) -> SolveResult:
+    """Exact minimum dominator coloring with its certificate and τ.
+
+    χ is τ + 1 or τ + 2 for τ = |hitting_set(t)| (see the module docstring
+    for both bounds), and χ = τ + 1 exactly when the least one-free-class
+    family has τ non-free classes; that family is then the coloring.
+    Otherwise the τ + 2 coloring of :func:`hitting_set_coloring` is
+    returned.  Either coloring is re-verified before it is returned.  Runs in
+    time linear in n and is deterministic.  ``opts`` is accepted and
+    ignored: there is no search, so a node budget does not apply.
+    """
+    order, parent = _bfs(t)
+    w = _hitting_set(t, order, parent)
+    tau = len(w)
+    m, labels = _least_family(t, order, parent, tau)
+    if m < tau:  # pragma: no cover - internal consistency
+        raise RuntimeError(f"a family with {m} classes beats the lower bound {tau}")
+    if labels is not None:
+        coloring = Coloring.from_labels(labels)
+        k = tau + 1
+    else:
+        coloring = _parity_coloring(t, w, order, parent)
+        k = tau + 2
     if coloring.k != k:  # pragma: no cover - internal consistency
         raise RuntimeError(f"coloring has {coloring.k} colors, expected {k}")
     cert = verify_dominator(t, coloring)
     if not isinstance(cert, DominatorCertificate):  # pragma: no cover
         raise RuntimeError("solver result failed re-verification")
-    stats = SearchStats(
-        nodes=nodes,
-        max_depth=max_depth,
-        prunes=PruneCounts(proper=pp, domination=pd),
-        elapsed=time.perf_counter() - start,
-    )
-    return SolveResult(chi=k, certificate=cert, stats=stats)
+    return SolveResult(chi=k, certificate=cert, tau=tau)
 
 
 def _growth_sequences(n: int, k: int):

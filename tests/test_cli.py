@@ -157,5 +157,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_budget_exhaustion_exits_one(p5_file):
-    assert cli_main(["solve", p5_file, "--budget", "2"]) == 1
+def test_solve_reports_tau_and_bound(p5_file, capsys):
+    assert cli_main(["solve", p5_file]) == 0
+    assert "tau = 4 (chi meets the lower bound tau + 1)" in capsys.readouterr().out
+    assert cli_main(["solve", p5_file, "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["tau"], obj["bound"]) == (4, "lower")
+    assert "stats" not in obj
+    assert cli_main(["solve", p5_file, "--budget", "2"]) == 2  # no search, no budget

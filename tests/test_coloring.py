@@ -49,6 +49,10 @@ class TestColoring:
         c = canonicalize((1, 2, 1))
         assert canonicalize(c) == c
 
+    def test_canonicalize_returns_coloring_unchanged(self):
+        c = Coloring((1, 2, 1))
+        assert canonicalize(c) is c
+
     def test_canonicalize_constant(self):
         assert canonicalize((2, 2, 2)).colors == (1, 1, 1)
 

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import itertools
-import types
+import random
 
 import pytest
 from hypothesis import given, settings
 
-from domchrom._backend import get_kernel
+from domchrom import _kernel_py
 from domchrom.coloring import DominatorCertificate, recheck_certificate, verify_dominator
-from domchrom.errors import BudgetExhaustedError, TooLargeError
-from domchrom.generators import free_trees, orient, orientations, path
+from domchrom.errors import TooLargeError
+from domchrom.generators import (
+    free_trees,
+    orient,
+    orientations,
+    path,
+    random_tree,
+    rooted_orientation,
+)
 from domchrom.solver import (
     SolveOptions,
     brute_force_chi,
@@ -54,17 +61,7 @@ class TestSolveExact:
         a = solve_exact(t)
         b = solve_exact(t)
         assert a == b
-        assert a.stats == b.stats
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(BudgetExhaustedError):
-            solve_exact(directed_path(8), SolveOptions(node_budget=3))
-
-    def test_vertex_order_policies_agree_on_chi(self, small_corpus):
-        for t in small_corpus[::7]:
-            a = solve_exact(t, SolveOptions(vertex_order="degree")).chi
-            b = solve_exact(t, SolveOptions(vertex_order="index")).chi
-            assert a == b
+        assert solve_exact(t, SolveOptions(node_budget=1)) == a  # nothing to budget
 
 
 class TestBruteForce:
@@ -90,6 +87,10 @@ def all_orientations(max_n):
     for n in range(1, max_n + 1):
         for base in free_trees(n):
             yield from orientations(base)
+
+
+def mirrored(t):
+    return build_tree(t.n, [(t.n - 1 - u, t.n - 1 - v) for u, v in t.arcs])
 
 
 def hits_every_out_neighborhood(t, w):
@@ -136,8 +137,7 @@ class TestBounds:
         # free_trees numbers parents before children; the mirrored labels put
         # the root and every parent after their children.
         for t0 in all_orientations(8):
-            mirrored = build_tree(t0.n, [(t0.n - 1 - u, t0.n - 1 - v) for u, v in t0.arcs])
-            for t in (t0, mirrored):
+            for t in (t0, mirrored(t0)):
                 w = hitting_set(t)
                 assert w == tuple(sorted(set(w)))
                 assert hits_every_out_neighborhood(t, w)
@@ -160,21 +160,6 @@ class TestBounds:
                 assert recheck_certificate(t, res.certificate), t
         assert seen > 0
 
-    def test_one_kernel_round_per_solve(self, small_corpus):
-        rounds = []
-
-        def search_round(*args):
-            rounds.append(args[1])
-            return get_kernel().search_round(*args)
-
-        counting = types.SimpleNamespace(search_round=search_round)
-        for t in small_corpus:
-            before = len(rounds)
-            res = solve_exact(t, kernel=counting)
-            assert len(rounds) == before + 1
-            assert rounds[-1] == len(hitting_set(t)) + 1
-            assert res == solve_exact(t)
-
     @given(oriented_trees(min_n=2, max_n=8))
     @settings(max_examples=40, deadline=None)
     def test_leaf_deletion_monotone(self, t):
@@ -182,6 +167,53 @@ class TestBounds:
         for v in t.underlying_leaves:
             sub, _ = delete_leaf(t, v)
             assert chi - solve_exact(sub).chi in (0, 1)
+
+
+def kernel_finds(t, k):
+    """Whether the backtracking kernel finds a dominator coloring with k colors."""
+    order = tuple(range(t.n))
+    nonsink = tuple(v for v in range(t.n) if t.out_masks[v])
+    status = _kernel_py.search_round(t.n, k, order, t.adj_masks, t.out_masks, nonsink, -1)[0]
+    return status == _kernel_py.STATUS_FOUND
+
+
+class TestFamilyProgram:
+    """The tree program decides chi = tau + 1 exactly where a complete search
+    at k = tau + 1 finds a coloring."""
+
+    def check(self, t):
+        res = solve_exact(t)
+        assert res.tau == len(hitting_set(t))
+        assert (res.chi == res.tau + 1) == kernel_finds(t, res.tau + 1), t
+        assert res.certificate.k == res.chi
+
+    def test_agrees_with_search_on_all_small_orientations(self):
+        for t in all_orientations(8):
+            self.check(t)
+            self.check(mirrored(t))
+
+    def test_agrees_with_search_on_seeded_trees(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            n = rng.randint(10, 14)
+            self.check(orient(random_tree(n, rng.getrandbits(32)), rng.getrandbits(n - 1)))
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_long_directed_paths(self, n):
+        assert solve_exact(directed_path(n)).chi == n
+
+    def test_large_tree_certificate_rechecks(self):
+        rng = random.Random(7)
+        base = random_tree(500, rng.getrandbits(32))
+        mixed = orient(base, rng.getrandbits(499))
+        res = solve_exact(mixed)
+        assert res.tau + 1 <= res.chi <= res.tau + 2
+        assert recheck_certificate(mixed, res.certificate)
+        # An out-tree needs n - sinks + 1 colors, the lower bound tau + 1.
+        out_tree = rooted_orientation(base, 0, "out")
+        res = solve_exact(out_tree)
+        assert res.chi == res.tau + 1 == 500 - len(out_tree.sinks) + 1
+        assert recheck_certificate(out_tree, res.certificate)
 
 
 def test_rooted_examples_match_formula():
