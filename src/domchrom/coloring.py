@@ -40,7 +40,8 @@ class Coloring:
                 raise ValueError(
                     f"colors must be canonical (first-use order); offending vertex {i}"
                 )
-            top = max(top, c)
+            if c > top:
+                top = c
 
     @classmethod
     def from_labels(cls, labels: Iterable[int]) -> "Coloring":

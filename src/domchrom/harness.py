@@ -4,8 +4,18 @@ Each campaign enumerates a finite corpus, solves every instance exactly, and
 emits one record per instance with enough encoded state to replay it.  A
 counterexample never aborts a sweep; it lands in the summary and flips the
 ``holds`` flag.  Instances are independent, so campaigns parallelize over
-processes; workers return (ordered) records and the writer keeps enumeration
-order, which makes reports byte-identical for any job count.
+processes; workers return records in enumeration order and each campaign
+builds its report from them, which makes reports byte-identical for any job
+count.
+
+The leaf-deletion campaign solves the same labelled tree many times: both
+orientations of a leaf edge leave the same subtree, and most subtrees are
+instances one level down.  It therefore memoizes chi by labelled tree
+(``_CHI_BY_OUT_MASKS``, keyed by ``OrientedTree.out_masks``, which fixes n
+and every arc) for the length of one campaign, so each process solves each
+distinct labelled tree once.  Every tree it does solve is still re-verified by
+the solver's certificate check.  The other campaigns solve each labelled tree
+once and take no memo.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from .generators import (
     star,
 )
 from .io import certificate_to_obj, encode_base, encode_tree, decode_tree
-from .reports import ExperimentReport, ReportWriter
+from .reports import ExperimentReport, make_summary
 from .solver import solve_exact
 from .trees import BaseTree, OrientedTree, classify_rooted, delete_leaf
 
@@ -49,6 +59,20 @@ def _map_ordered(fn, payloads: list, jobs: int) -> list:
 
 def _chi(t: OrientedTree) -> int:
     return solve_exact(t).chi
+
+
+#: chi by labelled tree for the leaf-deletion campaign in progress in this
+#: process; ``check_leaf_deletion`` empties it when the campaign ends, and pool
+#: workers fill their own copy, which ends with the pool.
+_CHI_BY_OUT_MASKS: dict[tuple[int, ...], int] = {}
+
+
+def _memo_chi(t: OrientedTree) -> int:
+    key = t.out_masks
+    chi = _CHI_BY_OUT_MASKS.get(key)
+    if chi is None:
+        chi = _CHI_BY_OUT_MASKS[key] = _chi(t)
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +131,26 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
             code = encode_base(base)
             for mask in range(half):
                 payloads.append((code, n, mask))
-    writer = ReportWriter("reversal_invariance", {"max_n": max_n})
     records = _map_ordered(_invariance_record, payloads, jobs)
     counterexamples = []
     max_chi = -1
     max_instance = ""
     for rec in records:
-        writer.add(rec)
         if not rec["equal"] or not rec.get("rooted_ok", True):
             counterexamples.append(rec["instance"])
         for key, inst in (("chi", "instance"), ("chi_rev", "instance_rev")):
             if rec[key] > max_chi:
                 max_chi = rec[key]
                 max_instance = rec[inst]
-    return writer.finish(
-        counterexamples,
-        {"max_chi": max_chi, "max_chi_instance": max_instance},
+    return ExperimentReport(
+        "reversal_invariance",
+        {"max_n": max_n},
+        records,
+        make_summary(
+            len(records),
+            counterexamples,
+            {"max_chi": max_chi, "max_chi_instance": max_instance},
+        ),
     )
 
 
@@ -132,11 +160,11 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
 
 def _leafdel_records(payload: str) -> list[dict]:
     t = decode_tree(payload)
-    chi = _chi(t)
+    chi = _memo_chi(t)
     records = []
     for v in t.underlying_leaves:
         sub, _ = delete_leaf(t, v)
-        chi_sub = _chi(sub)
+        chi_sub = _memo_chi(sub)
         delta = chi - chi_sub
         u = t.neighbors[v][0]
         unique_out_target = t.out_neighbors[u] == (v,)
@@ -179,6 +207,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     its neighbor's only out-neighbor, or is the unique source) and the
     source-leaf rule (a dropped source leaf's neighbor has in-degree 1).
     Violations are findings; they carry a replayable instance encoding.
+    Each process solves each distinct labelled tree once per campaign.
     """
     if not (2 <= max_n <= 9):
         raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
@@ -187,18 +216,23 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
         for base in free_trees(n):
             for mask in range(1 << (n - 1)):
                 payloads.append(encode_tree(orient(base, mask)))
-    writer = ReportWriter("leaf_deletion", {"max_n": max_n})
-    grouped = _map_ordered(_leafdel_records, payloads, jobs)
-    counterexamples = []
-    for records in grouped:
-        for rec in records:
-            writer.add(rec)
-            if rec["violations"]:
-                counterexamples.append(
-                    {"instance": rec["instance"], "leaf": rec["leaf"],
-                     "violations": rec["violations"]}
-                )
-    return writer.finish(counterexamples)
+    try:
+        grouped = _map_ordered(_leafdel_records, payloads, jobs)
+    finally:
+        _CHI_BY_OUT_MASKS.clear()
+    records = [rec for group in grouped for rec in group]
+    counterexamples = [
+        {"instance": rec["instance"], "leaf": rec["leaf"],
+         "violations": rec["violations"]}
+        for rec in records
+        if rec["violations"]
+    ]
+    return ExperimentReport(
+        "leaf_deletion",
+        {"max_n": max_n},
+        records,
+        make_summary(len(records), counterexamples),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +309,9 @@ def explore_conjecture_gs(
         for k in range(1, k_max + 1)
         if m * k + 1 <= n_cap
     ]
-    writer = ReportWriter(
-        "gs_minmax", {"m_max": m_max, "k_max": k_max, "n_cap": n_cap}
-    )
     records = _map_ordered(_gs_record, payloads, jobs)
     findings = []
     for rec in records:
-        writer.add(rec)
         if not rec["min_agrees"] or not rec["max_agrees"]:
             findings.append(
                 {
@@ -293,7 +323,12 @@ def explore_conjecture_gs(
                     "conjectured_max": rec["conjectured_max"],
                 }
             )
-    return writer.finish([], {"findings": findings})
+    return ExperimentReport(
+        "gs_minmax",
+        {"m_max": m_max, "k_max": k_max, "n_cap": n_cap},
+        records,
+        make_summary(len(records), [], {"findings": findings}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +365,15 @@ def check_star_values(m_max: int, jobs: int = 1) -> ExperimentReport:
     """
     if not (1 <= m_max <= 10):
         raise TooLargeError("star sweep supports 1 <= m_max <= 10")
-    writer = ReportWriter("star_values", {"m_max": m_max})
     grouped = _map_ordered(_star_records, list(range(1, m_max + 1)), jobs)
-    counterexamples = []
-    for records in grouped:
-        for rec in records:
-            writer.add(rec)
-            if not rec["ok"]:
-                counterexamples.append(rec["instance"])
-    return writer.finish(counterexamples)
+    records = [rec for group in grouped for rec in group]
+    counterexamples = [rec["instance"] for rec in records if not rec["ok"]]
+    return ExperimentReport(
+        "star_values",
+        {"m_max": m_max},
+        records,
+        make_summary(len(records), counterexamples),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +480,10 @@ def check_caterpillar_bounds(
         (i, s.spine_len, tuple(s.legs), s.spine_mask, s.legs_mask)
         for i, s in enumerate(specs)
     ]
-    writer = ReportWriter(
+    records = _map_ordered(_caterpillar_record, payloads, jobs)
+    counterexamples = [rec["instance"] for rec in records if not rec["ok"]]
+    directed_cases = sum(1 for rec in records if rec["spine_directed"])
+    return ExperimentReport(
         "caterpillar_bounds",
         {
             "samples": samples,
@@ -454,18 +492,12 @@ def check_caterpillar_bounds(
             "spine_min": spine_min,
             "spine_max": spine_max,
         },
-    )
-    records = _map_ordered(_caterpillar_record, payloads, jobs)
-    counterexamples = []
-    directed_cases = 0
-    for rec in records:
-        writer.add(rec)
-        if rec["spine_directed"]:
-            directed_cases += 1
-        if not rec["ok"]:
-            counterexamples.append(rec["instance"])
-    return writer.finish(
-        counterexamples, {"skipped": skipped, "directed_spines": directed_cases}
+        records,
+        make_summary(
+            len(records),
+            counterexamples,
+            {"skipped": skipped, "directed_spines": directed_cases},
+        ),
     )
 
 
@@ -509,14 +541,14 @@ def check_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1) -> Experime
     """
     if not (1 <= n_lo <= n_hi <= 13):
         raise TooLargeError("path sweep supports 1 <= n_lo <= n_hi <= 13")
-    writer = ReportWriter("path_minimum", {"n_lo": n_lo, "n_hi": n_hi})
     records = _map_ordered(_path_min_record, list(range(n_lo, n_hi + 1)), jobs)
-    counterexamples = []
-    for rec in records:
-        writer.add(rec)
-        if not rec["equal"]:
-            counterexamples.append(rec["min_instance"])
-    return writer.finish(counterexamples)
+    counterexamples = [rec["min_instance"] for rec in records if not rec["equal"]]
+    return ExperimentReport(
+        "path_minimum",
+        {"n_lo": n_lo, "n_hi": n_hi},
+        records,
+        make_summary(len(records), counterexamples),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +587,11 @@ def check_rooted_formula(max_n: int, jobs: int = 1) -> ExperimentReport:
             for root in range(n):
                 for sense in ("out", "in"):
                     payloads.append((code, n, root, sense))
-    writer = ReportWriter("rooted_formula", {"max_n": max_n})
     records = _map_ordered(_rooted_record, payloads, jobs)
     counterexamples = [rec["instance"] for rec in records if not rec["equal"]]
-    for rec in records:
-        writer.add(rec)
-    return writer.finish(counterexamples)
+    return ExperimentReport(
+        "rooted_formula",
+        {"max_n": max_n},
+        records,
+        make_summary(len(records), counterexamples),
+    )

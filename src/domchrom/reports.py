@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FORMAT_VERSION = 1
 
@@ -97,22 +97,3 @@ def make_summary(
         summary.update(extra)
     return summary
 
-
-@dataclass
-class ReportWriter:
-    """Helper that accumulates records and closes into a report."""
-
-    campaign: str
-    params: dict
-    records: list[dict] = field(default_factory=list)
-
-    def add(self, record: dict) -> None:
-        self.records.append(record)
-
-    def finish(self, counterexamples: list, extra: dict | None = None) -> ExperimentReport:
-        return ExperimentReport(
-            campaign=self.campaign,
-            params=self.params,
-            records=self.records,
-            summary=make_summary(len(self.records), counterexamples, extra),
-        )

@@ -30,35 +30,26 @@ def _check_tree_shape(n: int, pairs: tuple[tuple[int, int], ...]) -> None:
         raise NotATreeError(f"vertex count must be >= 1, got {n}")
     if len(pairs) != n - 1:
         raise NotATreeError(f"a tree on {n} vertices needs {n - 1} arcs, got {len(pairs)}")
-    seen: set[frozenset[int]] = set()
+    # adj[u] has bit v set once the pair {u, v} has been seen, in either order.
+    adj = [0] * n
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise BadVertexIdError(f"arc ({u},{v}) uses a vertex outside 0..{n - 1}")
         if u == v:
             raise SelfArcError(f"self-arc at vertex {u}")
-        key = frozenset((u, v))
-        if key in seen:
+        if adj[u] >> v & 1:
             raise DuplicateOrAntiparallelArcError(f"vertex pair {{{u},{v}}} appears twice")
-        seen.add(key)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     # n-1 simple edges: connectivity implies acyclicity.
-    if n > 1:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
-        stack = [0]
-        visited = bytearray(n)
-        visited[0] = 1
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not visited[y]:
-                    visited[y] = 1
-                    count += 1
-                    stack.append(y)
-        if count != n:
-            raise NotATreeError("underlying graph is disconnected (hence has a cycle)")
+    reached = frontier = 1
+    while frontier:
+        x = frontier.bit_length() - 1
+        fresh = adj[x] & ~reached
+        reached |= fresh
+        frontier = (frontier ^ (1 << x)) | fresh
+    if reached != (1 << n) - 1:
+        raise NotATreeError("underlying graph is disconnected (hence has a cycle)")
 
 
 @dataclass(frozen=True)

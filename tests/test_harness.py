@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from domchrom import harness
 from domchrom.coloring import DominatorCertificate, verify_dominator
 from domchrom.errors import TooLargeError
+from domchrom.generators import free_trees, orientations
 from domchrom.harness import (
     check_caterpillar_bounds,
     check_leaf_deletion,
@@ -16,7 +18,7 @@ from domchrom.harness import (
 from domchrom.io import certificate_from_obj, decode_tree
 from domchrom.reports import ExperimentReport
 from domchrom.solver import brute_force_chi, solve_exact
-from domchrom.trees import delete_leaf, reverse
+from domchrom.trees import OrientedTree, delete_leaf, reverse
 
 
 class TestReversalInvariance:
@@ -116,6 +118,73 @@ class TestLeafDeletion:
     def test_guard(self):
         with pytest.raises(TooLargeError):
             check_leaf_deletion(10)
+
+
+class TestLeafDeletionMemo:
+    def test_jobs_and_reruns_byte_identical(self):
+        seq = check_leaf_deletion(6, jobs=1).to_json()
+        assert check_leaf_deletion(6, jobs=2).to_json() == seq
+        assert check_leaf_deletion(6, jobs=1).to_json() == seq
+
+    def test_records_match_fresh_solves(self):
+        for rec in check_leaf_deletion(6).records:
+            t = decode_tree(rec["instance"])
+            sub, _ = delete_leaf(t, rec["leaf"])
+            assert (rec["chi"], rec["chi_sub"]) == (
+                solve_exact(t).chi,
+                solve_exact(sub).chi,
+            ), rec
+
+    def test_each_labelled_tree_solved_once(self, monkeypatch):
+        solved = []
+
+        def counting_chi(t):
+            solved.append((t.n, t.arcs))
+            return solve_exact(t).chi
+
+        monkeypatch.setattr(harness, "_chi", counting_chi)
+        rep = check_leaf_deletion(6)
+        distinct = set()
+        for inst in {rec["instance"] for rec in rep.records}:
+            t = decode_tree(inst)
+            distinct.add((t.n, t.arcs))
+            for v in t.underlying_leaves:
+                sub, _ = delete_leaf(t, v)
+                distinct.add((sub.n, sub.arcs))
+        assert len(solved) == len(set(solved)) == len(distinct)
+        assert set(solved) == distinct
+
+    def test_memo_empty_after_campaign(self):
+        check_leaf_deletion(5)
+        assert harness._CHI_BY_OUT_MASKS == {}
+
+    def test_memo_empty_after_campaign_that_raises(self, monkeypatch):
+        def failing_chi(t):
+            if len(harness._CHI_BY_OUT_MASKS) == 10:
+                raise RuntimeError("solver failed")
+            return solve_exact(t).chi
+
+        monkeypatch.setattr(harness, "_chi", failing_chi)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            check_leaf_deletion(5)
+        assert harness._CHI_BY_OUT_MASKS == {}
+
+    def test_delete_leaf_equals_fresh_build(self):
+        # the memo keys subtrees by out_masks, so a delete_leaf subtree must be
+        # the same value as the tree built from its relabelled arcs
+        for n in range(2, 8):
+            for base in free_trees(n):
+                for t in orientations(base):
+                    for v in t.underlying_leaves:
+                        sub, _ = delete_leaf(t, v)
+                        arcs = tuple(
+                            (a - (a > v), b - (b > v))
+                            for a, b in t.arcs
+                            if v not in (a, b)
+                        )
+                        fresh = OrientedTree(n - 1, arcs)
+                        assert sub == fresh and hash(sub) == hash(fresh)
+                        assert sub.out_masks == fresh.out_masks
 
 
 class TestGsExplorer:

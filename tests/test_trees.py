@@ -66,6 +66,39 @@ def test_build_rejects_disconnected():
         build_tree(4, [(0, 1), (0, 1), (2, 3)])
 
 
+@pytest.mark.parametrize(
+    "n, arcs",
+    [
+        (4, [(0, 1), (1, 2), (2, 0)]),
+        (5, [(0, 1), (2, 1), (0, 2), (3, 4)]),
+        (6, [(5, 4), (4, 3), (3, 5), (0, 1), (1, 2)]),
+    ],
+)
+def test_build_rejects_simple_arcs_with_a_cycle(n, arcs):
+    # n - 1 distinct simple pairs, so only the connectivity test can object
+    with pytest.raises(NotATreeError, match="disconnected") as info:
+        build_tree(n, arcs)
+    assert type(info.value) is NotATreeError
+
+
+@pytest.mark.parametrize(
+    "arcs, error",
+    [
+        ([(0, 1), (0, 9), (1, 1)], BadVertexIdError),
+        ([(0, 2), (1, 1), (1, 9)], SelfArcError),
+        ([(0, 1), (1, 0), (2, 2)], DuplicateOrAntiparallelArcError),
+        ([(0, 0), (0, 1), (1, 0)], SelfArcError),
+        ([(0, 1), (0, 2), (5, 5)], BadVertexIdError),
+    ],
+)
+def test_build_reports_the_first_faulty_arc(arcs, error):
+    # arcs are checked in sorted order, each for its ids, then a self-arc,
+    # then a repeated vertex pair
+    with pytest.raises(error) as info:
+        build_tree(4, arcs)
+    assert type(info.value) is error
+
+
 def test_reverse_directed_path():
     t = build_tree(3, [(0, 1), (1, 2)])
     assert reverse(t).arcs == ((1, 0), (2, 1))
