@@ -125,8 +125,9 @@ def _class_masks(colors: Sequence[int], k: int) -> list[int]:
 
 
 def _check_colors(t: OrientedTree, colors: Sequence[int]) -> bool:
-    """Fast validity test on raw color lists; the single filter used by the
-    brute-force oracle."""
+    """Validity test on raw color lists, the brute-force oracle's filter.  It
+    stays on bitmasks, apart from :func:`_dominated`, so that the oracle
+    remains independent of the verifier."""
     for u, v in t.arcs:
         if colors[u] == colors[v]:
             return False
@@ -152,16 +153,27 @@ def is_proper(t: OrientedTree, c: ColoringLike) -> list[ImproperEdge]:
     return [ImproperEdge(arc) for arc in t.arcs if col.colors[arc[0]] == col.colors[arc[1]]]
 
 
+def _dominated(t: OrientedTree, colors: Sequence[int]) -> list[tuple[int, int]]:
+    """Every pair (v, c) such that the class of color c lies inside N+(v).
+
+    The class of c lies inside N+(v) exactly when v has as many out-neighbors
+    of color c as the class has vertices, so one pass over the arcs decides
+    every vertex and every class.
+    """
+    size = [0] * (len(colors) + 1)
+    for c in colors:
+        size[c] += 1
+    count: dict[tuple[int, int], int] = {}
+    for u, w in t.arcs:
+        key = (u, colors[w])
+        count[key] = count.get(key, 0) + 1
+    return [key for key, m in count.items() if m == size[key[1]]]
+
+
 def dominated_classes(t: OrientedTree, c: ColoringLike, v: int) -> frozenset[int]:
     """Color ids whose entire class lies inside N+(v); empty for sinks."""
     col = _coerce(t, c)
-    out = t.out_masks[v]
-    if out == 0:
-        return frozenset()
-    full = (1 << t.n) - 1
-    outside = full ^ out
-    masks = _class_masks(col.colors, col.k)
-    return frozenset(c_ for c_ in range(1, col.k + 1) if masks[c_] & outside == 0)
+    return frozenset(c_ for u, c_ in _dominated(t, col.colors) if u == v)
 
 
 def verify_dominator(
@@ -175,21 +187,13 @@ def verify_dominator(
     """
     col = _coerce(t, c)
     violations: list[Violation] = list(is_proper(t, col))
-    masks = _class_masks(col.colors, col.k)
-    full = (1 << t.n) - 1
-    witnesses: list[int | str] = []
-    for v in range(t.n):
-        out = t.out_masks[v]
-        if out == 0:
-            witnesses.append(SINK_EXEMPT)
-            continue
-        outside = full ^ out
-        for c_ in range(1, col.k + 1):
-            if masks[c_] & outside == 0:
-                witnesses.append(c_)
-                break
-        else:
-            violations.append(NoDominatedClass(v))
+    witnesses: list[int | str] = [SINK_EXEMPT] * t.n
+    for u, _ in t.arcs:
+        witnesses[u] = 0
+    for v, c_ in _dominated(t, col.colors):
+        if witnesses[v] == 0 or c_ < witnesses[v]:
+            witnesses[v] = c_
+    violations.extend(NoDominatedClass(v) for v, w in enumerate(witnesses) if w == 0)
     if violations:
         return violations
     return DominatorCertificate(coloring=col, witnesses=tuple(witnesses))
@@ -197,21 +201,17 @@ def verify_dominator(
 
 def recheck_certificate(t: OrientedTree, cert: DominatorCertificate) -> bool:
     """Re-validate a certificate from scratch, using only the tree and the
-    coloring it carries."""
+    coloring it carries.  Any class inside N+(v) is a valid witness for v."""
     if len(cert.coloring) != t.n or len(cert.witnesses) != t.n:
         return False
     if is_proper(t, cert.coloring):
         return False
-    masks = _class_masks(cert.coloring.colors, cert.coloring.k)
-    full = (1 << t.n) - 1
+    dominated = set(_dominated(t, cert.coloring.colors))
+    tails = {u for u, _ in t.arcs}
     for v, w in enumerate(cert.witnesses):
-        out = t.out_masks[v]
         if w == SINK_EXEMPT:
-            if out != 0:
+            if v in tails:
                 return False
-            continue
-        if not isinstance(w, int) or not (1 <= w <= cert.coloring.k):
-            return False
-        if out == 0 or masks[w] == 0 or masks[w] & (full ^ out) != 0:
+        elif not isinstance(w, int) or (v, w) not in dominated:
             return False
     return True

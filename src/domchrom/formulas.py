@@ -203,14 +203,6 @@ class CaterpillarView:
     def m(self) -> int:
         return len(self.spine)
 
-    def legs_by_spine(self) -> dict[int, list[tuple[int, int]]]:
-        spine_set = set(self.spine)
-        grouped: dict[int, list[tuple[int, int]]] = {}
-        for tail, head in self.legs:
-            anchor = tail if tail in spine_set else head
-            grouped.setdefault(anchor, []).append((tail, head))
-        return grouped
-
 
 def _bfs_dist(t: OrientedTree, src: int) -> tuple[list[int], list[int]]:
     dist = [-1] * t.n

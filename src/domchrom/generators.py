@@ -255,14 +255,6 @@ def _rooted_code(adjacency: Sequence[Sequence[int]], root: int, parent: int) -> 
     return "(" + "".join(parts) + ")"
 
 
-def _adj_of(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def canonical_code(base: BaseTree) -> str:
     """Isomorphism-invariant encoding: equal codes iff isomorphic trees."""
     adj = base.adjacency

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import TooLargeError
+from .errors import SpecInvalidError, TooLargeError
 from .formulas import (
     _directed_spine,
     caterpillar_upper_coloring,
@@ -391,7 +391,13 @@ def sample_caterpillar_specs(
 
     Oversized draws are skipped (and counted); every fifth accepted sample
     forces an all-forward spine so the directed-spine case stays covered.
+    Raises :class:`SpecInvalidError` when the spine range is empty or every
+    spine it allows exceeds ``n_max``, since no draw could then be accepted.
     """
+    if spine_min > spine_max:
+        raise SpecInvalidError(f"spine_min {spine_min} exceeds spine_max {spine_max}")
+    if spine_min > n_max:
+        raise SpecInvalidError(f"spine_min {spine_min} exceeds n_max {n_max}")
     rng = random.Random(seed)
     specs: list[CaterpillarSpec] = []
     skipped = 0

@@ -63,59 +63,57 @@ class SolveResult:
     tau: int
 
 
-def _bfs(t: OrientedTree) -> tuple[list[int], list[int]]:
-    """BFS order of the underlying tree from vertex 0, and each vertex's
-    parent (-1 at the root)."""
-    nbrs = t.neighbors
+def _bfs(t: OrientedTree) -> tuple[list[int], list[int], bytearray]:
+    """BFS order of the underlying tree from vertex 0, each vertex's parent
+    (-1 at the root), and whether the arc to its parent points down (p -> v)."""
+    outs = t.out_neighbors
+    ins = t.in_neighbors
     parent = [-1] * t.n
+    down = bytearray(t.n)
     order = [0]
     for v in order:
-        for w in nbrs[v]:
-            if w != parent[v]:
+        p = parent[v]
+        for w in outs[v]:
+            if w != p:
+                parent[w] = v
+                down[w] = 1
+                order.append(w)
+        for w in ins[v]:
+            if w != p:
                 parent[w] = v
                 order.append(w)
-    return order, parent
+    return order, parent, down
 
 
 def hitting_set(t: OrientedTree) -> tuple[int, ...]:
     """A minimum set W containing an out-neighbor of every non-sink vertex.
 
     Linear greedy over the underlying tree rooted at vertex 0, children
-    before parents.  A vertex that some child deferred to joins W, hitting
-    all of its in-neighbors.  A non-sink still unhit afterwards defers to its
-    parent when it points there, and otherwise puts its smallest
-    out-neighbor (a child) into W.  Deferring is safe by exchange: the parent
-    hits everything a child of v would hit, and possibly more.
+    before parents.  A non-sink with no out-neighbor in W yet puts its parent
+    into W when it points there, and otherwise its smallest out-neighbor (a
+    child).  Taking the parent is safe by exchange: the parent hits
+    everything a child of v would hit, and possibly more.
     """
     return _hitting_set(t, *_bfs(t))
 
 
-def _hitting_set(t: OrientedTree, order: list[int], parent: list[int]) -> tuple[int, ...]:
-    out = t.out_masks
-    adj = t.adj_masks
-    w = 0
-    hit = 0
-    deferred = 0
+def _hitting_set(
+    t: OrientedTree, order: list[int], parent: list[int], down: bytearray
+) -> tuple[int, ...]:
+    outs = t.out_neighbors
+    w = bytearray(t.n)
     for v in reversed(order):
-        if deferred >> v & 1:
-            w |= 1 << v
-            hit |= adj[v] & ~out[v]
-        if out[v] and not hit >> v & 1:
-            p = parent[v]
-            if p >= 0 and out[v] >> p & 1:
-                deferred |= 1 << p
-            else:
-                x = (out[v] & -out[v]).bit_length() - 1
-                w |= 1 << x
-                hit |= adj[x] & ~out[x]
-    return tuple(v for v in range(t.n) if w >> v & 1)
+        if outs[v] and not any(w[x] for x in outs[v]):
+            up = parent[v] >= 0 and not down[v]  # v -> parent
+            w[parent[v] if up else outs[v][0]] = 1
+    return tuple(v for v in range(t.n) if w[v])
 
 
 def hitting_set_coloring(t: OrientedTree, w: tuple[int, ...]) -> Coloring:
     """The dominator coloring with at most |w| + 2 colors that a hitting set
     ``w`` gives: each vertex of w alone in its class, and the forest V - w
     colored by BFS depth parity."""
-    return _parity_coloring(t, w, *_bfs(t))
+    return _parity_coloring(t, w, *_bfs(t)[:2])
 
 
 def _parity_coloring(
@@ -157,7 +155,7 @@ def _argmin(row: tuple[int, ...], roles: tuple[int, ...], level: int) -> int:
 
 
 def _least_family(
-    t: OrientedTree, order: list[int], parent: list[int], tau: int
+    t: OrientedTree, order: list[int], parent: list[int], down: bytearray, tau: int
 ) -> tuple[int, list[int] | None]:
     """The least m of a one-free-class family, and the labels of one such
     family when m = tau (``None`` otherwise).
@@ -178,10 +176,14 @@ def _least_family(
     parent four numbers, chosen by the direction of the arc between them.
     Values of ``n + 1`` or more mark an infeasible choice; they stay exact
     under the sums and differences below, so the minimum is exact.
+
+    ``order``, ``parent`` and ``down`` come from :func:`_bfs`; children are
+    read off the out- and in-neighbor tuples, so building the table and
+    rebuilding the family each take one pass over the arcs.
     """
     n = t.n
-    out = t.out_masks
-    nbrs = t.neighbors
+    outs = t.out_neighbors
+    ins = t.in_neighbors
     inf = n + 1
     g: list[tuple[int, ...]] = [()] * n
     hand: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * n
@@ -190,7 +192,6 @@ def _least_family(
     owner_child = [-1] * n  # cheapest in-child to own v's class in role C
     for v in reversed(order):
         p = parent[v]
-        ov = out[v]
         # Out-children (v -> c), satisfied inside their subtrees.  Columns:
         # v not in U and owning nothing / a class, v in U and the same.
         b0 = b1 = b2 = b3 = 0
@@ -201,12 +202,8 @@ def _least_family(
         # least extra cost of one of them owning v's class.
         in_u = in_s = in_other = 0
         odelta = inf
-        down = p >= 0 and out[p] >> v & 1  # p -> v
-        has_in = down
-        for c in nbrs[v]:
-            if c == p:
-                continue
-            if ov >> c & 1:
+        for c in outs[v]:
+            if c != p:
                 u, s, pm, o = hand[c]
                 a2 = s if s < o else o
                 a0 = u if u < a2 else a2
@@ -225,8 +222,8 @@ def _least_family(
                     d2, k2 = s - a2, c
                 if sp - a3 < d3:
                     d3, k3 = sp - a3, c
-            else:
-                has_in = True
+        for c in ins[v]:
+            if c != p:
                 nonu, any0, any1, any2 = hand[c]
                 in_u += nonu
                 in_s += any0
@@ -234,11 +231,11 @@ def _least_family(
                 if any2 - any1 < odelta:
                     odelta = any2 - any1
                     owner_child[v] = c
-        sink = not ov
+        sink = not outs[v]
         n0, n1, n2, nbits = _out_part(b0, b1, d0, d1, sink)
         u0, u1, u2, ubits = _out_part(b2, b3, d2, d3, sink)
-        xs = 1 + in_s if has_in else inf
-        xp = in_other if down else inf
+        xs = 1 + in_s if ins[v] else inf
+        xp = in_other if down[v] else inf
         xc = in_other + odelta
         row = (
             in_u + u0, in_u + u1, in_u + u2,
@@ -249,7 +246,7 @@ def _least_family(
         g[v] = row
         owns[v] = nbits | ubits << 2
         dom_child[v] = (k0, k1, k2, k3)
-        if down:  # v in each role, satisfied inside its subtree
+        if down[v]:  # p -> v: v in each role, satisfied inside its subtree
             hand[v] = row[1], row[4], row[7], row[10]
         elif p >= 0:  # v -> p: v not in U, and in any role at each level
             x = xs if xs < xc else xc  # never in p's class
@@ -271,17 +268,19 @@ def _least_family(
             labels[v] = n + 1 + parent[v]
         elif r == _C:
             labels[v] = n + 1 + owner_child[v]
-        need = dom_child[v][2 * in_u + own] if level == 1 and out[v] else -1
-        for c in nbrs[v]:
-            if c == parent[v]:
-                continue
-            if out[v] >> c & 1:
+        need = dom_child[v][2 * in_u + own] if level == 1 and outs[v] else -1
+        p = parent[v]
+        for c in outs[v]:
+            if c != p:
                 if c == need:
                     roles = (_S, _P) if own else (_S,)
                 else:
                     roles = _OUT_ROLES[2 * in_u + own]
-                lvl = 1
-            elif r == _C and c == owner_child[v]:
+                stack.append((c, _argmin(g[c], roles, 1), 1))
+        for c in ins[v]:
+            if c == p:
+                continue
+            if r == _C and c == owner_child[v]:
                 roles, lvl = _ROLES, 2
             elif r == _S:
                 roles, lvl = _ROLES, 0
@@ -298,14 +297,16 @@ def solve_exact(t: OrientedTree, opts: SolveOptions | None = None) -> SolveResul
     for both bounds), and χ = τ + 1 exactly when the least one-free-class
     family has τ non-free classes; that family is then the coloring.
     Otherwise the τ + 2 coloring of :func:`hitting_set_coloring` is
-    returned.  Either coloring is re-verified before it is returned.  Runs in
-    time linear in n and is deterministic.  ``opts`` is accepted and
+    returned.  Either coloring is re-verified before it is returned.  The
+    BFS, τ, the DP and the verifier each take one pass over the vertices and
+    arcs, on the tree's neighbor tuples; no n-bit mask is built, so time and
+    memory are linear in n.  Deterministic.  ``opts`` is accepted and
     ignored: there is no search, so a node budget does not apply.
     """
-    order, parent = _bfs(t)
-    w = _hitting_set(t, order, parent)
+    order, parent, down = _bfs(t)
+    w = _hitting_set(t, order, parent, down)
     tau = len(w)
-    m, labels = _least_family(t, order, parent, tau)
+    m, labels = _least_family(t, order, parent, down, tau)
     if m < tau:  # pragma: no cover - internal consistency
         raise RuntimeError(f"a family with {m} classes beats the lower bound {tau}")
     if labels is not None:

@@ -2,8 +2,10 @@
 
 Vertices are dense integers ``0..n-1``.  An :class:`OrientedTree` stores its
 arc set in canonical sorted order, so structurally equal inputs compare and
-hash equal.  Adjacency structures and bitmasks are materialized lazily and
-cached; they never take part in equality.
+hash equal.  Adjacency views are materialized lazily and cached; they never
+take part in equality.  Validation, the solver and the verifier read the arcs
+and the neighbor tuples, each in time linear in n; the n-bit ``out_masks``
+view serves only as a memo key and for small-n oracles.
 """
 
 from __future__ import annotations
@@ -30,25 +32,29 @@ def _check_tree_shape(n: int, pairs: tuple[tuple[int, int], ...]) -> None:
         raise NotATreeError(f"vertex count must be >= 1, got {n}")
     if len(pairs) != n - 1:
         raise NotATreeError(f"a tree on {n} vertices needs {n - 1} arcs, got {len(pairs)}")
-    # adj[u] has bit v set once the pair {u, v} has been seen, in either order.
-    adj = [0] * n
+    # Union-find over the vertices; the cycle error is raised only after every
+    # pair has passed the per-pair checks, so those errors take precedence.
+    root = list(range(n))
+    seen: set[int] = set()
+    cycle = False
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise BadVertexIdError(f"arc ({u},{v}) uses a vertex outside 0..{n - 1}")
         if u == v:
             raise SelfArcError(f"self-arc at vertex {u}")
-        if adj[u] >> v & 1:
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
             raise DuplicateOrAntiparallelArcError(f"vertex pair {{{u},{v}}} appears twice")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    # n-1 simple edges: connectivity implies acyclicity.
-    reached = frontier = 1
-    while frontier:
-        x = frontier.bit_length() - 1
-        fresh = adj[x] & ~reached
-        reached |= fresh
-        frontier = (frontier ^ (1 << x)) | fresh
-    if reached != (1 << n) - 1:
+        seen.add(key)
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u == v:
+            cycle = True
+        root[u] = v
+    # n-1 simple edges: a cycle exists exactly when the graph is disconnected.
+    if cycle:
         raise NotATreeError("underlying graph is disconnected (hence has a cycle)")
 
 
@@ -140,21 +146,13 @@ class OrientedTree:
             return (0,)
         return tuple(v for v in range(self.n) if self.degree(v) == 1)
 
-    # -- bitmask views used by the solver and the verifier ------------------
-
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
+        """Out-neighborhoods as n-bit integers: a compact hashable key, and
+        the brute-force oracle's view.  Quadratic in n; no solve reads it."""
         masks = [0] * self.n
         for u, v in self.arcs:
             masks[u] |= 1 << v
-        return tuple(masks)
-
-    @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
         return tuple(masks)
 
     def underlying(self) -> BaseTree:

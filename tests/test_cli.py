@@ -137,6 +137,16 @@ def test_caterpillar_campaign(tmp_path):
     assert len(rep.records) == 10
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--n-max", "2"], ["--spine-min", "5", "--spine-max", "4"]],
+)
+def test_caterpillar_campaign_rejects_an_empty_spine_range(extra, capsys):
+    # no draw could be accepted; the sampler must refuse instead of looping
+    assert cli_main(["caterpillar", "--samples", "1", *extra]) == 2
+    assert "spine_min" in capsys.readouterr().err
+
+
 def test_jobs_flag_and_env(tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from domchrom.coloring import (
+    _check_colors,
     Coloring,
     DominatorCertificate,
     ImproperEdge,
@@ -16,6 +17,7 @@ from domchrom.coloring import (
     verify_dominator,
 )
 from domchrom.errors import SizeMismatchError
+from domchrom.solver import _growth_sequences
 from domchrom.trees import build_tree
 
 from conftest import oriented_trees
@@ -159,4 +161,53 @@ class TestVerifyDominator:
         bad = DominatorCertificate(
             cert.coloring, (SINK_EXEMPT, cert.witnesses[1], cert.witnesses[2])
         )
+        assert not recheck_certificate(t, bad)
+
+
+def canonical_colorings(n):
+    for k in range(1, n + 1):
+        for seq in _growth_sequences(n, k):
+            yield tuple(seq)
+
+
+class TestAgainstDefinition:
+    """The counting verifier against the definition, on every orientation
+    with n <= 6 and every canonical coloring of it."""
+
+    def test_exhaustive_small(self, small_corpus):
+        for t in small_corpus:
+            outs = [set(o) for o in t.out_neighbors]
+            for colors in canonical_colorings(t.n):
+                classes = {}
+                for v, c in enumerate(colors):
+                    classes.setdefault(c, set()).add(v)
+                out = verify_dominator(t, colors)
+                assert isinstance(out, DominatorCertificate) == _check_colors(t, colors)
+                for v in range(t.n):
+                    expected = {c for c, cls in classes.items() if cls <= outs[v]}
+                    assert dominated_classes(t, colors, v) == expected
+                    if isinstance(out, DominatorCertificate):
+                        w = out.witnesses[v]
+                        assert w == (min(expected) if outs[v] else SINK_EXEMPT)
+                if isinstance(out, DominatorCertificate):
+                    assert recheck_certificate(t, out)
+
+    def test_recheck_accepts_any_dominated_witness(self):
+        # vertex 0 dominates the singleton classes 2 and 3; 2 is the smallest
+        t = build_tree(3, [(0, 1), (0, 2)])
+        cert = verify_dominator(t, (1, 2, 3))
+        assert isinstance(cert, DominatorCertificate)
+        assert cert.witnesses == (2, SINK_EXEMPT, SINK_EXEMPT)
+        other = DominatorCertificate(cert.coloring, (3, SINK_EXEMPT, SINK_EXEMPT))
+        assert recheck_certificate(t, other)
+        own = DominatorCertificate(cert.coloring, (1, SINK_EXEMPT, SINK_EXEMPT))
+        assert not recheck_certificate(t, own)
+
+    def test_recheck_rejects_partly_covered_class(self):
+        # class 2 = {1, 3}: vertex 0 reaches 1 but not 3, and dominates class 4
+        t = build_tree(5, [(0, 1), (0, 4), (2, 0), (2, 3)])
+        cert = verify_dominator(t, (1, 2, 3, 2, 4))
+        assert isinstance(cert, DominatorCertificate)
+        assert cert.witnesses[0] == 4
+        bad = DominatorCertificate(cert.coloring, (2,) + cert.witnesses[1:])
         assert not recheck_certificate(t, bad)

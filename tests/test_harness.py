@@ -4,7 +4,7 @@ import pytest
 
 from domchrom import harness
 from domchrom.coloring import DominatorCertificate, verify_dominator
-from domchrom.errors import TooLargeError
+from domchrom.errors import SpecInvalidError, TooLargeError
 from domchrom.generators import free_trees, orientations
 from domchrom.harness import (
     check_caterpillar_bounds,
@@ -14,6 +14,7 @@ from domchrom.harness import (
     check_rooted_formula,
     check_star_values,
     explore_conjecture_gs,
+    sample_caterpillar_specs,
 )
 from domchrom.io import certificate_from_obj, decode_tree
 from domchrom.reports import ExperimentReport
@@ -235,6 +236,17 @@ class TestCaterpillarCampaign:
             assert isinstance(verify_dominator(t, cert.coloring), DominatorCertificate)
             if rec["spine_directed"]:
                 assert rec["chi"] == rec["m"]
+
+    @pytest.mark.parametrize(
+        "n_max, spine_min, spine_max", [(2, 3, 8), (12, 5, 4), (4, 5, 5)]
+    )
+    def test_sampler_rejects_ranges_no_draw_fits(self, n_max, spine_min, spine_max):
+        with pytest.raises(SpecInvalidError):
+            sample_caterpillar_specs(1, 0, n_max, spine_min, spine_max)
+
+    def test_sampler_accepts_spine_min_equal_to_n_max(self):
+        specs, _ = sample_caterpillar_specs(5, 0, n_max=3, spine_min=3, spine_max=3)
+        assert [s.spine_len for s in specs] == [3] * 5
 
 
 class TestPathMinimum:

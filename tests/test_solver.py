@@ -171,9 +171,15 @@ class TestBounds:
 
 def kernel_finds(t, k):
     """Whether the backtracking kernel finds a dominator coloring with k colors."""
+    out = [0] * t.n
+    adj = [0] * t.n
+    for u, v in t.arcs:
+        out[u] |= 1 << v
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     order = tuple(range(t.n))
-    nonsink = tuple(v for v in range(t.n) if t.out_masks[v])
-    status = _kernel_py.search_round(t.n, k, order, t.adj_masks, t.out_masks, nonsink, -1)[0]
+    nonsink = tuple(v for v in range(t.n) if out[v])
+    status = _kernel_py.search_round(t.n, k, order, tuple(adj), tuple(out), nonsink, -1)[0]
     return status == _kernel_py.STATUS_FOUND
 
 
@@ -214,6 +220,33 @@ class TestFamilyProgram:
         res = solve_exact(out_tree)
         assert res.chi == res.tau + 1 == 500 - len(out_tree.sinks) + 1
         assert recheck_certificate(out_tree, res.certificate)
+
+
+class TestLinearPath:
+    """Build, solve and re-check stay linear: no view with one n-bit integer
+    per vertex is built, so 50,000 vertices take about a second."""
+
+    N = 50_000
+
+    def test_directed_path(self):
+        t = directed_path(self.N)
+        res = solve_exact(t)
+        assert res.chi == self.N and res.tau == self.N - 1
+        assert recheck_certificate(t, res.certificate)
+
+    def test_seeded_random_tree(self):
+        rng = random.Random(50)
+        t = orient(random_tree(self.N, rng.getrandbits(32)), rng.getrandbits(self.N - 1))
+        res = solve_exact(t)
+        assert res.tau + 1 <= res.chi <= res.tau + 2
+        assert res.certificate.k == res.chi
+        assert recheck_certificate(t, res.certificate)
+
+    def test_solve_and_recheck_build_no_mask_view(self):
+        t = orient(random_tree(40, 3), (1 << 39) // 3)
+        assert recheck_certificate(t, solve_exact(t).certificate)
+        assert "out_masks" not in t.__dict__
+        assert "adj_masks" not in t.__dict__
 
 
 def test_rooted_examples_match_formula():

@@ -99,6 +99,21 @@ def test_build_reports_the_first_faulty_arc(arcs, error):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize(
+    "arcs, error",
+    [
+        ([(0, 1), (0, 2), (2, 1), (3, 3)], SelfArcError),
+        ([(0, 1), (1, 2), (2, 0), (4, 9)], BadVertexIdError),
+        ([(0, 1), (1, 2), (2, 0), (2, 1)], DuplicateOrAntiparallelArcError),
+    ],
+)
+def test_build_reports_a_faulty_arc_before_an_earlier_cycle(arcs, error):
+    # a cycle closed by an early arc is reported only after every arc passed
+    with pytest.raises(error) as info:
+        build_tree(5, arcs)
+    assert type(info.value) is error
+
+
 def test_reverse_directed_path():
     t = build_tree(3, [(0, 1), (1, 2)])
     assert reverse(t).arcs == ((1, 0), (2, 1))
