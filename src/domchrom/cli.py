@@ -2,7 +2,9 @@
 
 Exit codes: 0 = completed and checked properties hold, 1 = counterexample or
 verification failure, 2 = usage or input error.
-``--jobs`` defaults to the ``DOMCHROM_JOBS`` environment variable.
+Every subcommand takes ``--output``; each takes only the other flags it reads.
+Campaigns take ``--jobs``, which defaults to the ``DOMCHROM_JOBS`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -46,11 +48,20 @@ def _default_jobs() -> int:
         return 1
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
-    p.add_argument("--format", choices=("json", "csv", "text"), default=None)
+def _output_flags(p: argparse.ArgumentParser, *formats: str) -> None:
+    """``--output``, plus ``--format`` over ``formats`` (the first is the default)."""
     p.add_argument("--output", default=None, help="write output to this path")
-    p.add_argument("--seed", type=int, default=None, help="seed for sampled campaigns")
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
+
+
+def _campaign_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    _output_flags(p, "json", "csv")
+    p.add_argument(
+        "--jobs", type=int, default=_default_jobs(), help="parallel worker processes"
+    )
+    return p
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -62,8 +73,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_report(report: ExperimentReport, args) -> int:
-    fmt = args.format or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         _emit(report.to_csv(), args.output)
     else:
         _emit(report.to_json(), args.output)
@@ -90,12 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one tree file exactly")
     p.add_argument("tree")
-    _common_flags(p)
+    _output_flags(p, "text", "json")
 
     p = sub.add_parser("verify", help="check a coloring file against a tree file")
     p.add_argument("tree")
     p.add_argument("coloring")
-    _common_flags(p)
+    _output_flags(p, "text", "json")
 
     p = sub.add_parser("gen", help="generate an instance from a named family")
     p.add_argument(
@@ -111,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spine-mask", type=int, default=0)
     p.add_argument("--legs-mask", type=int, default=0)
     p.add_argument("--emit", choices=("edges", "dot"), default="edges")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed (random)")
+    _output_flags(p)
 
     p = sub.add_parser("orientations", help="solve all orientations of a tree file")
     p.add_argument("tree")
@@ -119,32 +130,28 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--min", action="store_true")
     group.add_argument("--max", action="store_true")
     group.add_argument("--all", action="store_true")
-    _common_flags(p)
+    _output_flags(p, "text", "json", "csv")
 
-    p = sub.add_parser("invariance", help="reversal-invariance campaign")
+    p = _campaign_parser(sub, "invariance", "reversal-invariance campaign")
     p.add_argument("--max-n", type=int, required=True)
-    _common_flags(p)
 
-    p = sub.add_parser("leafdel", help="leaf-deletion campaign")
+    p = _campaign_parser(sub, "leafdel", "leaf-deletion campaign")
     p.add_argument("--max-n", type=int, required=True)
-    _common_flags(p)
 
-    p = sub.add_parser("conjecture", help="generalized-star min/max exploration")
+    p = _campaign_parser(sub, "conjecture", "generalized-star min/max exploration")
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--n-cap", type=int, default=10)
-    _common_flags(p)
 
-    p = sub.add_parser("star", help="star-orientation campaign")
+    p = _campaign_parser(sub, "star", "star-orientation campaign")
     p.add_argument("--m-max", type=int, required=True)
-    _common_flags(p)
 
-    p = sub.add_parser("caterpillar", help="caterpillar bound campaign")
+    p = _campaign_parser(sub, "caterpillar", "caterpillar bound campaign")
     p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--spine-min", type=int, default=3)
     p.add_argument("--spine-max", type=int, default=8)
-    _common_flags(p)
 
     return parser
 
@@ -153,7 +160,7 @@ def _cmd_solve(args) -> int:
     t = read_tree(args.tree)
     result = solve_exact(t)
     bound = "lower" if result.chi == result.tau + 1 else "upper"
-    if (args.format or "text") == "json":
+    if args.format == "json":
         obj = {
             "chi": result.chi,
             "tau": result.tau,
@@ -176,7 +183,7 @@ def _cmd_verify(args) -> int:
     coloring = read_coloring(args.coloring, t.n)
     outcome = verify_dominator(t, coloring)
     if isinstance(outcome, DominatorCertificate):
-        if (args.format or "text") == "json":
+        if args.format == "json":
             _emit(
                 json.dumps(
                     {"valid": True, "certificate": certificate_to_obj(outcome)},
@@ -195,7 +202,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"improper edge {violation.arc}")
         else:
             lines.append(f"no dominated class at vertex {violation.vertex}")
-    if (args.format or "text") == "json":
+    if args.format == "json":
         _emit(
             json.dumps({"valid": False, "violations": lines}, sort_keys=True, indent=2)
             + "\n",
@@ -239,7 +246,7 @@ def _cmd_gen(args) -> int:
     else:  # random
         if args.n is None:
             raise FormatError("gen random needs --n")
-        base = random_tree(args.n, args.seed if args.seed is not None else 0)
+        base = random_tree(args.n, args.seed)
         t = orient(base, args.mask or 0)
     if args.emit == "dot":
         _emit(to_dot(t), args.output)
@@ -251,33 +258,29 @@ def _cmd_gen(args) -> int:
 def _cmd_orientations(args) -> int:
     t = read_tree(args.tree)
     base = t.underlying()
-    rows = []
-    for mask, oriented in enumerate(orientations(base)):
-        result = solve_exact(oriented)
-        rows.append((mask, result.chi))
-    min_mask, min_chi = min(rows, key=lambda r: (r[1], r[0]))
-    max_mask, max_chi = max(rows, key=lambda r: (r[1], -r[0]))
+    chis = [solve_exact(oriented).chi for oriented in orientations(base)]
+    min_chi, max_chi = min(chis), max(chis)
+    min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
     want_min = args.min and not args.max
     want_max = args.max
-    fmt = args.format or "text"
-    if fmt == "json":
+    if args.format == "json":
         obj = {
             "n": base.n,
-            "orientations": len(rows),
+            "orientations": len(chis),
             "min": {"mask": min_mask, "chi": min_chi},
             "max": {"mask": max_mask, "chi": max_chi},
         }
         if not (want_min or want_max):
-            obj["all"] = [{"mask": m, "chi": c} for m, c in rows]
+            obj["all"] = [{"mask": m, "chi": c} for m, c in enumerate(chis)]
         _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.output)
-    elif fmt == "csv":
+    elif args.format == "csv":
         lines = ["mask,chi"]
         if want_min:
             lines.append(f"{min_mask},{min_chi}")
         elif want_max:
             lines.append(f"{max_mask},{max_chi}")
         else:
-            lines.extend(f"{m},{c}" for m, c in rows)
+            lines.extend(f"{m},{c}" for m, c in enumerate(chis))
         _emit("\n".join(lines) + "\n", args.output)
     else:
         lines = []
@@ -286,7 +289,7 @@ def _cmd_orientations(args) -> int:
         elif want_max:
             lines.append(f"max chi = {max_chi} at mask {max_mask}")
         else:
-            lines.extend(f"mask {m}: chi = {c}" for m, c in rows)
+            lines.extend(f"mask {m}: chi = {c}" for m, c in enumerate(chis))
             lines.append(f"min chi = {min_chi} at mask {min_mask}")
             lines.append(f"max chi = {max_chi} at mask {max_mask}")
         _emit("\n".join(lines) + "\n", args.output)
@@ -299,7 +302,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 2
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     try:
         if args.command == "solve":
             return _cmd_solve(args)
@@ -310,27 +312,27 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "orientations":
             return _cmd_orientations(args)
         if args.command == "invariance":
-            report = harness.check_reversal_invariance(args.max_n, jobs=jobs)
+            report = harness.check_reversal_invariance(args.max_n, jobs=args.jobs)
             return _emit_report(report, args)
         if args.command == "leafdel":
-            report = harness.check_leaf_deletion(args.max_n, jobs=jobs)
+            report = harness.check_leaf_deletion(args.max_n, jobs=args.jobs)
             return _emit_report(report, args)
         if args.command == "conjecture":
             report = harness.explore_conjecture_gs(
-                args.m_max, args.k_max, n_cap=args.n_cap, jobs=jobs
+                args.m_max, args.k_max, n_cap=args.n_cap, jobs=args.jobs
             )
             return _emit_report(report, args)
         if args.command == "star":
-            report = harness.check_star_values(args.m_max, jobs=jobs)
+            report = harness.check_star_values(args.m_max, jobs=args.jobs)
             return _emit_report(report, args)
         if args.command == "caterpillar":
             report = harness.check_caterpillar_bounds(
                 args.samples,
-                seed=args.seed if args.seed is not None else 0,
+                seed=args.seed,
                 n_max=args.n_max,
                 spine_min=args.spine_min,
                 spine_max=args.spine_max,
-                jobs=jobs,
+                jobs=args.jobs,
             )
             return _emit_report(report, args)
         raise AssertionError(f"unhandled command {args.command}")

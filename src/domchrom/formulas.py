@@ -204,50 +204,62 @@ class CaterpillarView:
         return len(self.spine)
 
 
-def _bfs_dist(t: OrientedTree, src: int) -> tuple[list[int], list[int]]:
+def _bfs(t: OrientedTree, src: int) -> tuple[list[int], list[int]]:
+    """Underlying distances from ``src`` and the vertices in visiting order."""
     dist = [-1] * t.n
-    parent = [-1] * t.n
     dist[src] = 0
-    queue = [src]
+    order = [src]
     head = 0
-    while head < len(queue):
-        u = queue[head]
+    while head < len(order):
+        u = order[head]
         head += 1
         for w in t.neighbors[u]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-    return dist, parent
+                order.append(w)
+    return dist, order
+
+
+def _longest_path(t: OrientedTree) -> tuple[int, ...]:
+    """The lexicographically smallest longest path, read from its smaller end.
+
+    A vertex ends some longest path exactly when its eccentricity is the
+    diameter D, and the eccentricity of v is max(d(x, v), d(y, v)) for the
+    two ends x, y of any one longest path.  The smallest such vertex a
+    starts the path.  Rooted at a, every longest path descends through
+    subtrees of heights D - 1, D - 2, ..., 0, so taking the smallest child
+    of the required height at each step gives the smallest sequence.
+    Linear in n.
+    """
+    _, order = _bfs(t, 0)
+    dx, order = _bfs(t, order[-1])
+    dy, _ = _bfs(t, order[-1])
+    diameter = dx[order[-1]]
+    a = next(v for v in range(t.n) if max(dx[v], dy[v]) == diameter)
+    dist, order = _bfs(t, a)
+    height = [0] * t.n
+    for v in reversed(order):
+        for w in t.neighbors[v]:
+            if dist[w] == dist[v] - 1 and height[w] <= height[v]:
+                height[w] = height[v] + 1
+    spine = [a]
+    for h in range(diameter - 1, -1, -1):
+        u = spine[-1]
+        spine.append(
+            min(w for w in t.neighbors[u] if dist[w] == dist[u] + 1 and height[w] == h)
+        )
+    return tuple(spine)
 
 
 def central_path(t: OrientedTree) -> CaterpillarView:
     """Deterministic longest underlying path with attached legs.
 
-    Considers every pair of vertices at maximum distance, writes each path
-    from its smaller endpoint, and keeps the lexicographically smallest
-    sequence.  Raises when some vertex is farther than one step from the
-    chosen spine.
+    The spine is the lexicographically smallest longest path, written from
+    its smaller endpoint (see :func:`_longest_path`).  Raises when some
+    vertex is farther than one step from the chosen spine.
     """
     n = t.n
-    dists = []
-    for v in range(n):
-        d, _ = _bfs_dist(t, v)
-        dists.append(d)
-    diameter = max(max(row) for row in dists)
-    best: tuple[int, ...] | None = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            if dists[a][b] != diameter:
-                continue
-            _, parent = _bfs_dist(t, b)
-            seq = [a]
-            while seq[-1] != b:
-                seq.append(parent[seq[-1]])
-            if best is None or tuple(seq) < best:
-                best = tuple(seq)
-    if best is None:  # single vertex
-        best = (0,)
+    best = _longest_path(t)
     spine_set = set(best)
     legs = []
     for tail, head in t.arcs:

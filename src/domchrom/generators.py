@@ -167,33 +167,20 @@ def caterpillar(spec: CaterpillarSpec) -> OrientedTree:
 # orientations of a base tree
 
 
-@dataclass(frozen=True)
-class OrientationMask:
-    """One orientation of a base tree, selected edge by edge.
+def orient(base: BaseTree, mask: int) -> OrientedTree:
+    """One orientation of ``base``, selected edge by edge.
 
     Bit i of ``mask`` flips edge i of ``base.edges`` (bit 0 keeps the listed
     (min, max) direction).  Masks 0..2^(n-1)-1 enumerate all orientations
     exactly once, and complementary masks are mutual reversals.
     """
-
-    base: BaseTree
-    mask: int
-
-    def __post_init__(self) -> None:
-        width = len(self.base.edges)
-        if not (0 <= self.mask < (1 << width) if width else self.mask == 0):
-            raise SpecInvalidError(f"mask {self.mask} out of range for {width} edges")
-
-    def tree(self) -> OrientedTree:
-        arcs = tuple(
-            (v, u) if (self.mask >> i) & 1 else (u, v)
-            for i, (u, v) in enumerate(self.base.edges)
-        )
-        return OrientedTree(self.base.n, arcs)
-
-
-def orient(base: BaseTree, mask: int) -> OrientedTree:
-    return OrientationMask(base, mask).tree()
+    width = len(base.edges)
+    if not (0 <= mask < (1 << width) if width else mask == 0):
+        raise SpecInvalidError(f"mask {mask} out of range for {width} edges")
+    arcs = tuple(
+        (v, u) if (mask >> i) & 1 else (u, v) for i, (u, v) in enumerate(base.edges)
+    )
+    return OrientedTree(base.n, arcs)
 
 
 def orientations(base: BaseTree) -> Iterator[OrientedTree]:

@@ -1,12 +1,20 @@
 """Verification campaigns: exhaustive sweeps with replayable reports.
 
 Each campaign enumerates a finite corpus, solves every instance exactly, and
-emits one record per instance with enough encoded state to replay it.  A
-counterexample never aborts a sweep; it lands in the summary and flips the
-``holds`` flag.  Instances are independent, so campaigns parallelize over
-processes; workers return records in enumeration order and each campaign
-builds its report from them, which makes reports byte-identical for any job
-count.
+emits one record per instance that carries the instance's compact code, so
+each record replays on its own.  A counterexample never aborts a sweep; it
+lands in the summary and flips the ``holds`` flag.  Instances are
+independent, so campaigns parallelize over processes; workers return records
+in enumeration order and each campaign builds its report from them, which
+makes reports byte-identical for any job count.
+
+Workers receive tree values that the parent has already built and validated,
+never codes to parse: a base tree (with its code where the record names it)
+plus a mask or a root, or a caterpillar spec.  Each worker builds every
+instance once and encodes it only for its record.  Unpickling a frozen
+dataclass skips ``__post_init__``, so a worker does not re-validate its
+payload; that is safe because every payload tree comes from this package's
+own validating constructors (``free_trees``, ``CaterpillarSpec``).
 
 The leaf-deletion campaign solves the same labelled tree many times: both
 orientations of a leaf edge leave the same subtree, and most subtrees are
@@ -43,7 +51,8 @@ from .generators import (
     rooted_orientation,
     star,
 )
-from .io import certificate_to_obj, encode_base, encode_tree, decode_tree
+from .io import certificate_to_obj, encode_base, encode_tree
+from .io import decode_tree  # unused here; perfbench/tracing.py wraps this name
 from .reports import ExperimentReport, make_summary
 from .solver import solve_exact
 from .trees import BaseTree, OrientedTree, classify_rooted, delete_leaf
@@ -79,9 +88,9 @@ def _memo_chi(t: OrientedTree) -> int:
 # reversal invariance
 
 
-def _invariance_record(payload: tuple[str, int, int]) -> dict:
-    base_code, n, mask = payload
-    base = _decode_base_edges(base_code, n)
+def _invariance_record(payload: tuple[BaseTree, str, int]) -> dict:
+    base, base_code, mask = payload
+    n = base.n
     width = max(n - 1, 0)
     mask_rev = mask ^ ((1 << width) - 1) if width else 0
     t = orient(base, mask)
@@ -107,14 +116,6 @@ def _invariance_record(payload: tuple[str, int, int]) -> dict:
     return record
 
 
-def _decode_base_edges(code: str, n: int) -> BaseTree:
-    from .io import decode_base
-
-    base = decode_base(code)
-    assert base.n == n
-    return base
-
-
 def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
     """Solve every orientation of every free tree up to ``max_n`` and compare
     each orientation with its reversal.
@@ -130,7 +131,7 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
         for base in free_trees(n):
             code = encode_base(base)
             for mask in range(half):
-                payloads.append((code, n, mask))
+                payloads.append((base, code, mask))
     records = _map_ordered(_invariance_record, payloads, jobs)
     counterexamples = []
     max_chi = -1
@@ -158,8 +159,9 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
 # leaf deletion
 
 
-def _leafdel_records(payload: str) -> list[dict]:
-    t = decode_tree(payload)
+def _leafdel_records(payload: tuple[BaseTree, int]) -> list[dict]:
+    t = orient(*payload)
+    instance = encode_tree(t)
     chi = _memo_chi(t)
     records = []
     for v in t.underlying_leaves:
@@ -182,7 +184,7 @@ def _leafdel_records(payload: str) -> list[dict]:
         records.append(
             {
                 "n": t.n,
-                "instance": payload,
+                "instance": instance,
                 "leaf": v,
                 "neighbor": u,
                 "chi": chi,
@@ -215,7 +217,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     for n in range(2, max_n + 1):
         for base in free_trees(n):
             for mask in range(1 << (n - 1)):
-                payloads.append(encode_tree(orient(base, mask)))
+                payloads.append((base, mask))
     try:
         grouped = _map_ordered(_leafdel_records, payloads, jobs)
     finally:
@@ -243,19 +245,9 @@ def _gs_record(payload: tuple[int, int]) -> dict:
     m, k = payload
     base = gs_base(m, k)
     width = len(base.edges)
-    min_chi = None
-    min_mask = 0
-    max_chi = None
-    max_mask = 0
-    uniform_chis = {}
-    for mask in range(1 << width):
-        chi = _chi(orient(base, mask))
-        if min_chi is None or chi < min_chi:
-            min_chi, min_mask = chi, mask
-        if max_chi is None or chi > max_chi:
-            max_chi, max_mask = chi, mask
-        if mask in (0, (1 << width) - 1):
-            uniform_chis[mask] = chi
+    chis = [_chi(orient(base, mask)) for mask in range(1 << width)]
+    min_chi, max_chi = min(chis), max(chis)
+    min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
     t_min = orient(base, min_mask)
     t_max = orient(base, max_mask)
     cert_min = solve_exact(t_min).certificate
@@ -286,9 +278,9 @@ def _gs_record(payload: tuple[int, int]) -> dict:
         "min_agrees": min_chi == conjectured_min,
         "conjectured_max": conjectured_max,
         "max_agrees": max_chi == conjectured_max,
-        "uniform_chi_out": uniform_chis[0],
-        "uniform_chi_in": uniform_chis[(1 << width) - 1],
-        "max_at_uniform": max_chi in uniform_chis.values(),
+        "uniform_chi_out": chis[0],
+        "uniform_chi_in": chis[-1],
+        "max_at_uniform": max_chi in (chis[0], chis[-1]),
     }
 
 
@@ -420,9 +412,8 @@ def sample_caterpillar_specs(
     return specs, skipped
 
 
-def _caterpillar_record(payload: tuple[int, int, tuple, int, int]) -> dict:
-    index, spine_len, legs, spine_mask, legs_mask = payload
-    spec = CaterpillarSpec(spine_len, tuple(legs), spine_mask, legs_mask)
+def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
+    index, spec = payload
     t = caterpillar(spec)
     view = central_path(t)
     m = view.m
@@ -448,10 +439,10 @@ def _caterpillar_record(payload: tuple[int, int, tuple, int, int]) -> dict:
     record = {
         "index": index,
         "spec": {
-            "spine_len": spine_len,
-            "legs": [list(pair) for pair in legs],
-            "spine_mask": spine_mask,
-            "legs_mask": legs_mask,
+            "spine_len": spec.spine_len,
+            "legs": [list(pair) for pair in spec.legs],
+            "spine_mask": spec.spine_mask,
+            "legs_mask": spec.legs_mask,
         },
         "instance": encode_tree(t),
         "n": t.n,
@@ -482,11 +473,7 @@ def check_caterpillar_bounds(
     """Spine lower bound, 2m-1 upper bound, and directed-spine equality on a
     seeded random sample of oriented caterpillars."""
     specs, skipped = sample_caterpillar_specs(samples, seed, n_max, spine_min, spine_max)
-    payloads = [
-        (i, s.spine_len, tuple(s.legs), s.spine_mask, s.legs_mask)
-        for i, s in enumerate(specs)
-    ]
-    records = _map_ordered(_caterpillar_record, payloads, jobs)
+    records = _map_ordered(_caterpillar_record, list(enumerate(specs)), jobs)
     counterexamples = [rec["instance"] for rec in records if not rec["ok"]]
     directed_cases = sum(1 for rec in records if rec["spine_directed"])
     return ExperimentReport(
@@ -514,16 +501,9 @@ def check_caterpillar_bounds(
 def _path_min_record(payload: int) -> dict:
     n = payload
     base = path(n)
-    min_chi = None
-    min_mask = 0
-    max_chi = None
-    max_mask = 0
-    for mask in range(1 << (n - 1)):
-        chi = _chi(orient(base, mask))
-        if min_chi is None or chi < min_chi:
-            min_chi, min_mask = chi, mask
-        if max_chi is None or chi > max_chi:
-            max_chi, max_mask = chi, mask
+    chis = [_chi(orient(base, mask)) for mask in range(1 << (n - 1))]
+    min_chi, max_chi = min(chis), max(chis)
+    min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
     formula = chi_path_orientation_min(n)
     return {
         "n": n,
@@ -561,15 +541,14 @@ def check_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1) -> Experime
 # rooted-tree formula
 
 
-def _rooted_record(payload: tuple[str, int, int, str]) -> dict:
-    base_code, n, root, sense = payload
-    base = _decode_base_edges(base_code, n)
+def _rooted_record(payload: tuple[BaseTree, str, int, str]) -> dict:
+    base, base_code, root, sense = payload
     t = rooted_orientation(base, root, sense)
     chi = _chi(t)
     leaves = len(t.sinks) if sense == "out" else len(t.sources)
     formula = t.n - leaves + 1
     return {
-        "n": n,
+        "n": base.n,
         "base": base_code,
         "root": root,
         "sense": sense,
@@ -592,7 +571,7 @@ def check_rooted_formula(max_n: int, jobs: int = 1) -> ExperimentReport:
             code = encode_base(base)
             for root in range(n):
                 for sense in ("out", "in"):
-                    payloads.append((code, n, root, sense))
+                    payloads.append((base, code, root, sense))
     records = _map_ordered(_rooted_record, payloads, jobs)
     counterexamples = [rec["instance"] for rec in records if not rec["equal"]]
     return ExperimentReport(

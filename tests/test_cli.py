@@ -175,3 +175,31 @@ def test_solve_reports_tau_and_bound(p5_file, capsys):
     assert (obj["tau"], obj["bound"]) == (4, "lower")
     assert "stats" not in obj
     assert cli_main(["solve", p5_file, "--budget", "2"]) == 2  # no search, no budget
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "TREE", "--seed", "1"],
+        ["solve", "TREE", "--jobs", "2"],
+        ["solve", "TREE", "--format", "csv"],
+        ["verify", "TREE", "TREE", "--format", "csv"],
+        ["verify", "TREE", "TREE", "--jobs", "2"],
+        ["gen", "path", "--n", "4", "--format", "json"],
+        ["gen", "path", "--n", "4", "--jobs", "2"],
+        ["orientations", "TREE", "--seed", "1"],
+        ["orientations", "TREE", "--jobs", "2"],
+        ["invariance", "--max-n", "3", "--format", "text"],
+        ["invariance", "--max-n", "3", "--seed", "1"],
+        ["leafdel", "--max-n", "3", "--seed", "1"],
+        ["conjecture", "--m-max", "2", "--k-max", "2", "--seed", "1"],
+        ["star", "--m-max", "2", "--format", "text"],
+        ["caterpillar", "--samples", "2", "--format", "text"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_two(argv, p5_file, capsys):
+    argv = [p5_file if a == "TREE" else a for a in argv]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+

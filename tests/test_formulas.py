@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from domchrom.coloring import DominatorCertificate, verify_dominator
@@ -10,6 +12,7 @@ from domchrom.errors import (
     SpineNotDirectedError,
 )
 from domchrom.formulas import (
+    _longest_path,
     build_layered_gs,
     caterpillar_upper_coloring,
     central_path,
@@ -22,12 +25,15 @@ from domchrom.formulas import (
     gs_uniform_chi,
 )
 from domchrom.generators import (
+    CaterpillarSpec,
     GsSpec,
+    caterpillar,
     free_trees,
     gs,
     orient,
     orientations,
     path,
+    random_tree,
     rooted_orientation,
     star,
 )
@@ -179,6 +185,60 @@ class TestCentralPath:
         view = central_path(t)
         assert view.spine == (0, 1, 2, 3)
         assert view.legs == ((1, 4),)
+
+    @staticmethod
+    def reference_longest_path(t):
+        # the definition: over every pair at maximum distance, the path read
+        # from its smaller endpoint; keep the lexicographically smallest
+        dist, parent = [], []
+        for src in range(t.n):
+            d, p = [-1] * t.n, [-1] * t.n
+            d[src] = 0
+            queue = [src]
+            for u in queue:
+                for w in t.neighbors[u]:
+                    if d[w] < 0:
+                        d[w], p[w] = d[u] + 1, u
+                        queue.append(w)
+            dist.append(d)
+            parent.append(p)
+        diameter = max(max(row) for row in dist)
+        paths = []
+        for a in range(t.n):
+            for b in range(a, t.n):
+                if dist[a][b] == diameter:
+                    seq = [a]
+                    while seq[-1] != b:
+                        seq.append(parent[b][seq[-1]])
+                    paths.append(tuple(seq))
+        return min(paths)
+
+    @staticmethod
+    def relabelled(base, rng):
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        return build_tree(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+
+    def test_longest_path_matches_definition_on_free_trees(self):
+        rng = random.Random(0)
+        for n in range(1, 11):
+            for base in free_trees(n):
+                for t in [orient(base, 0)] + [self.relabelled(base, rng) for _ in range(5)]:
+                    assert _longest_path(t) == self.reference_longest_path(t), t
+
+    def test_longest_path_matches_definition_on_random_trees(self):
+        for seed in range(300):
+            n = 11 + seed % 50
+            t = orient(random_tree(n, seed), 0)
+            assert _longest_path(t) == self.reference_longest_path(t), seed
+
+    def test_long_caterpillar_is_linear(self):
+        # an all-pairs distance table would hold 10^8 entries here
+        spine = 10_000
+        spec = CaterpillarSpec(spine, tuple((i, 1) for i in range(1, spine - 1)))
+        view = central_path(caterpillar(spec))
+        assert view.spine == tuple(range(spine))
+        assert len(view.legs) == spine - 2
 
     def test_not_a_caterpillar(self):
         # three legs of length 2 joined at a center: one leg end is at

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from domchrom import harness
+from domchrom import harness, io
 from domchrom.coloring import DominatorCertificate, verify_dominator
 from domchrom.errors import SpecInvalidError, TooLargeError
 from domchrom.generators import free_trees, orientations
@@ -155,6 +157,21 @@ class TestLeafDeletionMemo:
         assert len(solved) == len(set(solved)) == len(distinct)
         assert set(solved) == distinct
 
+    def test_each_instance_built_once(self, monkeypatch):
+        # one build per orientation and one per deleted leaf; the payload
+        # reaches the worker as a tree value, not as a code to decode
+        builds = []
+        init = OrientedTree.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OrientedTree, "__init__", counting_init)
+        rep = check_leaf_deletion(6)
+        instances = sum(len(free_trees(n)) << (n - 1) for n in range(2, 7))
+        assert len(builds) == instances + len(rep.records)
+
     def test_memo_empty_after_campaign(self):
         check_leaf_deletion(5)
         assert harness._CHI_BY_OUT_MASKS == {}
@@ -305,3 +322,56 @@ class TestDeterminismAndJobs:
                 out = verify_dominator(t, cert.coloring)
                 assert isinstance(out, DominatorCertificate)
                 assert cert.coloring.k == rec[f"{side}_chi"]
+
+
+# SHA-256 of each campaign's JSON report at a small size.  Reports are the
+# replayable record of every claim, so any change to their bytes must be
+# deliberate and show up here.
+REPORT_DIGESTS = {
+    "leafdel-6": (
+        lambda: check_leaf_deletion(6),
+        "e4f41bec931853bba1df8a9f6b158e15b7752bd3411ae6a3003eb806c48df817",
+    ),
+    "invariance-7": (
+        lambda: check_reversal_invariance(7),
+        "63cc27ffa552571fc0f6c7dc8bc1c7cd7f848560bd4691ed6e489e58682f6f49",
+    ),
+    "rooted-7": (
+        lambda: check_rooted_formula(7),
+        "91b1eac6cb2d9ca2d528f6bef93e7b802e6bee352d38c6b7cb98ba1845e849c7",
+    ),
+    "star-6": (
+        lambda: check_star_values(6),
+        "94c62b04a6e94d6d7b29f50509c6d64f52af1924d10db6d5d55dbd8fcf194aff",
+    ),
+    "path-min-4-10": (
+        lambda: check_path_minimum(4, 10),
+        "f84bc484a731c3f96fe1298ab3087fad1fedbb93077c8d6cc508dcc2864e1ac4",
+    ),
+    "caterpillar-50-seed-0": (
+        lambda: check_caterpillar_bounds(50, seed=0),
+        "0133a9ba74e13dad5174049feabcaa78102c429a5e674d4e531b89ce17904436",
+    ),
+    "conjecture-4-4-cap-9": (
+        lambda: explore_conjecture_gs(4, 4, 9),
+        "c3ac8190cd134fd81bec1a165073a347064e48452e5a0b1cca92474a487bd2b1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_bytes_pinned(name):
+    run, digest = REPORT_DIGESTS[name]
+    assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_campaigns_never_decode(name, monkeypatch):
+    def refuse(code):
+        raise AssertionError(f"campaign decoded {code!r}")
+
+    monkeypatch.setattr(io, "decode_tree", refuse)
+    monkeypatch.setattr(io, "decode_base", refuse)
+    monkeypatch.setattr(harness, "decode_tree", refuse)
+    run, _ = REPORT_DIGESTS[name]
+    assert run().records
