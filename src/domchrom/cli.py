@@ -3,8 +3,8 @@
 Exit codes: 0 = completed and checked properties hold, 1 = counterexample or
 verification failure, 2 = usage or input error.
 Every subcommand takes ``--output``; each takes only the other flags it reads.
-Campaigns take ``--jobs``, which defaults to the ``DOMCHROM_JOBS`` environment
-variable.
+Campaigns take ``--jobs``, an integer >= 1 that defaults to the ``DOMCHROM_JOBS``
+environment variable (unset or empty: 1).
 """
 
 from __future__ import annotations
@@ -40,12 +40,17 @@ from .reports import ExperimentReport
 from .solver import solve_exact
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("DOMCHROM_JOBS", "1")
+def _jobs(raw: str) -> int:
+    """``--jobs`` value: an integer >= 1, else a usage error (exit 2)."""
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1 from --jobs or DOMCHROM_JOBS, got {raw!r}"
+        )
+    return jobs
 
 
 def _output_flags(p: argparse.ArgumentParser, *formats: str) -> None:
@@ -58,9 +63,10 @@ def _output_flags(p: argparse.ArgumentParser, *formats: str) -> None:
 def _campaign_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=summary)
     _output_flags(p, "json", "csv")
-    p.add_argument(
-        "--jobs", type=int, default=_default_jobs(), help="parallel worker processes"
-    )
+    # argparse passes a string default through ``type`` only when this
+    # subcommand runs without --jobs: a bad DOMCHROM_JOBS fails campaigns alone
+    jobs = os.environ.get("DOMCHROM_JOBS") or "1"
+    p.add_argument("--jobs", type=_jobs, default=jobs, help="parallel worker processes")
     return p
 
 

@@ -18,7 +18,7 @@ from .errors import (
     SpineNotDirectedError,
 )
 from .generators import GsSpec, gs, star, orient
-from .trees import OrientedTree, classify_rooted, directed_leaf_count
+from .trees import OrientedTree, _walk, classify_rooted, directed_leaf_count
 
 
 def chi_directed_path(n: int) -> int:
@@ -204,20 +204,12 @@ class CaterpillarView:
         return len(self.spine)
 
 
-def _bfs(t: OrientedTree, src: int) -> tuple[list[int], list[int]]:
-    """Underlying distances from ``src`` and the vertices in visiting order."""
-    dist = [-1] * t.n
-    dist[src] = 0
-    order = [src]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for w in t.neighbors[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                order.append(w)
-    return dist, order
+def _depths(order: list[int], parent: list[int]) -> list[int]:
+    """Distances from the root of a :func:`_walk`."""
+    depth = [0] * len(order)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    return depth
 
 
 def _longest_path(t: OrientedTree) -> tuple[int, ...]:
@@ -231,23 +223,23 @@ def _longest_path(t: OrientedTree) -> tuple[int, ...]:
     of the required height at each step gives the smallest sequence.
     Linear in n.
     """
-    _, order = _bfs(t, 0)
-    dx, order = _bfs(t, order[-1])
-    dy, _ = _bfs(t, order[-1])
+    adj = t.neighbors
+    order, _ = _walk(adj, 0)
+    order, parent = _walk(adj, order[-1])
+    dx = _depths(order, parent)
+    dy = _depths(*_walk(adj, order[-1]))
     diameter = dx[order[-1]]
     a = next(v for v in range(t.n) if max(dx[v], dy[v]) == diameter)
-    dist, order = _bfs(t, a)
+    order, parent = _walk(adj, a)
     height = [0] * t.n
-    for v in reversed(order):
-        for w in t.neighbors[v]:
-            if dist[w] == dist[v] - 1 and height[w] <= height[v]:
-                height[w] = height[v] + 1
+    for v in order[:0:-1]:
+        p = parent[v]
+        if height[p] <= height[v]:
+            height[p] = height[v] + 1
     spine = [a]
     for h in range(diameter - 1, -1, -1):
         u = spine[-1]
-        spine.append(
-            min(w for w in t.neighbors[u] if dist[w] == dist[u] + 1 and height[w] == h)
-        )
+        spine.append(min(w for w in adj[u] if w != parent[u] and height[w] == h))
     return tuple(spine)
 
 

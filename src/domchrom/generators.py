@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import SpecInvalidError, TooLargeError
-from .trees import BaseTree, OrientedTree
+from .trees import BaseTree, OrientedTree, _walk
 
 _FREE_TREE_CAP = 12
 _MASK_WIDTH_CAP = 26
@@ -132,9 +132,9 @@ class CaterpillarSpec:
                     f"legs attach to internal spine vertices 1..{m - 2}, got {idx}"
                 )
             total_legs += count
-        if not (0 <= self.spine_mask < (1 << max(m - 1, 1))):
+        if not (0 <= self.spine_mask < (1 << (m - 1))):
             raise SpecInvalidError("spine mask out of range")
-        if not (0 <= self.legs_mask < (1 << max(total_legs, 1))):
+        if not (0 <= self.legs_mask < (1 << total_legs)):
             raise SpecInvalidError("legs mask out of range")
 
     @property
@@ -175,7 +175,7 @@ def orient(base: BaseTree, mask: int) -> OrientedTree:
     exactly once, and complementary masks are mutual reversals.
     """
     width = len(base.edges)
-    if not (0 <= mask < (1 << width) if width else mask == 0):
+    if not (0 <= mask < (1 << width)):
         raise SpecInvalidError(f"mask {mask} out of range for {width} edges")
     arcs = tuple(
         (v, u) if (mask >> i) & 1 else (u, v) for i, (u, v) in enumerate(base.edges)
@@ -195,86 +195,77 @@ def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:
     """Orient every edge away from (``sense='out'``) or toward (``'in'``) the root."""
     if sense not in ("out", "in"):
         raise ValueError(f"sense must be 'out' or 'in', got {sense!r}")
-    arcs = []
-    seen = bytearray(base.n)
-    seen[root] = 1
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in base.adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                arcs.append((u, v) if sense == "out" else (v, u))
-                stack.append(v)
-    return OrientedTree(base.n, tuple(arcs))
+    order, parent = _walk(base.adjacency, root)
+    if sense == "out":
+        arcs = tuple((parent[v], v) for v in order[1:])
+    else:
+        arcs = tuple((v, parent[v]) for v in order[1:])
+    return OrientedTree(base.n, arcs)
 
 
 # ---------------------------------------------------------------------------
 # canonical codes (AHU encoding rooted at the tree center)
+#
+# One encoder serves free and oriented trees.  It works bottom-up over a
+# breadth-first walk, so it has no recursion depth to exceed, and it keeps
+# only the codes of subtrees whose parent is still open, so memory is linear
+# (time is O(n * depth), the total length of the codes it builds).
 
 
-def _centers(n: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
-    if n == 1:
-        return [0]
-    deg = [len(adjacency[v]) for v in range(n)]
-    leaves = [v for v in range(n) if deg[v] == 1]
-    removed = len(leaves)
-    while removed < n:
-        new_leaves = []
-        for u in leaves:
-            deg[u] = 0
-            for w in adjacency[u]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        new_leaves.append(w)
-        removed += len(new_leaves)
-        leaves = new_leaves
-    return sorted(leaves)
+def _centers(adj: Sequence[Sequence[int]]) -> list[int]:
+    """The middle one or two vertices of a longest path, found by two walks."""
+    order, _ = _walk(adj, 0)
+    order, parent = _walk(adj, order[-1])
+    longest = [order[-1]]
+    while parent[longest[-1]] >= 0:
+        longest.append(parent[longest[-1]])
+    length = len(longest)
+    return sorted(longest[(length - 1) // 2 : length // 2 + 1])
 
 
-def _rooted_code(adjacency: Sequence[Sequence[int]], root: int, parent: int) -> str:
-    parts = sorted(
-        _rooted_code(adjacency, child, root)
-        for child in adjacency[root]
-        if child != parent
-    )
-    return "(" + "".join(parts) + ")"
+def _ahu_code(
+    adj: Sequence[Sequence[int]], root: int, arcs: Sequence[tuple[int, int]] = ()
+) -> str:
+    """AHU code of ``adj`` rooted at ``root``; each child edge in ``arcs`` is
+    tagged ">" when it points away from the root and "<" when toward it."""
+    order, parent = _walk(adj, root)
+    tag = [""] * len(adj)
+    for u, v in arcs:
+        if parent[v] == u:
+            tag[v] = ">"
+        else:
+            tag[u] = "<"
+    pending: list[list[str]] = [[] for _ in adj]
+    for v in order[:0:-1]:  # all but the root, children before parents
+        pending[parent[v]].append(tag[v] + "(" + "".join(sorted(pending[v])) + ")")
+        pending[v] = []
+    return "(" + "".join(sorted(pending[root])) + ")"
 
 
 def canonical_code(base: BaseTree) -> str:
     """Isomorphism-invariant encoding: equal codes iff isomorphic trees."""
     adj = base.adjacency
-    return min(_rooted_code(adj, c, -1) for c in _centers(base.n, adj))
+    return min(_ahu_code(adj, c) for c in _centers(adj))
 
 
 def canonical_form(base: BaseTree) -> BaseTree:
-    """A canonically relabeled copy; isomorphic inputs map to equal values."""
-    adj = base.adjacency
-    centers = _centers(base.n, adj)
-    codes: dict[tuple[int, int], str] = {}
+    """A canonically relabeled copy; isomorphic inputs map to equal values.
 
-    def code(root: int, parent: int) -> str:
-        key = (root, parent)
-        if key not in codes:
-            parts = sorted(code(ch, root) for ch in adj[root] if ch != parent)
-            codes[key] = "(" + "".join(parts) + ")"
-        return codes[key]
-
-    root = min(centers, key=lambda c: (code(c, -1), c))
-    relabel = {root: 0}
-    edges = []
-    queue = [(root, -1)]
-    while queue:
-        u, par = queue.pop(0)
-        children = sorted(
-            (ch for ch in adj[u] if ch != par), key=lambda ch: code(ch, u)
-        )
-        for ch in children:
-            relabel[ch] = len(relabel)
-            edges.append((relabel[u], relabel[ch]))
-            queue.append((ch, u))
-    return BaseTree(base.n, tuple(edges))
+    The canonical code is read back as a tree, children in code order, and
+    numbered breadth-first, so the result depends on the code alone.
+    """
+    children: list[list[int]] = [[]]
+    stack = [0]
+    for char in canonical_code(base)[1:-1]:
+        if char == "(":
+            children[stack[-1]].append(len(children))
+            stack.append(len(children))
+            children.append([])
+        else:
+            stack.pop()
+    order, parent = _walk(children, 0)
+    label = {v: i for i, v in enumerate(order)}
+    return BaseTree(base.n, tuple((label[parent[v]], label[v]) for v in order[1:]))
 
 
 def oriented_canonical_code(t: OrientedTree) -> str:
@@ -285,18 +276,7 @@ def oriented_canonical_code(t: OrientedTree) -> str:
     unless a direction-preserving isomorphism maps one to the other.
     """
     adj = t.neighbors
-    out_masks = t.out_masks
-
-    def code(root: int, parent: int) -> str:
-        parts = []
-        for child in adj[root]:
-            if child == parent:
-                continue
-            tag = ">" if (out_masks[root] >> child) & 1 else "<"
-            parts.append(tag + code(child, root))
-        return "(" + "".join(sorted(parts)) + ")"
-
-    return min(code(c, -1) for c in _centers(t.n, adj))
+    return min(_ahu_code(adj, c, t.arcs) for c in _centers(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -245,13 +245,12 @@ def _gs_record(payload: tuple[int, int]) -> dict:
     m, k = payload
     base = gs_base(m, k)
     width = len(base.edges)
-    chis = [_chi(orient(base, mask)) for mask in range(1 << width)]
+    # at most 2^9 of each under n_cap <= 10, kept for the extremes' witnesses
+    trees = [orient(base, mask) for mask in range(1 << width)]
+    results = [solve_exact(t) for t in trees]
+    chis = [r.chi for r in results]
     min_chi, max_chi = min(chis), max(chis)
     min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
-    t_min = orient(base, min_mask)
-    t_max = orient(base, max_mask)
-    cert_min = solve_exact(t_min).certificate
-    cert_max = solve_exact(t_max).certificate
     conjectured_min = 3 + m * (k // 2 - 1)
     conjectured_max = gs_uniform_chi(m, k)
     if m <= 2:
@@ -268,12 +267,12 @@ def _gs_record(payload: tuple[int, int]) -> dict:
         "orientations": 1 << width,
         "min_chi": min_chi,
         "min_mask": min_mask,
-        "min_instance": encode_tree(t_min),
-        "min_certificate": certificate_to_obj(cert_min),
+        "min_instance": encode_tree(trees[min_mask]),
+        "min_certificate": certificate_to_obj(results[min_mask].certificate),
         "max_chi": max_chi,
         "max_mask": max_mask,
-        "max_instance": encode_tree(t_max),
-        "max_certificate": certificate_to_obj(cert_max),
+        "max_instance": encode_tree(trees[max_mask]),
+        "max_certificate": certificate_to_obj(results[max_mask].certificate),
         "conjectured_min": conjectured_min,
         "min_agrees": min_chi == conjectured_min,
         "conjectured_max": conjectured_max,

@@ -5,14 +5,15 @@ arc set in canonical sorted order, so structurally equal inputs compare and
 hash equal.  Adjacency views are materialized lazily and cached; they never
 take part in equality.  Validation, the solver and the verifier read the arcs
 and the neighbor tuples, each in time linear in n; the n-bit ``out_masks``
-view serves only as a memo key and for small-n oracles.
+view serves only as a memo key and for small-n oracles.  Traversals outside
+the solver run on :func:`_walk`, one iterative walk, at any depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 from .errors import (
     BadVertexIdError,
@@ -58,6 +59,29 @@ def _check_tree_shape(n: int, pairs: tuple[tuple[int, int], ...]) -> None:
         raise NotATreeError("underlying graph is disconnected (hence has a cycle)")
 
 
+def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor tuples of the undirected graph on 0..n-1 with ``pairs``."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+def _walk(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first visiting order of the tree ``adj`` from ``root`` (children
+    in ``adj`` order) and each vertex's parent, -1 at the root."""
+    parent = [-1] * len(adj)
+    order = [root]
+    for u in order:  # grows while read: a FIFO queue; a tree needs no seen-set
+        p = parent[u]
+        for w in adj[u]:
+            if w != p:
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
 @dataclass(frozen=True)
 class BaseTree:
     """An undirected labeled tree, the carrier that orientations are built on.
@@ -77,11 +101,7 @@ class BaseTree:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return _adjacency(self.n, self.edges)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -117,11 +137,7 @@ class OrientedTree:
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return _adjacency(self.n, self.arcs)
 
     def out_degree(self, v: int) -> int:
         return len(self.out_neighbors[v])

@@ -1,0 +1,130 @@
+"""Canonical codes, canonical forms and rooted orientations.
+
+The digests below pin the exact strings and labellings; campaign records,
+``free_trees`` order and every report depend on them byte for byte.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+
+import networkx as nx
+import pytest
+
+from domchrom.formulas import central_path
+from domchrom.generators import (
+    _centers,
+    canonical_code,
+    canonical_form,
+    free_trees,
+    orient,
+    oriented_canonical_code,
+    orientations,
+    path,
+    random_tree,
+    rooted_orientation,
+)
+from domchrom.trees import BaseTree, OrientedTree
+
+FREE_TREES_DIGEST = "70f80da3e895e585339ca9dfaca917dac4c3c76a14c004fdc982932926d978d5"
+CODES_AND_FORMS_DIGEST = "cdffee8f6852527fe30bdf40b82a61018d4cfc645f316e3557f11a770563881b"
+ORIENTED_CODES_DIGEST = "d17f343a9927c98f93fd466081625784bb942b634c9bbbee7ee70a42b2c884d0"
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def _relabelled(base: BaseTree, rng: random.Random) -> BaseTree:
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    return BaseTree(base.n, tuple((perm[u], perm[v]) for u, v in base.edges))
+
+
+def _free_tree_lines():
+    for n in range(1, 11):
+        for base in free_trees(n):
+            yield repr(base.edges)
+
+
+def _code_and_form_lines():
+    rng = random.Random(8)
+    for n in range(1, 11):
+        for base in free_trees(n):
+            for _ in range(3):
+                shuffled = _relabelled(base, rng)
+                yield f"{canonical_code(shuffled)} {canonical_form(shuffled).edges!r}"
+
+
+def _oriented_code_lines():
+    rng = random.Random(9)
+    for n in range(1, 10):
+        for base in free_trees(n):
+            for t in orientations(base):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                shuffled = OrientedTree(n, tuple((perm[u], perm[v]) for u, v in t.arcs))
+                code = oriented_canonical_code(t)
+                assert oriented_canonical_code(shuffled) == code
+                yield code
+
+
+def test_free_trees_pinned():
+    assert _digest(_free_tree_lines()) == FREE_TREES_DIGEST
+
+
+def test_codes_and_forms_pinned():
+    assert _digest(_code_and_form_lines()) == CODES_AND_FORMS_DIGEST
+
+
+def test_oriented_codes_pinned():
+    assert _digest(_oriented_code_lines()) == ORIENTED_CODES_DIGEST
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 0), (5, 1), (30, 2), (200, 3)])
+def test_centers_minimize_eccentricity(n, seed):
+    base = random_tree(n, seed)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(base.edges)
+    assert _centers(base.adjacency) == sorted(nx.center(graph))
+
+
+def test_oriented_code_reads_no_masks():
+    t = orient(random_tree(40, 7), 0x5A5A5A5A5)
+    oriented_canonical_code(t)
+    assert "out_masks" not in t.__dict__
+
+
+def _broom(n: int) -> BaseTree:
+    """A path of n // 2 vertices with the remaining vertices hung on its end."""
+    handle = n // 2
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, v) for v in range(handle, n)]
+    return BaseTree(n, tuple(edges))
+
+
+@pytest.mark.parametrize("make", [path, _broom], ids=["path", "broom"])
+def test_deep_trees_under_default_recursion_limit(make):
+    n = 20_000
+    assert sys.getrecursionlimit() <= 10_000
+    base = make(n)
+    code = canonical_code(base)
+    assert len(code) == 2 * n
+    form = canonical_form(base)
+    assert canonical_code(form) == code
+    out_tree = rooted_orientation(base, 0, "out")
+    assert out_tree.sources == (0,)
+    in_tree = rooted_orientation(base, 0, "in")
+    assert in_tree.sinks == (0,)
+    mirrored = OrientedTree(n, tuple((n - 1 - u, n - 1 - v) for u, v in in_tree.arcs))
+    code = oriented_canonical_code(in_tree)
+    assert len(code) == 3 * n - 1  # n bracket pairs and n - 1 direction tags
+    assert oriented_canonical_code(mirrored) == code
+    spine = central_path(out_tree).spine
+    assert len(spine) == (n if make is path else n // 2 + 1)

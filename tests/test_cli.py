@@ -156,6 +156,29 @@ def test_jobs_flag_and_env(tmp_path, monkeypatch):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("jobs", ["-3", "0", "two", "1.5", ""])
+def test_bad_jobs_flag_exits_two(jobs, capsys):
+    assert cli_main(["star", "--m-max", "2", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1"])
+def test_bad_jobs_env_fails_only_campaigns(value, p5_file, monkeypatch, capsys):
+    monkeypatch.setenv("DOMCHROM_JOBS", value)
+    assert cli_main(["star", "--m-max", "2"]) == 2
+    assert "DOMCHROM_JOBS" in capsys.readouterr().err
+    assert cli_main(["star", "--m-max", "2", "--jobs", "1"]) == 0
+    assert cli_main(["solve", p5_file]) == 0
+    assert cli_main(["gen", "path", "--n", "3"]) == 0
+    assert cli_main(["orientations", p5_file, "--min"]) == 0
+    capsys.readouterr()
+
+
+def test_gen_caterpillar_rejects_mask_without_edges(capsys):
+    assert cli_main(["gen", "caterpillar", "--spine", "1", "--spine-mask", "1"]) == 2
+    assert "mask" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli_main(["solve"]) == 2  # missing argument
     assert cli_main(["nonsense"]) == 2

@@ -68,6 +68,19 @@ class TestFamilies:
         with pytest.raises(SpecInvalidError):
             CaterpillarSpec(3, (), spine_mask=4)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(spine_len=1, spine_mask=1),
+            dict(spine_len=3, legs_mask=1),
+            dict(spine_len=3, legs=((1, 1),), legs_mask=2),
+        ],
+    )
+    def test_caterpillar_masks_follow_orient(self, spec):
+        # a mask needs one bit per edge it orients; with no edges it must be 0
+        with pytest.raises(SpecInvalidError):
+            CaterpillarSpec(**spec)
+
 
 class TestOrientations:
     def test_p4_has_eight(self):

@@ -229,6 +229,20 @@ class TestGsExplorer:
         rec = next(r for r in rep.records if (r["m"], r["k"]) == (3, 1))
         assert (rec["min_chi"], rec["max_chi"]) == (2, 3)
 
+    def test_each_orientation_solved_once(self, monkeypatch):
+        # the extremes' certificates come from the sweep, not from re-solves
+        solved = []
+
+        def counting_solve(t):
+            solved.append((t.n, t.arcs))
+            return solve_exact(t)
+
+        monkeypatch.setattr(harness, "solve_exact", counting_solve)
+        rep = explore_conjecture_gs(3, 3, 10)
+        assert len(solved) == len(set(solved)) == sum(
+            rec["orientations"] for rec in rep.records
+        )
+
 
 class TestStarCampaign:
     def test_holds_and_exact_uniform_set(self):
