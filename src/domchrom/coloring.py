@@ -126,16 +126,18 @@ def _class_masks(colors: Sequence[int], k: int) -> list[int]:
 
 def _check_colors(t: OrientedTree, colors: Sequence[int]) -> bool:
     """Validity test on raw color lists, the brute-force oracle's filter.  It
-    stays on bitmasks, apart from :func:`_dominated`, so that the oracle
-    remains independent of the verifier."""
+    works on n-bit vertex sets and shares no code with :func:`verify_dominator`,
+    so that the oracle stays independent of the verifier."""
     for u, v in t.arcs:
         if colors[u] == colors[v]:
             return False
     k = max(colors)
     masks = _class_masks(colors, k)
+    outs = [0] * t.n
+    for u, v in t.arcs:
+        outs[u] |= 1 << v
     full = (1 << t.n) - 1
-    for v in range(t.n):
-        out = t.out_masks[v]
+    for out in outs:
         if out == 0:
             continue
         outside = full ^ out

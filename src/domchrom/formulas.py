@@ -18,7 +18,7 @@ from .errors import (
     SpineNotDirectedError,
 )
 from .generators import GsSpec, gs, star, orient
-from .trees import OrientedTree, _walk, classify_rooted, directed_leaf_count
+from .trees import OrientedTree, _walk, classify_rooted
 
 
 def chi_directed_path(n: int) -> int:
@@ -57,9 +57,9 @@ def chi_rooted(t: OrientedTree) -> int:
     """
     rc = classify_rooted(t)
     if rc.out_root is not None:
-        return t.n - directed_leaf_count(t, "out-tree") + 1
+        return t.n - len(t.sinks) + 1
     if rc.in_root is not None:
-        return t.n - directed_leaf_count(t, "in-tree") + 1
+        return t.n - len(t.sources) + 1
     raise NotRootedError("tree is neither an out-tree nor an in-tree")
 
 

@@ -90,17 +90,14 @@ def gs(spec: GsSpec) -> OrientedTree:
     base = gs_base(spec.m, spec.k)
     if spec.scheme == "mask":
         return orient(base, spec.mask)  # type: ignore[arg-type]
-    arcs = []
+    if spec.scheme != "layered":
+        return rooted_orientation(base, 0, spec.scheme)
+    arcs = []  # layered: arcs run from odd layers into adjacent even layers
     for j in range(spec.m):
         for layer in range(1, spec.k + 1):
             lo = spec.layer_vertex(j, layer - 1)
             hi = spec.layer_vertex(j, layer)
-            if spec.scheme == "out":
-                arcs.append((lo, hi))
-            elif spec.scheme == "in":
-                arcs.append((hi, lo))
-            else:  # layered: arcs run from odd layers into adjacent even layers
-                arcs.append((hi, lo) if layer % 2 == 1 else (lo, hi))
+            arcs.append((hi, lo) if layer % 2 == 1 else (lo, hi))
     return OrientedTree(spec.n, tuple(arcs))
 
 
@@ -195,6 +192,8 @@ def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:
     """Orient every edge away from (``sense='out'``) or toward (``'in'``) the root."""
     if sense not in ("out", "in"):
         raise ValueError(f"sense must be 'out' or 'in', got {sense!r}")
+    if not (0 <= root < base.n):
+        raise SpecInvalidError(f"root {root} outside 0..{base.n - 1}")
     order, parent = _walk(base.adjacency, root)
     if sense == "out":
         arcs = tuple((parent[v], v) for v in order[1:])

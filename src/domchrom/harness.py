@@ -19,8 +19,8 @@ own validating constructors (``free_trees``, ``CaterpillarSpec``).
 The leaf-deletion campaign solves the same labelled tree many times: both
 orientations of a leaf edge leave the same subtree, and most subtrees are
 instances one level down.  It therefore memoizes chi by labelled tree
-(``_CHI_BY_OUT_MASKS``, keyed by ``OrientedTree.out_masks``, which fixes n
-and every arc) for the length of one campaign, so each process solves each
+(``_CHI_BY_CODE``, keyed by the compact instance code, which fixes n and
+every arc) for the length of one campaign, so each process solves each
 distinct labelled tree once.  Every tree it does solve is still re-verified by
 the solver's certificate check.  The other campaigns solve each labelled tree
 once and take no memo.
@@ -59,7 +59,9 @@ from .trees import BaseTree, OrientedTree, classify_rooted, delete_leaf
 
 
 def _map_ordered(fn, payloads: list, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    if jobs == 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     chunk = max(1, len(payloads) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -73,14 +75,13 @@ def _chi(t: OrientedTree) -> int:
 #: chi by labelled tree for the leaf-deletion campaign in progress in this
 #: process; ``check_leaf_deletion`` empties it when the campaign ends, and pool
 #: workers fill their own copy, which ends with the pool.
-_CHI_BY_OUT_MASKS: dict[tuple[int, ...], int] = {}
+_CHI_BY_CODE: dict[str, int] = {}
 
 
-def _memo_chi(t: OrientedTree) -> int:
-    key = t.out_masks
-    chi = _CHI_BY_OUT_MASKS.get(key)
+def _memo_chi(t: OrientedTree, code: str) -> int:
+    chi = _CHI_BY_CODE.get(code)
     if chi is None:
-        chi = _CHI_BY_OUT_MASKS[key] = _chi(t)
+        chi = _CHI_BY_CODE[code] = _chi(t)
     return chi
 
 
@@ -162,11 +163,11 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
 def _leafdel_records(payload: tuple[BaseTree, int]) -> list[dict]:
     t = orient(*payload)
     instance = encode_tree(t)
-    chi = _memo_chi(t)
+    chi = _memo_chi(t, instance)
     records = []
     for v in t.underlying_leaves:
         sub, _ = delete_leaf(t, v)
-        chi_sub = _memo_chi(sub)
+        chi_sub = _memo_chi(sub, encode_tree(sub))
         delta = chi - chi_sub
         u = t.neighbors[v][0]
         unique_out_target = t.out_neighbors[u] == (v,)
@@ -221,7 +222,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     try:
         grouped = _map_ordered(_leafdel_records, payloads, jobs)
     finally:
-        _CHI_BY_OUT_MASKS.clear()
+        _CHI_BY_CODE.clear()
     records = [rec for group in grouped for rec in group]
     counterexamples = [
         {"instance": rec["instance"], "leaf": rec["leaf"],
@@ -417,7 +418,6 @@ def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
     view = central_path(t)
     m = view.m
     spine_arcs = []
-    pos = {v: i for i, v in enumerate(view.spine)}
     arcset = set(t.arcs)
     for i in range(m - 1):
         a, b = view.spine[i], view.spine[i + 1]

@@ -21,10 +21,10 @@ program over the tree.
   which :func:`_least_family` computes bottom-up.
 
 ``brute_force_chi`` shares nothing with that program: it enumerates
-canonical colorings outright and filters them through the public verifier,
-which makes it a true cross-validation oracle for small instances.  The
-backtracking kernel (``_kernel_py.search_round``) is the tests' second
-exact oracle.
+canonical colorings outright and filters them with ``coloring._check_colors``,
+a bitmask test separate from the public verifier, which makes it a true
+cross-validation oracle for small instances.  The backtracking kernel
+(``_kernel_py.search_round``) is the tests' second exact oracle.
 """
 
 from __future__ import annotations
@@ -346,8 +346,9 @@ def brute_force_chi(t: OrientedTree) -> int:
     """Exact value by exhaustive enumeration; independent of ``solve_exact``.
 
     Enumerates canonical colorings (restricted-growth sequences) for k = 1,
-    2, ... and accepts the first k admitting a coloring that the public
-    verifier passes.  Capped at n <= 10.
+    2, ... and accepts the first k admitting a coloring that passes
+    ``coloring._check_colors``, a bitmask filter that shares no code with the
+    public verifier.  Capped at n <= 10.
     """
     if t.n > _BRUTE_CAP:
         raise TooLargeError(f"brute force capped at n <= {_BRUTE_CAP}, got {t.n}")

@@ -3,9 +3,8 @@
 Vertices are dense integers ``0..n-1``.  An :class:`OrientedTree` stores its
 arc set in canonical sorted order, so structurally equal inputs compare and
 hash equal.  Adjacency views are materialized lazily and cached; they never
-take part in equality.  Validation, the solver and the verifier read the arcs
-and the neighbor tuples, each in time linear in n; the n-bit ``out_masks``
-view serves only as a memo key and for small-n oracles.  Traversals outside
+take part in equality.  Every view is linear in n, and validation, the solver
+and the verifier read only the arcs and the neighbor tuples.  Traversals outside
 the solver run on :func:`_walk`, one iterative walk, at any depth.
 """
 
@@ -161,15 +160,6 @@ class OrientedTree:
         if self.n == 1:
             return (0,)
         return tuple(v for v in range(self.n) if self.degree(v) == 1)
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        """Out-neighborhoods as n-bit integers: a compact hashable key, and
-        the brute-force oracle's view.  Quadratic in n; no solve reads it."""
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[u] |= 1 << v
-        return tuple(masks)
 
     def underlying(self) -> BaseTree:
         return BaseTree(self.n, self.arcs)

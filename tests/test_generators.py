@@ -19,6 +19,7 @@ from domchrom.generators import (
     orientations,
     path,
     random_tree,
+    rooted_orientation,
     sequence_to_edges,
     star,
 )
@@ -109,6 +110,11 @@ class TestOrientations:
     def test_too_large_guard(self):
         with pytest.raises(TooLargeError):
             next(orientations(path(27)))
+
+    def test_rooted_orientation_rejects_root_out_of_range(self):
+        for root in (5, 3, -1):
+            with pytest.raises(SpecInvalidError, match="root"):
+                rooted_orientation(path(3), root, "out")
 
 
 class TestFreeTrees:

@@ -18,7 +18,7 @@ from domchrom.harness import (
     explore_conjecture_gs,
     sample_caterpillar_specs,
 )
-from domchrom.io import certificate_from_obj, decode_tree
+from domchrom.io import certificate_from_obj, decode_tree, encode_tree
 from domchrom.reports import ExperimentReport
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import OrientedTree, delete_leaf, reverse
@@ -174,22 +174,22 @@ class TestLeafDeletionMemo:
 
     def test_memo_empty_after_campaign(self):
         check_leaf_deletion(5)
-        assert harness._CHI_BY_OUT_MASKS == {}
+        assert harness._CHI_BY_CODE == {}
 
     def test_memo_empty_after_campaign_that_raises(self, monkeypatch):
         def failing_chi(t):
-            if len(harness._CHI_BY_OUT_MASKS) == 10:
+            if len(harness._CHI_BY_CODE) == 10:
                 raise RuntimeError("solver failed")
             return solve_exact(t).chi
 
         monkeypatch.setattr(harness, "_chi", failing_chi)
         with pytest.raises(RuntimeError, match="solver failed"):
             check_leaf_deletion(5)
-        assert harness._CHI_BY_OUT_MASKS == {}
+        assert harness._CHI_BY_CODE == {}
 
     def test_delete_leaf_equals_fresh_build(self):
-        # the memo keys subtrees by out_masks, so a delete_leaf subtree must be
-        # the same value as the tree built from its relabelled arcs
+        # the memo keys subtrees by instance code, so a delete_leaf subtree
+        # must be the same value as the tree built from its relabelled arcs
         for n in range(2, 8):
             for base in free_trees(n):
                 for t in orientations(base):
@@ -202,7 +202,7 @@ class TestLeafDeletionMemo:
                         )
                         fresh = OrientedTree(n - 1, arcs)
                         assert sub == fresh and hash(sub) == hash(fresh)
-                        assert sub.out_masks == fresh.out_masks
+                        assert encode_tree(sub) == encode_tree(fresh)
 
 
 class TestGsExplorer:
@@ -305,6 +305,13 @@ class TestDeterminismAndJobs:
         par = check_star_values(4, jobs=4)
         assert seq.to_json() == par.to_json()
         assert seq.to_csv() == par.to_csv()
+
+    def test_library_campaigns_reject_bad_jobs(self):
+        for jobs in (0, -3, 1.5, "2"):
+            with pytest.raises(ValueError, match="jobs"):
+                check_star_values(2, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            check_leaf_deletion(3, jobs=0)
 
     def test_jobs_equivalence_invariance(self):
         seq = check_reversal_invariance(4, jobs=1)

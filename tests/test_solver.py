@@ -94,8 +94,7 @@ def mirrored(t):
 
 
 def hits_every_out_neighborhood(t, w):
-    mask = sum(1 << v for v in w)
-    return all(t.out_masks[u] & mask for u in range(t.n) if t.out_masks[u])
+    return all(set(out) & set(w) for out in t.out_neighbors if out)
 
 
 class TestBounds:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from functools import cached_property
+
 import pytest
 from hypothesis import given
 
@@ -13,6 +16,7 @@ from domchrom.errors import (
 )
 from domchrom.generators import oriented_canonical_code
 from domchrom.trees import (
+    OrientedTree,
     build_tree,
     classify_rooted,
     degree_profile,
@@ -228,3 +232,19 @@ def test_delete_then_reinsert_is_isomorphic(t):
     arc = (mapping[u], new_leaf) if outgoing else (new_leaf, mapping[u])
     rebuilt = build_tree(sub.n + 1, sub.arcs + (arc,))
     assert oriented_canonical_code(rebuilt) == oriented_canonical_code(t)
+
+
+def test_every_view_is_linear_on_a_long_path():
+    # storing each out-neighborhood as an n-bit integer peaks near 170 MB here
+    n = 50_000
+    t = build_tree(n, [(i, i + 1) for i in range(n - 1)])
+    views = [a for a, p in vars(OrientedTree).items() if isinstance(p, cached_property)]
+    assert "out_neighbors" in views
+    for attr in views:
+        tracemalloc.start()
+        try:
+            getattr(t, attr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, (attr, peak)
