@@ -30,12 +30,10 @@ from .solver import (
 )
 from .trees import (
     BaseTree,
-    DegreeProfile,
     OrientedTree,
     RootClassification,
     build_tree,
     classify_rooted,
-    degree_profile,
     delete_leaf,
     directed_leaf_count,
     reverse,
@@ -47,7 +45,6 @@ __all__ = [
     "BACKEND",
     "BaseTree",
     "Coloring",
-    "DegreeProfile",
     "DominatorCertificate",
     "ImproperEdge",
     "NoDominatedClass",
@@ -60,7 +57,6 @@ __all__ = [
     "build_tree",
     "canonicalize",
     "classify_rooted",
-    "degree_profile",
     "delete_leaf",
     "directed_leaf_count",
     "dominated_classes",

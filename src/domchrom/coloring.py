@@ -10,6 +10,7 @@ exemption so the convention is visible in output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence, Union
 
 from .errors import SizeMismatchError
@@ -31,7 +32,10 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        try:
+            object.__setattr__(self, "colors", tuple(index(c) for c in self.colors))
+        except TypeError as exc:
+            raise ValueError(f"colors must be integers: {exc}") from None
         if not self.colors:
             raise ValueError("coloring must cover at least one vertex")
         top = 0
@@ -111,10 +115,9 @@ class DominatorCertificate:
 
 
 def _coerce(t: OrientedTree, c: ColoringLike) -> Coloring:
-    col = canonicalize(c)
-    if len(col) != t.n:
-        raise SizeMismatchError(f"coloring covers {len(col)} vertices, tree has {t.n}")
-    return col
+    if len(c) != t.n:
+        raise SizeMismatchError(f"coloring covers {len(c)} vertices, tree has {t.n}")
+    return canonicalize(c)
 
 
 def _class_masks(colors: Sequence[int], k: int) -> list[int]:
@@ -214,6 +217,6 @@ def recheck_certificate(t: OrientedTree, cert: DominatorCertificate) -> bool:
         if w == SINK_EXEMPT:
             if v in tails:
                 return False
-        elif not isinstance(w, int) or (v, w) not in dominated:
+        elif type(w) is not int or (v, w) not in dominated:  # a bool is no color
             return False
     return True

@@ -224,13 +224,13 @@ def _longest_path(t: OrientedTree) -> tuple[int, ...]:
     Linear in n.
     """
     adj = t.neighbors
-    order, _ = _walk(adj, 0)
-    order, parent = _walk(adj, order[-1])
+    order = _walk(0, adj)[0]
+    order, parent, _ = _walk(order[-1], adj)
     dx = _depths(order, parent)
-    dy = _depths(*_walk(adj, order[-1]))
+    dy = _depths(*_walk(order[-1], adj)[:2])
     diameter = dx[order[-1]]
     a = next(v for v in range(t.n) if max(dx[v], dy[v]) == diameter)
-    order, parent = _walk(adj, a)
+    order, parent, _ = _walk(a, adj)
     height = [0] * t.n
     for v in order[:0:-1]:
         p = parent[v]

@@ -194,7 +194,7 @@ def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:
         raise ValueError(f"sense must be 'out' or 'in', got {sense!r}")
     if not (0 <= root < base.n):
         raise SpecInvalidError(f"root {root} outside 0..{base.n - 1}")
-    order, parent = _walk(base.adjacency, root)
+    order, parent, _ = _walk(root, base.adjacency)
     if sense == "out":
         arcs = tuple((parent[v], v) for v in order[1:])
     else:
@@ -211,10 +211,10 @@ def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:
 # (time is O(n * depth), the total length of the codes it builds).
 
 
-def _centers(adj: Sequence[Sequence[int]]) -> list[int]:
+def _centers(*adjs: Sequence[Sequence[int]]) -> list[int]:
     """The middle one or two vertices of a longest path, found by two walks."""
-    order, _ = _walk(adj, 0)
-    order, parent = _walk(adj, order[-1])
+    order = _walk(0, *adjs)[0]
+    order, parent, _ = _walk(order[-1], *adjs)
     longest = [order[-1]]
     while parent[longest[-1]] >= 0:
         longest.append(parent[longest[-1]])
@@ -222,21 +222,14 @@ def _centers(adj: Sequence[Sequence[int]]) -> list[int]:
     return sorted(longest[(length - 1) // 2 : length // 2 + 1])
 
 
-def _ahu_code(
-    adj: Sequence[Sequence[int]], root: int, arcs: Sequence[tuple[int, int]] = ()
-) -> str:
-    """AHU code of ``adj`` rooted at ``root``; each child edge in ``arcs`` is
-    tagged ">" when it points away from the root and "<" when toward it."""
-    order, parent = _walk(adj, root)
-    tag = [""] * len(adj)
-    for u, v in arcs:
-        if parent[v] == u:
-            tag[v] = ">"
-        else:
-            tag[u] = "<"
-    pending: list[list[str]] = [[] for _ in adj]
+def _ahu_code(root: int, opens: Sequence[str], *adjs: Sequence[Sequence[int]]) -> str:
+    """AHU code rooted at ``root`` of the tree that the neighbor tuples
+    ``adjs`` describe; each subtree code opens with ``opens[i]``, i the
+    tuple in which its parent lists it (:func:`trees._walk`'s ``side``)."""
+    order, parent, side = _walk(root, *adjs)
+    pending: list[list[str]] = [[] for _ in order]
     for v in order[:0:-1]:  # all but the root, children before parents
-        pending[parent[v]].append(tag[v] + "(" + "".join(sorted(pending[v])) + ")")
+        pending[parent[v]].append(opens[side[v]] + "".join(sorted(pending[v])) + ")")
         pending[v] = []
     return "(" + "".join(sorted(pending[root])) + ")"
 
@@ -244,38 +237,41 @@ def _ahu_code(
 def canonical_code(base: BaseTree) -> str:
     """Isomorphism-invariant encoding: equal codes iff isomorphic trees."""
     adj = base.adjacency
-    return min(_ahu_code(adj, c) for c in _centers(adj))
+    return min(_ahu_code(c, ("(",), adj) for c in _centers(adj))
 
 
 def canonical_form(base: BaseTree) -> BaseTree:
-    """A canonically relabeled copy; isomorphic inputs map to equal values.
+    """A canonically relabeled copy; isomorphic inputs map to equal values."""
+    return _code_tree(canonical_code(base))
 
-    The canonical code is read back as a tree, children in code order, and
-    numbered breadth-first, so the result depends on the code alone.
-    """
+
+def _code_tree(code: str) -> BaseTree:
+    """The tree that a free-tree code describes, read back with children in
+    code order and numbered breadth-first, so it depends on the code alone."""
     children: list[list[int]] = [[]]
     stack = [0]
-    for char in canonical_code(base)[1:-1]:
+    for char in code[1:-1]:
         if char == "(":
             children[stack[-1]].append(len(children))
             stack.append(len(children))
             children.append([])
         else:
             stack.pop()
-    order, parent = _walk(children, 0)
+    order, parent, _ = _walk(0, children)
     label = {v: i for i, v in enumerate(order)}
-    return BaseTree(base.n, tuple((label[parent[v]], label[v]) for v in order[1:]))
+    return BaseTree(len(order), tuple((label[parent[v]], label[v]) for v in order[1:]))
 
 
 def oriented_canonical_code(t: OrientedTree) -> str:
     """Canonical code of an oriented tree; equal codes iff directed-isomorphic.
 
     Each subtree code carries the direction of the edge joining it to its
-    parent, so two orientations of the same base tree get distinct codes
-    unless a direction-preserving isomorphism maps one to the other.
+    parent, "<" toward the root and ">" away from it, so two orientations of
+    the same base tree get distinct codes unless a direction-preserving
+    isomorphism maps one to the other.
     """
-    adj = t.neighbors
-    return min(_ahu_code(adj, c, t.arcs) for c in _centers(adj))
+    adjs = (t.in_neighbors, t.out_neighbors)
+    return min(_ahu_code(c, ("<(", ">("), *adjs) for c in _centers(*adjs))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,7 @@ def free_trees(n: int) -> list[BaseTree]:
                 grown = BaseTree(size, tree.edges + ((v, size - 1),))
                 code = canonical_code(grown)
                 if code not in nxt:
-                    nxt[code] = canonical_form(grown)
+                    nxt[code] = _code_tree(code)
         level = nxt
     return [level[code] for code in sorted(level)]
 

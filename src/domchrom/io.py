@@ -179,9 +179,12 @@ def certificate_to_obj(cert: DominatorCertificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> DominatorCertificate:
-    witnesses = tuple(
-        w if isinstance(w, int) else SINK_EXEMPT for w in obj["witnesses"]
-    )
-    return DominatorCertificate(
-        coloring=Coloring(tuple(obj["colors"])), witnesses=witnesses
-    )
+    """Read back :func:`certificate_to_obj`: colors are plain ints, and each
+    witness a plain int or ``"sink_exempt"``; a JSON bool is neither."""
+    colors = tuple(obj["colors"])
+    witnesses = tuple(obj["witnesses"])
+    if not all(type(c) is int for c in colors):
+        raise FormatError(f"certificate colors must be integers: {list(colors)!r}")
+    if not all(type(w) is int or w == SINK_EXEMPT for w in witnesses):
+        raise FormatError(f"bad certificate witnesses: {list(witnesses)!r}")
+    return DominatorCertificate(coloring=Coloring(colors), witnesses=witnesses)

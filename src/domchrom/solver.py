@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, DominatorCertificate, _check_colors, verify_dominator
 from .errors import TooLargeError
-from .trees import OrientedTree
+from .trees import OrientedTree, _walk
 
 _BRUTE_CAP = 10
 
@@ -63,28 +63,6 @@ class SolveResult:
     tau: int
 
 
-def _bfs(t: OrientedTree) -> tuple[list[int], list[int], bytearray]:
-    """BFS order of the underlying tree from vertex 0, each vertex's parent
-    (-1 at the root), and whether the arc to its parent points down (p -> v)."""
-    outs = t.out_neighbors
-    ins = t.in_neighbors
-    parent = [-1] * t.n
-    down = bytearray(t.n)
-    order = [0]
-    for v in order:
-        p = parent[v]
-        for w in outs[v]:
-            if w != p:
-                parent[w] = v
-                down[w] = 1
-                order.append(w)
-        for w in ins[v]:
-            if w != p:
-                parent[w] = v
-                order.append(w)
-    return order, parent, down
-
-
 def hitting_set(t: OrientedTree) -> tuple[int, ...]:
     """A minimum set W containing an out-neighbor of every non-sink vertex.
 
@@ -94,7 +72,7 @@ def hitting_set(t: OrientedTree) -> tuple[int, ...]:
     child).  Taking the parent is safe by exchange: the parent hits
     everything a child of v would hit, and possibly more.
     """
-    return _hitting_set(t, *_bfs(t))
+    return _hitting_set(t, *_walk(0, t.in_neighbors, t.out_neighbors))
 
 
 def _hitting_set(
@@ -113,7 +91,7 @@ def hitting_set_coloring(t: OrientedTree, w: tuple[int, ...]) -> Coloring:
     """The dominator coloring with at most |w| + 2 colors that a hitting set
     ``w`` gives: each vertex of w alone in its class, and the forest V - w
     colored by BFS depth parity."""
-    return _parity_coloring(t, w, *_bfs(t)[:2])
+    return _parity_coloring(t, w, *_walk(0, t.in_neighbors, t.out_neighbors)[:2])
 
 
 def _parity_coloring(
@@ -177,9 +155,11 @@ def _least_family(
     Values of ``n + 1`` or more mark an infeasible choice; they stay exact
     under the sums and differences below, so the minimum is exact.
 
-    ``order``, ``parent`` and ``down`` come from :func:`_bfs`; children are
-    read off the out- and in-neighbor tuples, so building the table and
-    rebuilding the family each take one pass over the arcs.
+    ``order``, ``parent`` and ``down`` come from :func:`trees._walk` over
+    ``(in_neighbors, out_neighbors)``, so ``down[v]`` is 1 exactly when the
+    arc to the parent points down (p -> v); children are read off the out-
+    and in-neighbor tuples, so building the table and rebuilding the family
+    each take one pass over the arcs.
     """
     n = t.n
     outs = t.out_neighbors
@@ -298,12 +278,12 @@ def solve_exact(t: OrientedTree, opts: SolveOptions | None = None) -> SolveResul
     family has τ non-free classes; that family is then the coloring.
     Otherwise the τ + 2 coloring of :func:`hitting_set_coloring` is
     returned.  Either coloring is re-verified before it is returned.  The
-    BFS, τ, the DP and the verifier each take one pass over the vertices and
-    arcs, on the tree's neighbor tuples; no n-bit mask is built, so time and
-    memory are linear in n.  Deterministic.  ``opts`` is accepted and
+    tree walk, τ, the DP and the verifier each take one pass over the
+    vertices and arcs, on the tree's neighbor tuples; no n-bit mask is
+    built, so time and memory are linear in n.  Deterministic.  ``opts`` is accepted and
     ignored: there is no search, so a node budget does not apply.
     """
-    order, parent, down = _bfs(t)
+    order, parent, down = _walk(0, t.in_neighbors, t.out_neighbors)
     w = _hitting_set(t, order, parent, down)
     tau = len(w)
     m, labels = _least_family(t, order, parent, down, tau)

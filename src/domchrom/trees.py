@@ -4,14 +4,15 @@ Vertices are dense integers ``0..n-1``.  An :class:`OrientedTree` stores its
 arc set in canonical sorted order, so structurally equal inputs compare and
 hash equal.  Adjacency views are materialized lazily and cached; they never
 take part in equality.  Every view is linear in n, and validation, the solver
-and the verifier read only the arcs and the neighbor tuples.  Traversals outside
-the solver run on :func:`_walk`, one iterative walk, at any depth.
+and the verifier read only the arcs and the neighbor tuples.  Every traversal,
+the solver's included, runs on :func:`_walk`, one iterative walk, at any depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable, Literal, Sequence
 
 from .errors import (
@@ -67,18 +68,29 @@ def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
     return tuple(tuple(sorted(a)) for a in adj)
 
 
-def _walk(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first visiting order of the tree ``adj`` from ``root`` (children
-    in ``adj`` order) and each vertex's parent, -1 at the root."""
-    parent = [-1] * len(adj)
+def _walk(
+    root: int, first: Sequence[Sequence[int]], second: Sequence[Sequence[int]] = ()
+) -> tuple[list[int], list[int], bytearray]:
+    """Breadth-first walk from ``root`` over the union of the neighbor tuples
+    ``first`` and ``second``: the visiting order (children in ``first``, then
+    in ``second``), each vertex's parent (-1 at the root), and ``side[v]``,
+    the index of the tuple in which ``parent[v]`` lists v (0 at the root)."""
+    parent = [-1] * len(first)
+    side = bytearray(len(parent))
     order = [root]
     for u in order:  # grows while read: a FIFO queue; a tree needs no seen-set
         p = parent[u]
-        for w in adj[u]:
+        for w in first[u]:
             if w != p:
                 parent[w] = u
                 order.append(w)
-    return order, parent
+        if second:
+            for w in second[u]:
+                if w != p:
+                    parent[w] = u
+                    side[w] = 1
+                    order.append(w)
+    return order, parent, side
 
 
 @dataclass(frozen=True)
@@ -94,16 +106,17 @@ class BaseTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        normalized = tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
+        try:
+            pairs = [(index(u), index(v)) for u, v in self.edges]
+        except TypeError as exc:
+            raise BadVertexIdError(f"vertex ids must be integers: {exc}") from None
+        normalized = tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
         object.__setattr__(self, "edges", normalized)
         _check_tree_shape(self.n, normalized)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return _adjacency(self.n, self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
 
 @dataclass(frozen=True)
@@ -114,7 +127,10 @@ class OrientedTree:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        normalized = tuple(sorted((int(u), int(v)) for u, v in self.arcs))
+        try:
+            normalized = tuple(sorted((index(u), index(v)) for u, v in self.arcs))
+        except TypeError as exc:
+            raise BadVertexIdError(f"vertex ids must be integers: {exc}") from None
         object.__setattr__(self, "arcs", normalized)
         _check_tree_shape(self.n, normalized)
 
@@ -166,17 +182,6 @@ class OrientedTree:
 
 
 @dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex in/out degrees plus the derived source/sink/leaf sets."""
-
-    out_degrees: tuple[int, ...]
-    in_degrees: tuple[int, ...]
-    sources: tuple[int, ...]
-    sinks: tuple[int, ...]
-    underlying_leaves: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RootClassification:
     """Roots of the tree when it is an out-tree and/or an in-tree.
 
@@ -190,16 +195,6 @@ class RootClassification:
 def build_tree(n: int, arcs: Iterable[tuple[int, int]]) -> OrientedTree:
     """Validate and build an oriented tree from an arc list."""
     return OrientedTree(n, tuple(arcs))
-
-
-def degree_profile(t: OrientedTree) -> DegreeProfile:
-    return DegreeProfile(
-        out_degrees=tuple(t.out_degree(v) for v in range(t.n)),
-        in_degrees=tuple(t.in_degree(v) for v in range(t.n)),
-        sources=t.sources,
-        sinks=t.sinks,
-        underlying_leaves=t.underlying_leaves,
-    )
 
 
 def reverse(t: OrientedTree) -> OrientedTree:

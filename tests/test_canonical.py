@@ -99,6 +99,8 @@ def test_oriented_code_reads_no_masks():
     t = orient(random_tree(40, 7), 0x5A5A5A5A5)
     oriented_canonical_code(t)
     assert "out_masks" not in t.__dict__
+    # it walks the in- and out-neighbor tuples, not the undirected view
+    assert "neighbors" not in t.__dict__
 
 
 def _broom(n: int) -> BaseTree:

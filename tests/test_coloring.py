@@ -58,6 +58,15 @@ class TestColoring:
     def test_canonicalize_constant(self):
         assert canonicalize((2, 2, 2)).colors == (1, 1, 1)
 
+    @pytest.mark.parametrize("colors", [(1, 2.7, 1), (1.0, 2, 1), (1, "2", 1), (1, None)])
+    def test_non_integer_colors_rejected(self, colors):
+        # not truncated: (1, 2.7, 1) used to become (1, 2, 1)
+        with pytest.raises(ValueError):
+            Coloring(colors)
+
+    def test_from_labels_takes_any_label(self):
+        assert Coloring.from_labels(("b", 2.5, "b")).colors == (1, 2, 1)
+
 
 class TestIsProper:
     def test_proper_p2(self):
@@ -72,6 +81,12 @@ class TestIsProper:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             is_proper(p2(), (1,))
+
+    def test_empty_coloring_is_a_size_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            verify_dominator(p2(), [])
+        with pytest.raises(SizeMismatchError):
+            is_proper(p2(), ())
 
 
 class TestDominatedClasses:
@@ -153,6 +168,16 @@ class TestVerifyDominator:
         assert isinstance(cert, DominatorCertificate)
         bad = DominatorCertificate(cert.coloring, (1, SINK_EXEMPT, SINK_EXEMPT))
         assert not recheck_certificate(t, bad)
+
+    def test_recheck_rejects_bool_witness(self):
+        t = build_tree(3, [(1, 0), (1, 2)])  # an out-star centred at 1
+        cert = verify_dominator(t, (1, 2, 1))
+        assert isinstance(cert, DominatorCertificate)
+        assert cert.witnesses == (SINK_EXEMPT, 1, SINK_EXEMPT)
+        assert recheck_certificate(t, cert)
+        # (1, True) == (1, 1), but True names no color class
+        forged = DominatorCertificate(cert.coloring, (SINK_EXEMPT, True, SINK_EXEMPT))
+        assert not recheck_certificate(t, forged)
 
     def test_recheck_rejects_exemption_on_non_sink(self):
         t = p3_directed()

@@ -108,3 +108,21 @@ class TestCompactCodes:
         assert isinstance(cert, DominatorCertificate)
         obj = certificate_to_obj(cert)
         assert certificate_from_obj(obj) == cert
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            # once read back as colors (1, 2, 3) and witnesses (2, 3, sink_exempt),
+            # a certificate that rechecks on 3:0>1,1>2
+            {"colors": [1.2, 2.9, 3.1], "witnesses": [2, 3, "zzz"]},
+            {"colors": [1, 2, 3], "witnesses": [2, 3, "zzz"]},
+            {"colors": [1, 2, 3], "witnesses": [2, 3, None]},
+            {"colors": [1, 2, 3], "witnesses": [2, True, "sink_exempt"]},
+            {"colors": [1, 2, 3], "witnesses": [2.0, 3, "sink_exempt"]},
+            {"colors": [1, "2", 3], "witnesses": [2, 3, "sink_exempt"]},
+            {"colors": [True, 2, 3], "witnesses": [2, 3, "sink_exempt"]},
+        ],
+    )
+    def test_certificate_from_malformed_obj(self, obj):
+        with pytest.raises(FormatError):
+            certificate_from_obj(obj)

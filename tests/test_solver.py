@@ -13,6 +13,7 @@ from domchrom.generators import (
     free_trees,
     orient,
     orientations,
+    oriented_canonical_code,
     path,
     random_tree,
     rooted_orientation,
@@ -243,9 +244,11 @@ class TestLinearPath:
 
     def test_solve_and_recheck_build_no_mask_view(self):
         t = orient(random_tree(40, 3), (1 << 39) // 3)
+        oriented_canonical_code(t)
         assert recheck_certificate(t, solve_exact(t).certificate)
         assert "out_masks" not in t.__dict__
         assert "adj_masks" not in t.__dict__
+        assert "neighbors" not in t.__dict__  # all walk the in- and out-neighbors
 
 
 def test_rooted_examples_match_formula():

@@ -16,10 +16,10 @@ from domchrom.errors import (
 )
 from domchrom.generators import oriented_canonical_code
 from domchrom.trees import (
+    BaseTree,
     OrientedTree,
     build_tree,
     classify_rooted,
-    degree_profile,
     delete_leaf,
     directed_leaf_count,
     reverse,
@@ -63,6 +63,33 @@ def test_build_rejects_antiparallel_pair():
 def test_build_rejects_bad_vertex_id():
     with pytest.raises(BadVertexIdError):
         build_tree(2, [(0, 5)])
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [[(0, 1.9), (1, 2)], [("0", "1"), (1, 2)], [(0, 1), (1, 2.0)], [(None, 1), (1, 2)]],
+)
+def test_non_integer_vertex_ids_are_rejected(arcs):
+    # neither truncated (1.9 -> 1) nor parsed ("0" -> 0)
+    with pytest.raises(BadVertexIdError):
+        build_tree(3, arcs)
+    with pytest.raises(BadVertexIdError):
+        BaseTree(3, tuple(arcs))
+
+
+def test_integer_like_vertex_ids_are_accepted():
+    class Vertex:
+        def __init__(self, v):
+            self.v = v
+
+        def __index__(self):
+            return self.v
+
+    t = build_tree(3, [(Vertex(1), Vertex(0)), (Vertex(1), 2)])
+    assert t == build_tree(3, [(1, 0), (1, 2)])
+    assert all(type(x) is int for arc in t.arcs for x in arc)
+    base = BaseTree(3, ((Vertex(2), Vertex(1)), (0, 1)))
+    assert base.edges == ((0, 1), (1, 2))
 
 
 def test_build_rejects_disconnected():
@@ -196,20 +223,18 @@ def test_delete_non_leaf_raises():
 
 def test_degree_profile_counts():
     t = build_tree(4, [(0, 1), (2, 1), (2, 3)])
-    prof = degree_profile(t)
-    assert prof.out_degrees == (1, 0, 2, 0)
-    assert prof.in_degrees == (0, 2, 0, 1)
-    assert prof.sources == (0, 2) and prof.sinks == (1, 3)
-    assert prof.underlying_leaves == (0, 3)
+    assert tuple(t.out_degree(v) for v in range(t.n)) == (1, 0, 2, 0)
+    assert tuple(t.in_degree(v) for v in range(t.n)) == (0, 2, 0, 1)
+    assert t.sources == (0, 2) and t.sinks == (1, 3)
+    assert t.underlying_leaves == (0, 3)
 
 
 @given(oriented_trees(max_n=9))
 def test_degree_sums_and_leaf_floor(t):
-    prof = degree_profile(t)
-    assert sum(prof.out_degrees) == t.n - 1
-    assert sum(prof.in_degrees) == t.n - 1
+    assert sum(t.out_degree(v) for v in range(t.n)) == t.n - 1
+    assert sum(t.in_degree(v) for v in range(t.n)) == t.n - 1
     if t.n >= 2:
-        assert len(prof.underlying_leaves) >= 2
+        assert len(t.underlying_leaves) >= 2
 
 
 @given(oriented_trees(max_n=9))
