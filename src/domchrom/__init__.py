@@ -35,7 +35,6 @@ from .trees import (
     build_tree,
     classify_rooted,
     delete_leaf,
-    directed_leaf_count,
     reverse,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "canonicalize",
     "classify_rooted",
     "delete_leaf",
-    "directed_leaf_count",
     "dominated_classes",
     "hitting_set",
     "is_proper",

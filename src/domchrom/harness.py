@@ -53,7 +53,7 @@ from .generators import (
 )
 from .io import certificate_to_obj, encode_base, encode_tree
 from .io import decode_tree  # unused here; perfbench/tracing.py wraps this name
-from .reports import ExperimentReport, make_summary
+from .reports import ExperimentReport
 from .solver import solve_exact
 from .trees import BaseTree, OrientedTree, classify_rooted, delete_leaf
 
@@ -66,6 +66,20 @@ def _map_ordered(fn, payloads: list, jobs: int) -> list:
     chunk = max(1, len(payloads) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads, chunksize=chunk))
+
+
+def _report(
+    campaign: str, params: dict, records: list[dict], counterexamples: list, **extra
+) -> ExperimentReport:
+    """The campaign's report; its summary holds exactly when no counterexample
+    was found, and carries ``extra`` beside the instance count."""
+    summary = {
+        "instances": len(records),
+        "counterexamples": counterexamples,
+        "holds": not counterexamples,
+        **extra,
+    }
+    return ExperimentReport(campaign, params, records, summary)
 
 
 def _chi(t: OrientedTree) -> int:
@@ -144,15 +158,9 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
             if rec[key] > max_chi:
                 max_chi = rec[key]
                 max_instance = rec[inst]
-    return ExperimentReport(
-        "reversal_invariance",
-        {"max_n": max_n},
-        records,
-        make_summary(
-            len(records),
-            counterexamples,
-            {"max_chi": max_chi, "max_chi_instance": max_instance},
-        ),
+    return _report(
+        "reversal_invariance", {"max_n": max_n}, records, counterexamples,
+        max_chi=max_chi, max_chi_instance=max_instance,
     )
 
 
@@ -230,12 +238,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
         for rec in records
         if rec["violations"]
     ]
-    return ExperimentReport(
-        "leaf_deletion",
-        {"max_n": max_n},
-        records,
-        make_summary(len(records), counterexamples),
-    )
+    return _report("leaf_deletion", {"max_n": max_n}, records, counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -302,25 +305,14 @@ def explore_conjecture_gs(
         if m * k + 1 <= n_cap
     ]
     records = _map_ordered(_gs_record, payloads, jobs)
-    findings = []
-    for rec in records:
-        if not rec["min_agrees"] or not rec["max_agrees"]:
-            findings.append(
-                {
-                    "m": rec["m"],
-                    "k": rec["k"],
-                    "min_chi": rec["min_chi"],
-                    "conjectured_min": rec["conjectured_min"],
-                    "max_chi": rec["max_chi"],
-                    "conjectured_max": rec["conjectured_max"],
-                }
-            )
-    return ExperimentReport(
-        "gs_minmax",
-        {"m_max": m_max, "k_max": k_max, "n_cap": n_cap},
-        records,
-        make_summary(len(records), [], {"findings": findings}),
-    )
+    keys = ("m", "k", "min_chi", "conjectured_min", "max_chi", "conjectured_max")
+    findings = [
+        {key: rec[key] for key in keys}
+        for rec in records
+        if not rec["min_agrees"] or not rec["max_agrees"]
+    ]
+    params = {"m_max": m_max, "k_max": k_max, "n_cap": n_cap}
+    return _report("gs_minmax", params, records, [], findings=findings)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +352,7 @@ def check_star_values(m_max: int, jobs: int = 1) -> ExperimentReport:
     grouped = _map_ordered(_star_records, list(range(1, m_max + 1)), jobs)
     records = [rec for group in grouped for rec in group]
     counterexamples = [rec["instance"] for rec in records if not rec["ok"]]
-    return ExperimentReport(
-        "star_values",
-        {"m_max": m_max},
-        records,
-        make_summary(len(records), counterexamples),
-    )
+    return _report("star_values", {"m_max": m_max}, records, counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +422,7 @@ def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
         directed_ok = chi == m and cert.coloring.k == m
     lower_ok = chi_spine <= chi
     upper_ok = chi <= upper.coloring.k <= 2 * m - 1
-    record = {
+    return {
         "index": index,
         "spec": {
             "spine_len": spec.spine_len,
@@ -458,7 +445,6 @@ def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
         "directed_ok": directed_ok,
         "ok": lower_ok and upper_ok and directed_ok is not False,
     }
-    return record
 
 
 def check_caterpillar_bounds(
@@ -475,21 +461,12 @@ def check_caterpillar_bounds(
     records = _map_ordered(_caterpillar_record, list(enumerate(specs)), jobs)
     counterexamples = [rec["instance"] for rec in records if not rec["ok"]]
     directed_cases = sum(1 for rec in records if rec["spine_directed"])
-    return ExperimentReport(
-        "caterpillar_bounds",
-        {
-            "samples": samples,
-            "seed": seed,
-            "n_max": n_max,
-            "spine_min": spine_min,
-            "spine_max": spine_max,
-        },
-        records,
-        make_summary(
-            len(records),
-            counterexamples,
-            {"skipped": skipped, "directed_spines": directed_cases},
-        ),
+    params = dict(
+        samples=samples, seed=seed, n_max=n_max, spine_min=spine_min, spine_max=spine_max
+    )
+    return _report(
+        "caterpillar_bounds", params, records, counterexamples,
+        skipped=skipped, directed_spines=directed_cases,
     )
 
 
@@ -528,12 +505,8 @@ def check_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1) -> Experime
         raise TooLargeError("path sweep supports 1 <= n_lo <= n_hi <= 13")
     records = _map_ordered(_path_min_record, list(range(n_lo, n_hi + 1)), jobs)
     counterexamples = [rec["min_instance"] for rec in records if not rec["equal"]]
-    return ExperimentReport(
-        "path_minimum",
-        {"n_lo": n_lo, "n_hi": n_hi},
-        records,
-        make_summary(len(records), counterexamples),
-    )
+    params = {"n_lo": n_lo, "n_hi": n_hi}
+    return _report("path_minimum", params, records, counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +546,4 @@ def check_rooted_formula(max_n: int, jobs: int = 1) -> ExperimentReport:
                     payloads.append((base, code, root, sense))
     records = _map_ordered(_rooted_record, payloads, jobs)
     counterexamples = [rec["instance"] for rec in records if not rec["equal"]]
-    return ExperimentReport(
-        "rooted_formula",
-        {"max_n": max_n},
-        records,
-        make_summary(len(records), counterexamples),
-    )
+    return _report("rooted_formula", {"max_n": max_n}, records, counterexamples)

@@ -179,12 +179,20 @@ def certificate_to_obj(cert: DominatorCertificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> DominatorCertificate:
-    """Read back :func:`certificate_to_obj`: colors are plain ints, and each
-    witness a plain int or ``"sink_exempt"``; a JSON bool is neither."""
-    colors = tuple(obj["colors"])
-    witnesses = tuple(obj["witnesses"])
+    """Read back :func:`certificate_to_obj`: colors are plain ints in canonical
+    order, and each witness a plain int or ``"sink_exempt"``; a JSON bool is
+    neither.  Anything else raises :class:`FormatError`."""
+    try:
+        colors = tuple(obj["colors"])
+        witnesses = tuple(obj["witnesses"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"certificate needs 'colors' and 'witnesses' lists: {exc!r}") from None
     if not all(type(c) is int for c in colors):
         raise FormatError(f"certificate colors must be integers: {list(colors)!r}")
     if not all(type(w) is int or w == SINK_EXEMPT for w in witnesses):
         raise FormatError(f"bad certificate witnesses: {list(witnesses)!r}")
-    return DominatorCertificate(coloring=Coloring(colors), witnesses=witnesses)
+    try:
+        coloring = Coloring(colors)
+    except ValueError as exc:
+        raise FormatError(f"bad certificate colors: {exc}") from None
+    return DominatorCertificate(coloring=coloring, witnesses=witnesses)

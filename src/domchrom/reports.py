@@ -83,17 +83,3 @@ def _cell(value) -> str:
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
     return str(value)
 
-
-def make_summary(
-    instances: int, counterexamples: list, extra: dict | None = None
-) -> dict:
-    """Uniform summary block; `holds` is true exactly when no counterexamples."""
-    summary = {
-        "instances": instances,
-        "counterexamples": counterexamples,
-        "holds": not counterexamples,
-    }
-    if extra:
-        summary.update(extra)
-    return summary
-

@@ -13,18 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadVertexIdError,
     DuplicateOrAntiparallelArcError,
     NotALeafError,
     NotATreeError,
-    NotRootedError,
     SelfArcError,
 )
 
-RootMode = Literal["out-tree", "in-tree"]
+
+def _vertex_count(n) -> int:
+    """``n`` as a plain int, else :class:`NotATreeError`."""
+    try:
+        return index(n)
+    except TypeError:
+        raise NotATreeError(f"vertex count must be an integer, got {n!r}") from None
 
 
 def _check_tree_shape(n: int, pairs: tuple[tuple[int, int], ...]) -> None:
@@ -106,6 +111,7 @@ class BaseTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _vertex_count(self.n))
         try:
             pairs = [(index(u), index(v)) for u, v in self.edges]
         except TypeError as exc:
@@ -127,6 +133,7 @@ class OrientedTree:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _vertex_count(self.n))
         try:
             normalized = tuple(sorted((index(u), index(v)) for u, v in self.arcs))
         except TypeError as exc:
@@ -205,38 +212,14 @@ def reverse(t: OrientedTree) -> OrientedTree:
 def classify_rooted(t: OrientedTree) -> RootClassification:
     """Detect whether the orientation is an out-tree and/or an in-tree.
 
-    An out-tree has exactly one source and every other vertex with in-degree
-    one; the in-tree condition is symmetric.
+    An out-tree has one source and every other vertex with in-degree one.  A
+    tree's n - 1 arcs give the n - 1 non-sources in-degree at least one each,
+    so one source already forces the rest; in-trees and sinks are symmetric.
     """
-    out_root: int | None = None
-    in_root: int | None = None
-    if len(t.sources) == 1:
-        root = t.sources[0]
-        if all(t.in_degree(v) == 1 for v in range(t.n) if v != root):
-            out_root = root
-    if len(t.sinks) == 1:
-        root = t.sinks[0]
-        if all(t.out_degree(v) == 1 for v in range(t.n) if v != root):
-            in_root = root
-    return RootClassification(out_root=out_root, in_root=in_root)
-
-
-def directed_leaf_count(t: OrientedTree, mode: RootMode) -> int:
-    """Number of directed leaves: sinks of an out-tree or sources of an in-tree.
-
-    This is the leaf count entering the rooted-tree color formula; for a
-    directed path it is 1 in either mode, not the 2 underlying leaves.
-    """
-    rc = classify_rooted(t)
-    if mode == "out-tree":
-        if rc.out_root is None:
-            raise NotRootedError("tree is not an out-tree")
-        return len(t.sinks)
-    if mode == "in-tree":
-        if rc.in_root is None:
-            raise NotRootedError("tree is not an in-tree")
-        return len(t.sources)
-    raise ValueError(f"unknown mode {mode!r}")
+    return RootClassification(
+        out_root=t.sources[0] if len(t.sources) == 1 else None,
+        in_root=t.sinks[0] if len(t.sinks) == 1 else None,
+    )
 
 
 def delete_leaf(t: OrientedTree, v: int) -> tuple[OrientedTree, dict[int, int]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -210,6 +211,10 @@ def test_solve_reports_tau_and_bound(p5_file, capsys):
         ["verify", "TREE", "TREE", "--jobs", "2"],
         ["gen", "path", "--n", "4", "--format", "json"],
         ["gen", "path", "--n", "4", "--jobs", "2"],
+        ["gen", "path", "--n", "4", "--k", "3"],
+        ["gen", "path", "--n", "4", "--seed", "1"],
+        ["gen", "star", "--m", "3", "--spine", "2"],
+        ["gen", "tree", "--n", "4"],
         ["orientations", "TREE", "--seed", "1"],
         ["orientations", "TREE", "--jobs", "2"],
         ["invariance", "--max-n", "3", "--format", "text"],
@@ -225,4 +230,48 @@ def test_flags_a_command_does_not_read_exit_two(argv, p5_file, capsys):
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["gen"], "family"),
+        (["gen", "path"], "--n"),
+        (["gen", "star", "--mask", "1"], "--m"),
+        (["gen", "gs", "--m", "2"], "--k"),
+        (["gen", "caterpillar", "--legs", "1:1"], "--spine"),
+        (["gen", "random", "--seed", "3"], "--n"),
+    ],
+)
+def test_gen_without_a_required_flag_is_a_usage_error(argv, missing, capsys):
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required" in err and missing in err
+
+
+GEN_CASES = [
+    ["gen", "path", "--n", "4"],
+    ["gen", "path", "--n", "5", "--mask", "9"],
+    ["gen", "star", "--m", "4", "--mask", "5"],
+    ["gen", "gs", "--m", "2", "--k", "2", "--emit", "dot"],
+    ["gen", "gs", "--m", "3", "--k", "2", "--scheme", "layered"],
+    ["gen", "gs", "--m", "2", "--k", "3", "--scheme", "mask", "--mask", "21"],
+    ["gen", "caterpillar", "--spine", "4", "--legs", "1:1,2:1"],
+    ["gen", "caterpillar", "--spine", "5", "--legs", "1:2,3:1",
+     "--spine-mask", "5", "--legs-mask", "3"],
+    ["gen", "random", "--n", "7", "--seed", "3"],
+    ["gen", "random", "--n", "9", "--seed", "4", "--mask", "17", "--emit", "dot"],
+]
+
+
+def test_gen_outputs_pinned(capsys):
+    # SHA-256 of each case's exit code and stdout, recorded before ``gen``
+    # had one subcommand per family
+    digest = hashlib.sha256()
+    for argv in GEN_CASES:
+        code = cli_main(argv)
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == (
+        "67077a42a0854ee0d9d211c99582e05e7ffb8e741a2949ef470921fccea903bc"
+    )
 

@@ -126,3 +126,16 @@ class TestCompactCodes:
     def test_certificate_from_malformed_obj(self, obj):
         with pytest.raises(FormatError):
             certificate_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            pytest.param({"colors": [1, 2, 3]}, id="missing-key"),
+            pytest.param([[1, 2, 3], [2, 3, "sink_exempt"]], id="not-a-dict"),
+            pytest.param({"colors": [2, 1], "witnesses": [0, 0]}, id="non-canonical-colors"),
+            pytest.param({"colors": [], "witnesses": []}, id="no-colors"),
+        ],
+    )
+    def test_certificate_from_obj_raises_format_error_not_a_builtin(self, obj):
+        with pytest.raises(FormatError):
+            certificate_from_obj(obj)

@@ -11,17 +11,15 @@ from domchrom.errors import (
     DuplicateOrAntiparallelArcError,
     NotALeafError,
     NotATreeError,
-    NotRootedError,
     SelfArcError,
 )
-from domchrom.generators import oriented_canonical_code
+from domchrom.generators import free_trees, orientations, oriented_canonical_code
 from domchrom.trees import (
     BaseTree,
     OrientedTree,
     build_tree,
     classify_rooted,
     delete_leaf,
-    directed_leaf_count,
     reverse,
 )
 
@@ -173,25 +171,32 @@ def test_classify_neither():
     assert rc.out_root is None and rc.in_root is None
 
 
-def test_directed_leaf_count_path():
-    t = build_tree(5, [(i, i + 1) for i in range(4)])
-    assert directed_leaf_count(t, "out-tree") == 1
-    assert directed_leaf_count(t, "in-tree") == 1
+def _root_by_definition(t: OrientedTree, degree) -> int | None:
+    """The one vertex of degree 0 when every other vertex has degree 1."""
+    zeros = [v for v in range(t.n) if degree(v) == 0]
+    if len(zeros) == 1 and all(degree(v) == 1 for v in range(t.n) if v != zeros[0]):
+        return zeros[0]
+    return None
 
 
-def test_directed_leaf_count_star():
-    t = build_tree(6, [(0, i) for i in range(1, 6)])
-    assert directed_leaf_count(t, "out-tree") == 5
-    with pytest.raises(NotRootedError):
-        directed_leaf_count(t, "in-tree")
+def test_classify_rooted_matches_the_definition_on_every_orientation():
+    checked = 0
+    for n in range(1, 8):
+        for base in free_trees(n):
+            for t in orientations(base):
+                rc = classify_rooted(t)
+                assert rc.out_root == _root_by_definition(t, t.in_degree), t.arcs
+                assert rc.in_root == _root_by_definition(t, t.out_degree), t.arcs
+                checked += 1
+    assert checked == 1 + 2 + 4 + 2 * 8 + 3 * 16 + 6 * 32 + 11 * 64
 
 
-def test_directed_leaf_count_gs82():
-    from domchrom.generators import GsSpec, gs
-
-    t = gs(GsSpec(8, 2, "out"))
-    assert t.n == 17 and len(t.sinks) == 8
-    assert directed_leaf_count(t, "out-tree") == 8
+@pytest.mark.parametrize("n", [3.0, "3", None])
+def test_build_rejects_a_non_integer_vertex_count(n):
+    with pytest.raises(NotATreeError, match="vertex count must be an integer"):
+        build_tree(n, [(0, 1), (1, 2)])
+    with pytest.raises(NotATreeError, match="vertex count must be an integer"):
+        BaseTree(n, ((0, 1), (1, 2)))
 
 
 def test_delete_leaf_p2():
