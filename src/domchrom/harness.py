@@ -16,14 +16,20 @@ dataclass skips ``__post_init__``, so a worker does not re-validate its
 payload; that is safe because every payload tree comes from this package's
 own validating constructors (``free_trees``, ``CaterpillarSpec``).
 
-The leaf-deletion campaign solves the same labelled tree many times: both
-orientations of a leaf edge leave the same subtree, and most subtrees are
-instances one level down.  It therefore memoizes chi by labelled tree
-(``_CHI_BY_CODE``, keyed by the compact instance code, which fixes n and
-every arc) for the length of one campaign, so each process solves each
-distinct labelled tree once.  Every tree it does solve is still re-verified by
-the solver's certificate check.  The other campaigns solve each labelled tree
-once and take no memo.
+The leaf-deletion campaign meets the same tree many times: both
+orientations of a leaf edge leave the same subtree, most subtrees are
+instances one level down, and many labelled trees are relabellings of one
+another.  For the length of one campaign it therefore memoizes chi twice.
+``_CHI_BY_CODE`` is keyed by the compact instance code, which fixes n and
+every arc; a subtree's code is read straight off its parent's arcs, so a
+subtree is built (through the validating constructor) only when its code
+misses.  ``_CHI_BY_CLASS`` is keyed by ``oriented_canonical_code``; equal
+codes mean directed-isomorphic trees, and chi is invariant under directed
+isomorphism, so one solve serves the whole class.  At n <= 8 the campaign
+builds 5,563 trees (3,910 instances and 1,653 subtrees) and solves 1,857, one
+per class.  Every tree it does solve is still re-verified by the solver's
+certificate check.  The other campaigns solve each labelled tree once and take
+no memo.
 """
 
 from __future__ import annotations
@@ -47,11 +53,12 @@ from .generators import (
     free_trees,
     gs_base,
     orient,
+    oriented_canonical_code,
     path,
     rooted_orientation,
     star,
 )
-from .io import certificate_to_obj, encode_base, encode_tree
+from .io import certificate_to_obj, encode_arcs, encode_base, encode_tree
 from .io import decode_tree  # unused here; perfbench/tracing.py wraps this name
 from .reports import ExperimentReport
 from .solver import solve_exact
@@ -86,17 +93,33 @@ def _chi(t: OrientedTree) -> int:
     return solve_exact(t).chi
 
 
-#: chi by labelled tree for the leaf-deletion campaign in progress in this
-#: process; ``check_leaf_deletion`` empties it when the campaign ends, and pool
-#: workers fill their own copy, which ends with the pool.
+#: chi by instance code and by directed-isomorphism class for the
+#: leaf-deletion campaign in progress in this process; ``check_leaf_deletion``
+#: empties both when the campaign ends, and pool workers fill their own
+#: copies, which end with the pool.
 _CHI_BY_CODE: dict[str, int] = {}
+_CHI_BY_CLASS: dict[str, int] = {}
 
 
-def _memo_chi(t: OrientedTree, code: str) -> int:
-    chi = _CHI_BY_CODE.get(code)
+def _class_chi(t: OrientedTree, code: str) -> int:
+    """chi of ``t``, whose instance code ``code`` missed ``_CHI_BY_CODE``:
+    taken from a directed-isomorphic tree solved before, else solved now."""
+    cls = oriented_canonical_code(t)
+    chi = _CHI_BY_CLASS.get(cls)
     if chi is None:
-        chi = _CHI_BY_CODE[code] = _chi(t)
+        chi = _CHI_BY_CLASS[cls] = _chi(t)
+    _CHI_BY_CODE[code] = chi
     return chi
+
+
+def _subtree_code(t: OrientedTree, v: int) -> str:
+    """``encode_tree(delete_leaf(t, v)[0])`` without building the subtree.
+
+    The relabelling x -> x - (x > v) preserves order, so the remaining arcs
+    stay sorted."""
+    return encode_arcs(
+        t.n - 1, [(a - (a > v), b - (b > v)) for a, b in t.arcs if a != v and b != v]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +194,23 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
 def _leafdel_records(payload: tuple[BaseTree, int]) -> list[dict]:
     t = orient(*payload)
     instance = encode_tree(t)
-    chi = _memo_chi(t, instance)
+    chi = _CHI_BY_CODE.get(instance)
+    if chi is None:
+        chi = _class_chi(t, instance)
+    outs, ins = t.out_neighbors, t.in_neighbors
     records = []
     for v in t.underlying_leaves:
-        sub, _ = delete_leaf(t, v)
-        chi_sub = _memo_chi(sub, encode_tree(sub))
+        code = _subtree_code(t, v)
+        chi_sub = _CHI_BY_CODE.get(code)
+        if chi_sub is None:
+            chi_sub = _class_chi(delete_leaf(t, v)[0], code)
         delta = chi - chi_sub
-        u = t.neighbors[v][0]
-        unique_out_target = t.out_neighbors[u] == (v,)
+        u = (outs[v] or ins[v])[0]
+        unique_out_target = outs[u] == (v,)
         unique_source = t.sources == (v,)
         drop_predicted = unique_out_target or unique_source
-        source_rule_applicable = delta == 1 and t.in_degree(v) == 0
-        source_rule_ok = (t.in_degree(u) == 1) if source_rule_applicable else None
+        source_rule_applicable = delta == 1 and not ins[v]
+        source_rule_ok = (len(ins[u]) == 1) if source_rule_applicable else None
         violations = []
         if delta not in (0, 1):
             violations.append("delta_range")
@@ -218,7 +246,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     its neighbor's only out-neighbor, or is the unique source) and the
     source-leaf rule (a dropped source leaf's neighbor has in-degree 1).
     Violations are findings; they carry a replayable instance encoding.
-    Each process solves each distinct labelled tree once per campaign.
+    Each process solves each directed-isomorphism class once per campaign.
     """
     if not (2 <= max_n <= 9):
         raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
@@ -231,6 +259,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
         grouped = _map_ordered(_leafdel_records, payloads, jobs)
     finally:
         _CHI_BY_CODE.clear()
+        _CHI_BY_CLASS.clear()
     records = [rec for group in grouped for rec in group]
     counterexamples = [
         {"instance": rec["instance"], "leaf": rec["leaf"],
@@ -304,6 +333,11 @@ def explore_conjecture_gs(
         for k in range(1, k_max + 1)
         if m * k + 1 <= n_cap
     ]
+    if not payloads:
+        raise SpecInvalidError(
+            f"no generalized star with m <= {m_max}, k <= {k_max} and "
+            f"m*k + 1 <= {n_cap}"
+        )
     records = _map_ordered(_gs_record, payloads, jobs)
     keys = ("m", "k", "min_chi", "conjectured_min", "max_chi", "conjectured_max")
     findings = [
@@ -370,9 +404,12 @@ def sample_caterpillar_specs(
 
     Oversized draws are skipped (and counted); every fifth accepted sample
     forces an all-forward spine so the directed-spine case stays covered.
-    Raises :class:`SpecInvalidError` when the spine range is empty or every
-    spine it allows exceeds ``n_max``, since no draw could then be accepted.
+    Raises :class:`SpecInvalidError` when ``samples`` is below 1, or when the
+    spine range is empty or every spine it allows exceeds ``n_max``, since no
+    draw could then be accepted.
     """
+    if samples < 1:
+        raise SpecInvalidError(f"samples must be >= 1, got {samples}")
     if spine_min > spine_max:
         raise SpecInvalidError(f"spine_min {spine_min} exceeds spine_max {spine_max}")
     if spine_min > n_max:

@@ -10,7 +10,7 @@ replayed on its own.
 from __future__ import annotations
 
 import os
-from typing import IO, Union
+from typing import IO, Iterable, Union
 
 from .coloring import Coloring, DominatorCertificate, SINK_EXEMPT
 from .errors import DomchromError
@@ -125,9 +125,15 @@ def to_dot(t: OrientedTree, coloring: Coloring | None = None, name: str = "tree"
 
 
 def encode_tree(t: OrientedTree) -> str:
-    if t.n == 1:
+    return encode_arcs(t.n, t.arcs)
+
+
+def encode_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> str:
+    """The code of the oriented tree on 0..n-1 whose arcs, in sorted order as
+    :class:`OrientedTree` stores them, are ``arcs``; nothing is validated."""
+    if n == 1:
         return "1:"
-    return f"{t.n}:" + ",".join(f"{u}>{v}" for u, v in t.arcs)
+    return f"{n}:" + ",".join([f"{u}>{v}" for u, v in arcs])
 
 
 def decode_tree(code: str) -> OrientedTree:

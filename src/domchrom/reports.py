@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 FORMAT_VERSION = 1
 
+#: One compact, key-sorted encoder for every record line; ``json.dumps`` with
+#: these options would build a new encoder per record.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass
 class ExperimentReport:
@@ -39,10 +43,7 @@ class ExperimentReport:
         out.append(f'"params": {json.dumps(self.params, sort_keys=True)},')
         out.append(f'"version": {self.version},')
         out.append('"records": [')
-        body = ",\n".join(
-            json.dumps(rec, sort_keys=True, separators=(",", ":"))
-            for rec in self.records
-        )
+        body = ",\n".join(map(_RECORD_ENCODER.encode, self.records))
         if body:
             out.append(body)
         out.append("],")

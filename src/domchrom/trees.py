@@ -148,14 +148,14 @@ class OrientedTree:
         out: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.arcs:
             out[u].append(v)
-        return tuple(tuple(sorted(a)) for a in out)
+        return tuple(map(tuple, out))  # sorted: arcs are stored sorted
 
     @cached_property
     def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
         inn: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.arcs:
             inn[v].append(u)
-        return tuple(tuple(sorted(a)) for a in inn)
+        return tuple(map(tuple, inn))  # sorted: arcs are stored sorted
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -168,7 +168,7 @@ class OrientedTree:
         return len(self.in_neighbors[v])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return len(self.out_neighbors[v]) + len(self.in_neighbors[v])
 
     @cached_property
     def sources(self) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ import sys
 import networkx as nx
 import pytest
 
+from domchrom import harness
 from domchrom.formulas import central_path
 from domchrom.generators import (
     _centers,
@@ -26,6 +27,8 @@ from domchrom.generators import (
     random_tree,
     rooted_orientation,
 )
+from domchrom.harness import check_leaf_deletion
+from domchrom.solver import solve_exact
 from domchrom.trees import BaseTree, OrientedTree
 
 FREE_TREES_DIGEST = "70f80da3e895e585339ca9dfaca917dac4c3c76a14c004fdc982932926d978d5"
@@ -93,6 +96,47 @@ def test_centers_minimize_eccentricity(n, seed):
     graph.add_nodes_from(range(n))
     graph.add_edges_from(base.edges)
     assert _centers(base.adjacency) == sorted(nx.center(graph))
+
+
+# Directed-isomorphism classes of oriented trees on n = 1..8 vertices (OEIS A000238).
+ORIENTED_TREE_COUNTS = (1, 1, 3, 8, 27, 91, 350, 1376)
+
+
+def _digraph(t: OrientedTree) -> nx.DiGraph:
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(t.n))
+    graph.add_edges_from(t.arcs)
+    return graph
+
+
+def test_equal_oriented_codes_are_directed_isomorphic():
+    # the converse of the relabelling check above; the leaf-deletion campaign
+    # reuses chi across trees with equal codes, which relies on this direction
+    total = 0
+    for n, classes in enumerate(ORIENTED_TREE_COUNTS, start=1):
+        groups: dict[str, list[nx.DiGraph]] = {}
+        for base in free_trees(n):
+            for t in orientations(base):
+                groups.setdefault(oriented_canonical_code(t), []).append(_digraph(t))
+                total += 1
+        assert len(groups) == classes
+        for first, *rest in groups.values():
+            for graph in rest:
+                assert nx.is_isomorphic(first, graph)
+    assert total == 3911
+
+
+def test_leaf_deletion_solves_each_class_it_meets_once(monkeypatch):
+    # n <= 8 instances and their subtrees meet every class with n <= 8
+    solved = []
+
+    def counting_chi(t):
+        solved.append(oriented_canonical_code(t))
+        return solve_exact(t).chi
+
+    monkeypatch.setattr(harness, "_chi", counting_chi)
+    check_leaf_deletion(8)
+    assert len(solved) == len(set(solved)) == sum(ORIENTED_TREE_COUNTS) == 1857
 
 
 def test_oriented_code_reads_no_masks():

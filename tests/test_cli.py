@@ -148,6 +148,24 @@ def test_caterpillar_campaign_rejects_an_empty_spine_range(extra, capsys):
     assert "spine_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjecture", "--m-max", "0", "--k-max", "0"],
+        ["conjecture", "--m-max", "3", "--k-max", "3", "--n-cap", "1"],
+        ["caterpillar", "--samples", "0"],
+        ["caterpillar", "--samples", "-2"],
+        ["star", "--m-max", "0"],
+    ],
+)
+def test_campaign_with_an_empty_corpus_exits_two(argv, tmp_path, capsys):
+    # a zero-instance report would say the claim holds; refuse it, as star does
+    out = tmp_path / "r.json"
+    assert cli_main([*argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_jobs_flag_and_env(tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

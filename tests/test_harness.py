@@ -7,7 +7,7 @@ import pytest
 from domchrom import harness, io
 from domchrom.coloring import DominatorCertificate, verify_dominator
 from domchrom.errors import SpecInvalidError, TooLargeError
-from domchrom.generators import free_trees, orientations
+from domchrom.generators import free_trees, orientations, oriented_canonical_code
 from domchrom.harness import (
     check_caterpillar_bounds,
     check_leaf_deletion,
@@ -138,28 +138,37 @@ class TestLeafDeletionMemo:
                 solve_exact(sub).chi,
             ), rec
 
-    def test_each_labelled_tree_solved_once(self, monkeypatch):
+    def test_each_class_solved_once(self, monkeypatch):
+        # chi is shared across directed-isomorphic trees, so each class met
+        # (instance or subtree) is solved exactly once, and only there
         solved = []
 
         def counting_chi(t):
-            solved.append((t.n, t.arcs))
+            solved.append(oriented_canonical_code(t))
             return solve_exact(t).chi
 
         monkeypatch.setattr(harness, "_chi", counting_chi)
         rep = check_leaf_deletion(6)
-        distinct = set()
+        met = set()
         for inst in {rec["instance"] for rec in rep.records}:
             t = decode_tree(inst)
-            distinct.add((t.n, t.arcs))
+            met.add(oriented_canonical_code(t))
             for v in t.underlying_leaves:
-                sub, _ = delete_leaf(t, v)
-                distinct.add((sub.n, sub.arcs))
-        assert len(solved) == len(set(solved)) == len(distinct)
-        assert set(solved) == distinct
+                met.add(oriented_canonical_code(delete_leaf(t, v)[0]))
+        assert len(solved) == len(set(solved)) == len(met)
+        assert set(solved) == met
+        for rec in rep.records:
+            t = decode_tree(rec["instance"])
+            sub, _ = delete_leaf(t, rec["leaf"])
+            assert (rec["chi"], rec["chi_sub"]) == (
+                solve_exact(t).chi,
+                solve_exact(sub).chi,
+            ), rec
 
     def test_each_instance_built_once(self, monkeypatch):
-        # one build per orientation and one per deleted leaf; the payload
-        # reaches the worker as a tree value, not as a code to decode
+        # one build per orientation, plus one per subtree whose instance code
+        # the campaign has not met before; the payload reaches the worker as
+        # a tree value, not as a code to decode
         builds = []
         init = OrientedTree.__init__
 
@@ -169,27 +178,40 @@ class TestLeafDeletionMemo:
 
         monkeypatch.setattr(OrientedTree, "__init__", counting_init)
         rep = check_leaf_deletion(6)
-        instances = sum(len(free_trees(n)) << (n - 1) for n in range(2, 7))
-        assert len(builds) == instances + len(rep.records)
+        monkeypatch.setattr(OrientedTree, "__init__", init)
+        instances = {rec["instance"] for rec in rep.records}
+        subtrees = {
+            encode_tree(delete_leaf(decode_tree(rec["instance"]), rec["leaf"])[0])
+            for rec in rep.records
+        }
+        assert len(instances) == sum(len(free_trees(n)) << (n - 1) for n in range(2, 7))
+        assert len(builds) == len(instances) + len(subtrees - instances)
 
     def test_memo_empty_after_campaign(self):
         check_leaf_deletion(5)
         assert harness._CHI_BY_CODE == {}
+        assert harness._CHI_BY_CLASS == {}
 
     def test_memo_empty_after_campaign_that_raises(self, monkeypatch):
+        solves = []
+
         def failing_chi(t):
-            if len(harness._CHI_BY_CODE) == 10:
+            solves.append(t)
+            if len(solves) == 10:
                 raise RuntimeError("solver failed")
             return solve_exact(t).chi
 
         monkeypatch.setattr(harness, "_chi", failing_chi)
         with pytest.raises(RuntimeError, match="solver failed"):
             check_leaf_deletion(5)
+        assert len(solves) == 10
         assert harness._CHI_BY_CODE == {}
+        assert harness._CHI_BY_CLASS == {}
 
     def test_delete_leaf_equals_fresh_build(self):
         # the memo keys subtrees by instance code, so a delete_leaf subtree
-        # must be the same value as the tree built from its relabelled arcs
+        # must be the same value as the tree built from its relabelled arcs,
+        # and its code the one read off the parent's arcs
         for n in range(2, 8):
             for base in free_trees(n):
                 for t in orientations(base):
@@ -203,9 +225,16 @@ class TestLeafDeletionMemo:
                         fresh = OrientedTree(n - 1, arcs)
                         assert sub == fresh and hash(sub) == hash(fresh)
                         assert encode_tree(sub) == encode_tree(fresh)
+                        # the campaign looks chi up by this code before it builds
+                        assert harness._subtree_code(t, v) == encode_tree(fresh)
 
 
 class TestGsExplorer:
+    @pytest.mark.parametrize("m_max, k_max, n_cap", [(0, 0, 10), (3, 0, 10), (3, 3, 1)])
+    def test_rejects_parameters_that_select_no_cell(self, m_max, k_max, n_cap):
+        with pytest.raises(SpecInvalidError):
+            explore_conjecture_gs(m_max, k_max, n_cap)
+
     def test_completes_with_witnesses(self):
         rep = explore_conjecture_gs(3, 3, 10)
         assert rep.holds  # explorer reports findings, never fails
@@ -274,6 +303,11 @@ class TestCaterpillarCampaign:
     def test_sampler_rejects_ranges_no_draw_fits(self, n_max, spine_min, spine_max):
         with pytest.raises(SpecInvalidError):
             sample_caterpillar_specs(1, 0, n_max, spine_min, spine_max)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_an_empty_sample(self, samples):
+        with pytest.raises(SpecInvalidError, match="samples"):
+            check_caterpillar_bounds(samples, seed=0)
 
     def test_sampler_accepts_spine_min_equal_to_n_max(self):
         specs, _ = sample_caterpillar_specs(5, 0, n_max=3, spine_min=3, spine_max=3)

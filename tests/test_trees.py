@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 from functools import cached_property
 
@@ -13,7 +14,13 @@ from domchrom.errors import (
     NotATreeError,
     SelfArcError,
 )
-from domchrom.generators import free_trees, orientations, oriented_canonical_code
+from domchrom.generators import (
+    free_trees,
+    orient,
+    orientations,
+    oriented_canonical_code,
+    random_tree,
+)
 from domchrom.trees import (
     BaseTree,
     OrientedTree,
@@ -234,12 +241,35 @@ def test_degree_profile_counts():
     assert t.underlying_leaves == (0, 3)
 
 
+def _assert_views_sorted(t: OrientedTree) -> None:
+    # the views list neighbors in arc order, which is sorted because the
+    # arcs are stored sorted
+    for view in (t.out_neighbors, t.in_neighbors):
+        assert view == tuple(tuple(sorted(a)) for a in view)
+
+
+def test_neighbor_views_are_sorted():
+    for n in range(1, 8):
+        for base in free_trees(n):
+            for t in orientations(base):
+                _assert_views_sorted(t)
+    n = 50_000
+    rng = random.Random(12)
+    t = orient(random_tree(n, 12), rng.getrandbits(n - 1))
+    arcs = list(t.arcs)
+    rng.shuffle(arcs)
+    shuffled = build_tree(n, arcs)
+    assert shuffled == t
+    _assert_views_sorted(shuffled)
+
+
 @given(oriented_trees(max_n=9))
 def test_degree_sums_and_leaf_floor(t):
     assert sum(t.out_degree(v) for v in range(t.n)) == t.n - 1
     assert sum(t.in_degree(v) for v in range(t.n)) == t.n - 1
     if t.n >= 2:
         assert len(t.underlying_leaves) >= 2
+    assert all(t.degree(v) == len(t.neighbors[v]) for v in range(t.n))
 
 
 @given(oriented_trees(max_n=9))
