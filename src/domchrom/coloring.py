@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import SizeMismatchError
+from .errors import BadVertexIdError, SizeMismatchError
 from .trees import OrientedTree
 
 #: Witness marker for vertices with empty out-neighborhood.
@@ -33,19 +33,20 @@ class Coloring:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "colors", tuple(index(c) for c in self.colors))
+            colors = tuple(map(index, self.colors))
         except TypeError as exc:
             raise ValueError(f"colors must be integers: {exc}") from None
-        if not self.colors:
+        object.__setattr__(self, "colors", colors)
+        if not colors:
             raise ValueError("coloring must cover at least one vertex")
         top = 0
-        for i, c in enumerate(self.colors):
-            if c < 1 or c > top + 1:
+        for i, c in enumerate(colors):
+            if c == top + 1:
+                top = c
+            elif not 1 <= c <= top:
                 raise ValueError(
                     f"colors must be canonical (first-use order); offending vertex {i}"
                 )
-            if c > top:
-                top = c
 
     @classmethod
     def from_labels(cls, labels: Iterable[int]) -> "Coloring":
@@ -53,9 +54,10 @@ class Coloring:
         seen: dict[int, int] = {}
         out = []
         for lab in labels:
-            if lab not in seen:
-                seen[lab] = len(seen) + 1
-            out.append(seen[lab])
+            c = seen.get(lab)
+            if c is None:
+                c = seen[lab] = len(seen) + 1
+            out.append(c)
         return cls(tuple(out))
 
     @property
@@ -154,31 +156,54 @@ def _check_colors(t: OrientedTree, colors: Sequence[int]) -> bool:
 
 def is_proper(t: OrientedTree, c: ColoringLike) -> list[ImproperEdge]:
     """All arcs whose endpoints share a color, sorted; empty means proper."""
-    col = _coerce(t, c)
-    return [ImproperEdge(arc) for arc in t.arcs if col.colors[arc[0]] == col.colors[arc[1]]]
+    colors = _coerce(t, c).colors
+    return [ImproperEdge((u, w)) for u, w in t.arcs if colors[u] == colors[w]]
 
 
-def _dominated(t: OrientedTree, colors: Sequence[int]) -> list[tuple[int, int]]:
-    """Every pair (v, c) such that the class of color c lies inside N+(v).
+def _dominated(t: OrientedTree, colors: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Every pair (v, c) such that the class of color c lies inside N+(v),
+    once each and in vertex order.
 
     The class of c lies inside N+(v) exactly when v has as many out-neighbors
-    of color c as the class has vertices, so one pass over the arcs decides
-    every vertex and every class.
+    of color c as the class has vertices, so one pass over the out-neighbor
+    tuples decides every vertex and every class: ``count`` is filled for one
+    neighborhood, read, and emptied again before the next.
     """
     size = [0] * (len(colors) + 1)
     for c in colors:
         size[c] += 1
-    count: dict[tuple[int, int], int] = {}
-    for u, w in t.arcs:
-        key = (u, colors[w])
-        count[key] = count.get(key, 0) + 1
-    return [key for key, m in count.items() if m == size[key[1]]]
+    count = [0] * len(size)
+    vs: list[int] = []
+    cs: list[int] = []
+    for v, out in enumerate(t.out_neighbors):
+        if len(out) == 1:  # the most common case, decided by one size
+            c = colors[out[0]]
+            if size[c] == 1:
+                vs.append(v)
+                cs.append(c)
+        elif out:
+            for x in out:
+                count[colors[x]] += 1
+            for x in out:
+                c = colors[x]
+                if count[c] == size[c]:  # emptied below, so each color once
+                    vs.append(v)
+                    cs.append(c)
+                count[c] = 0
+    return zip(vs, cs)
 
 
 def dominated_classes(t: OrientedTree, c: ColoringLike, v: int) -> frozenset[int]:
-    """Color ids whose entire class lies inside N+(v); empty for sinks."""
+    """Color ids whose entire class lies inside N+(v); empty for sinks.
+    Raises :class:`BadVertexIdError` when v is not a vertex of ``t``."""
     col = _coerce(t, c)
-    return frozenset(c_ for u, c_ in _dominated(t, col.colors) if u == v)
+    try:
+        u = index(v)
+    except TypeError:
+        u = -1
+    if not 0 <= u < t.n:
+        raise BadVertexIdError(f"vertex {v!r} is outside 0..{t.n - 1}")
+    return frozenset(c_ for w, c_ in _dominated(t, col.colors) if w == u)
 
 
 def verify_dominator(
@@ -191,14 +216,15 @@ def verify_dominator(
     violations.
     """
     col = _coerce(t, c)
-    violations: list[Violation] = list(is_proper(t, col))
-    witnesses: list[int | str] = [SINK_EXEMPT] * t.n
-    for u, _ in t.arcs:
-        witnesses[u] = 0
+    violations: list[Violation] = is_proper(t, col)
+    # 0 marks a non-sink that dominates no class (yet)
+    witnesses: list[int | str] = [0 if out else SINK_EXEMPT for out in t.out_neighbors]
     for v, c_ in _dominated(t, col.colors):
-        if witnesses[v] == 0 or c_ < witnesses[v]:
+        w = witnesses[v]
+        if w == 0 or c_ < w:
             witnesses[v] = c_
-    violations.extend(NoDominatedClass(v) for v, w in enumerate(witnesses) if w == 0)
+    if 0 in witnesses:
+        violations.extend(NoDominatedClass(v) for v, w in enumerate(witnesses) if w == 0)
     if violations:
         return violations
     return DominatorCertificate(coloring=col, witnesses=tuple(witnesses))
@@ -212,10 +238,10 @@ def recheck_certificate(t: OrientedTree, cert: DominatorCertificate) -> bool:
     if is_proper(t, cert.coloring):
         return False
     dominated = set(_dominated(t, cert.coloring.colors))
-    tails = {u for u, _ in t.arcs}
+    outs = t.out_neighbors
     for v, w in enumerate(cert.witnesses):
         if w == SINK_EXEMPT:
-            if v in tails:
+            if outs[v]:
                 return False
         elif type(w) is not int or (v, w) not in dominated:  # a bool is no color
             return False

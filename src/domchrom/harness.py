@@ -37,6 +37,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 
+from . import generators
 from .errors import SpecInvalidError, TooLargeError
 from .formulas import (
     _directed_spine,
@@ -53,7 +54,6 @@ from .generators import (
     free_trees,
     gs_base,
     orient,
-    oriented_canonical_code,
     path,
     rooted_orientation,
     star,
@@ -104,7 +104,8 @@ _CHI_BY_CLASS: dict[str, int] = {}
 def _class_chi(t: OrientedTree, code: str) -> int:
     """chi of ``t``, whose instance code ``code`` missed ``_CHI_BY_CODE``:
     taken from a directed-isomorphic tree solved before, else solved now."""
-    cls = oriented_canonical_code(t)
+    # looked up on the module, where perfbench/tracing.py wraps it
+    cls = generators.oriented_canonical_code(t)
     chi = _CHI_BY_CLASS.get(cls)
     if chi is None:
         chi = _CHI_BY_CLASS[cls] = _chi(t)

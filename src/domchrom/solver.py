@@ -20,6 +20,11 @@ program over the tree.
   coloring is such a family.  Hence χ = min(m* + 1, τ + 2) for the least m*,
   which :func:`_least_family` computes bottom-up.
 
+A solve walks the tree once and then makes one pass up it, which finds both
+m* and W (the greedy of :func:`hitting_set` visits the vertices in the same
+order, so it rides along); when m* = τ a pass down rebuilds the family.  The
+verifier then re-checks the coloring in one more pass.
+
 ``brute_force_chi`` shares nothing with that program: it enumerates
 canonical colorings outright and filters them with ``coloring._check_colors``,
 a bitmask test separate from the public verifier, which makes it a true
@@ -30,6 +35,7 @@ cross-validation oracle for small instances.  The backtracking kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .coloring import Coloring, DominatorCertificate, _check_colors, verify_dominator
 from .errors import TooLargeError
@@ -70,21 +76,17 @@ def hitting_set(t: OrientedTree) -> tuple[int, ...]:
     before parents.  A non-sink with no out-neighbor in W yet puts its parent
     into W when it points there, and otherwise its smallest out-neighbor (a
     child).  Taking the parent is safe by exchange: the parent hits
-    everything a child of v would hit, and possibly more.
+    everything a child of v would hit, and possibly more.  :func:`solve_exact`
+    runs the same greedy inside the bottom-up pass of :func:`_least_family`.
     """
-    return _hitting_set(t, *_walk(0, t.in_neighbors, t.out_neighbors))
-
-
-def _hitting_set(
-    t: OrientedTree, order: list[int], parent: list[int], down: bytearray
-) -> tuple[int, ...]:
     outs = t.out_neighbors
+    order, parent, down = _walk(0, t.in_neighbors, outs)
     w = bytearray(t.n)
     for v in reversed(order):
         if outs[v] and not any(w[x] for x in outs[v]):
             up = parent[v] >= 0 and not down[v]  # v -> parent
             w[parent[v] if up else outs[v][0]] = 1
-    return tuple(v for v in range(t.n) if w[v])
+    return tuple(compress(range(t.n), w))
 
 
 def hitting_set_coloring(t: OrientedTree, w: tuple[int, ...]) -> Coloring:
@@ -105,38 +107,23 @@ def _parity_coloring(
     return Coloring.from_labels(labels)
 
 
-def _out_part(free: int, owned: int, dfree: int, downed: int, sink: bool):
-    """Combine a vertex's out-children: its least cost at levels 0, 1 and 2,
-    and whether it owns a class at the level-0 and level-1 optima (bits 0
-    and 1).  ``free``/``owned`` are the children's costs when v owns no
-    class / owns one (counted here), ``dfree``/``downed`` the extra cost of
-    making one of them dominate v."""
-    owned += 1
-    sat, sat_owned = (free, owned) if sink else (free + dfree, owned + downed)
-    if owned < free:
-        free = owned
-        bits = 1
-    else:
-        bits = 0
-    if sat_owned < sat:
-        sat = sat_owned
-        bits |= 2
-    return free, sat, owned, bits
-
-
 def _argmin(row: tuple[int, ...], roles: tuple[int, ...], level: int) -> int:
-    best = roles[0]
-    for r in roles[1:]:
-        if row[3 * r + level] < row[3 * best + level]:
-            best = r
+    """The first of ``roles`` with the least cost at ``level`` in a row of
+    :func:`_least_family`'s table."""
+    best = least = -1
+    for r in roles:
+        cost = row[r] + row[(4 if r == _U else 7) + level]
+        if best < 0 or cost < least:
+            best, least = r, cost
     return best
 
 
 def _least_family(
-    t: OrientedTree, order: list[int], parent: list[int], down: bytearray, tau: int
-) -> tuple[int, list[int] | None]:
-    """The least m of a one-free-class family, and the labels of one such
-    family when m = tau (``None`` otherwise).
+    t: OrientedTree, order: list[int], parent: list[int], down: bytearray
+) -> tuple[int, bytearray, list[int] | None]:
+    """The least m of a one-free-class family, the hitting set W of
+    :func:`hitting_set` as a 0/1 array over the vertices, and the labels of
+    one family when m = τ = |W| (``None`` otherwise).
 
     A class of two or more vertices lies in exactly one out-neighborhood,
     since two tree vertices share at most one neighbor; that vertex *owns*
@@ -146,14 +133,21 @@ def _least_family(
     dominates all its in-neighbors), in the class its parent owns, or in the
     class one of its children owns.
 
-    ``g[v][3 * role + level]`` is the least number of classes within the
-    subtree of v, with v in ``role``, when v is at least (level 0) anything,
-    (1) satisfied inside its subtree (a sink, or dominated by a singleton
-    child or by the class it owns), or (2) the owner of a class that its
-    parent joins.  A class is counted at its owner.  Each child hands its
-    parent four numbers, chosen by the direction of the arc between them.
+    The least number of classes within the subtree of v, with v in
+    ``role``, when v is at least (level 0) anything, (1) satisfied inside its
+    subtree (a sink, or dominated by a singleton child or by the class it
+    owns), or (2) the owner of a class that its parent joins, is a sum of
+    two parts that ``g[v] = (in_u, xs, xp, xc, u0, u1, u2, n0, n1, n2)``
+    keeps apart: the in-children's cost for each role (U, S, P, C), and the
+    out-children's cost at each level, u* when v is in U and n* otherwise.
+    A class is counted at its owner.  Each child hands its parent four
+    numbers, chosen by the direction of the arc between them.
     Values of ``n + 1`` or more mark an infeasible choice; they stay exact
     under the sums and differences below, so the minimum is exact.
+
+    The same bottom-up pass runs the greedy of :func:`hitting_set`: it
+    visits the vertices in the same order, and a vertex's out-children are
+    final in W when it is reached.
 
     ``order``, ``parent`` and ``down`` come from :func:`trees._walk` over
     ``(in_neighbors, out_neighbors)``, so ``down[v]`` is 1 exactly when the
@@ -165,6 +159,7 @@ def _least_family(
     outs = t.out_neighbors
     ins = t.in_neighbors
     inf = n + 1
+    w = bytearray(n)
     g: list[tuple[int, ...]] = [()] * n
     hand: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * n
     owns = [0] * n  # bit 2 * (v in U) + level: v owns a class at that optimum
@@ -172,18 +167,15 @@ def _least_family(
     owner_child = [-1] * n  # cheapest in-child to own v's class in role C
     for v in reversed(order):
         p = parent[v]
+        out = outs[v]
         # Out-children (v -> c), satisfied inside their subtrees.  Columns:
         # v not in U and owning nothing / a class, v in U and the same.
-        b0 = b1 = b2 = b3 = 0
+        b0 = b1 = b2 = b3 = hit = 0  # hit: an out-child of v is in W
         d0 = d1 = d2 = d3 = inf
         k0 = k1 = k2 = k3 = -1
-        # In-children (c -> v): their least cost next to v in U, next to v a
-        # singleton (which satisfies them), next to v otherwise, and the
-        # least extra cost of one of them owning v's class.
-        in_u = in_s = in_other = 0
-        odelta = inf
-        for c in outs[v]:
+        for c in out:
             if c != p:
+                hit |= w[c]
                 u, s, pm, o = hand[c]
                 a2 = s if s < o else o
                 a0 = u if u < a2 else a2
@@ -202,6 +194,11 @@ def _least_family(
                     d2, k2 = s - a2, c
                 if sp - a3 < d3:
                     d3, k3 = sp - a3, c
+        # In-children (c -> v): their least cost next to v in U, next to v a
+        # singleton (which satisfies them), next to v otherwise, and the
+        # least extra cost of one of them owning v's class.
+        in_u = in_s = in_other = 0
+        odelta = inf
         for c in ins[v]:
             if c != p:
                 nonu, any0, any1, any2 = hand[c]
@@ -211,30 +208,63 @@ def _least_family(
                 if any2 - any1 < odelta:
                     odelta = any2 - any1
                     owner_child[v] = c
-        sink = not outs[v]
-        n0, n1, n2, nbits = _out_part(b0, b1, d0, d1, sink)
-        u0, u1, u2, ubits = _out_part(b2, b3, d2, d3, sink)
+        # v's least cost at levels 0, 1, 2 (n* when v is not in U, u* when
+        # it is), and whether it owns a class at the level-0 and level-1
+        # optima.  Owning a class counts it; a non-sink is satisfied by one
+        # out-child dominating it.
+        n2 = b1 + 1
+        u2 = b3 + 1
+        if out:
+            if not hit:  # no out-child in W: add the parent if v -> p, else v's first out-child
+                w[p if p >= 0 and not down[v] else out[0]] = 1
+            bits = 0
+            if n2 < b0:
+                n0 = n2
+                bits = 1
+            else:
+                n0 = b0
+            n1 = b0 + d0
+            if n2 + d1 < n1:
+                n1 = n2 + d1
+                bits |= 2
+            if u2 < b2:
+                u0 = u2
+                bits |= 4
+            else:
+                u0 = b2
+            u1 = b2 + d2
+            if u2 + d3 < u1:
+                u1 = u2 + d3
+                bits |= 8
+            owns[v] = bits
+            dom_child[v] = (k0, k1, k2, k3)
+        else:  # a sink is satisfied, and owns nothing below level 2
+            n0 = n1 = u0 = u1 = 0
         xs = 1 + in_s if ins[v] else inf
         xp = in_other if down[v] else inf
         xc = in_other + odelta
-        row = (
-            in_u + u0, in_u + u1, in_u + u2,
-            xs + n0, xs + n1, xs + n2,
-            xp + n0, xp + n1, xp + n2,
-            xc + n0, xc + n1, xc + n2,
-        )
-        g[v] = row
-        owns[v] = nbits | ubits << 2
-        dom_child[v] = (k0, k1, k2, k3)
+        g[v] = (in_u, xs, xp, xc, u0, u1, u2, n0, n1, n2)
         if down[v]:  # p -> v: v in each role, satisfied inside its subtree
-            hand[v] = row[1], row[4], row[7], row[10]
+            hand[v] = in_u + u1, xs + n1, xp + n1, xc + n1
         elif p >= 0:  # v -> p: v not in U, and in any role at each level
             x = xs if xs < xc else xc  # never in p's class
-            hand[v] = (x + n1, min(in_u + u0, x + n0), min(in_u + u1, x + n1), min(in_u + u2, x + n2))
+            a0 = x + n0
+            a1 = x + n1
+            a2 = x + n2
+            uu0 = in_u + u0
+            uu1 = in_u + u1
+            uu2 = in_u + u2
+            hand[v] = (
+                a1,
+                uu0 if uu0 < a0 else a0,
+                uu1 if uu1 < a1 else a1,
+                uu2 if uu2 < a2 else a2,
+            )
 
-    m = min(g[0][1::3])
-    if m != tau:
-        return m, None
+    in_u, xs, xp, xc, _, u1, _, _, n1, _ = g[0]
+    m = min(in_u + u1, xs + n1, xp + n1, xc + n1)
+    if m != w.count(1):
+        return m, w, None
 
     labels = [0] * n  # U is label 0, a singleton v is v + 1, v's class n + 1 + v
     stack = [(0, _argmin(g[0], _ROLES, 1), 1)]
@@ -267,7 +297,7 @@ def _least_family(
             else:
                 roles, lvl = ((_S, _C) if in_u else _ROLES), 1
             stack.append((c, _argmin(g[c], roles, lvl), lvl))
-    return m, labels
+    return m, w, labels
 
 
 def solve_exact(t: OrientedTree, opts: SolveOptions | None = None) -> SolveResult:
@@ -278,22 +308,22 @@ def solve_exact(t: OrientedTree, opts: SolveOptions | None = None) -> SolveResul
     family has τ non-free classes; that family is then the coloring.
     Otherwise the τ + 2 coloring of :func:`hitting_set_coloring` is
     returned.  Either coloring is re-verified before it is returned.  The
-    tree walk, τ, the DP and the verifier each take one pass over the
-    vertices and arcs, on the tree's neighbor tuples; no n-bit mask is
-    built, so time and memory are linear in n.  Deterministic.  ``opts`` is accepted and
-    ignored: there is no search, so a node budget does not apply.
+    tree walk, the DP (which gathers W, hence τ, on the same pass) and the
+    verifier each take one pass over the vertices and arcs, on the tree's
+    neighbor tuples; no n-bit mask is built, so time and memory are linear
+    in n.  Deterministic.  ``opts`` is accepted and ignored: there is no
+    search, so a node budget does not apply.
     """
     order, parent, down = _walk(0, t.in_neighbors, t.out_neighbors)
-    w = _hitting_set(t, order, parent, down)
-    tau = len(w)
-    m, labels = _least_family(t, order, parent, down, tau)
+    m, w, labels = _least_family(t, order, parent, down)
+    tau = w.count(1)
     if m < tau:  # pragma: no cover - internal consistency
         raise RuntimeError(f"a family with {m} classes beats the lower bound {tau}")
     if labels is not None:
         coloring = Coloring.from_labels(labels)
         k = tau + 1
     else:
-        coloring = _parity_coloring(t, w, order, parent)
+        coloring = _parity_coloring(t, tuple(compress(range(t.n), w)), order, parent)
         k = tau + 2
     if coloring.k != k:  # pragma: no cover - internal consistency
         raise RuntimeError(f"coloring has {coloring.k} colors, expected {k}")

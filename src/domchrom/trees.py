@@ -172,17 +172,18 @@ class OrientedTree:
 
     @cached_property
     def sources(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.in_degree(v) == 0)
+        return tuple(v for v, inn in enumerate(self.in_neighbors) if not inn)
 
     @cached_property
     def sinks(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.out_degree(v) == 0)
+        return tuple(v for v, out in enumerate(self.out_neighbors) if not out)
 
     @cached_property
     def underlying_leaves(self) -> tuple[int, ...]:
         if self.n == 1:
             return (0,)
-        return tuple(v for v in range(self.n) if self.degree(v) == 1)
+        pairs = zip(self.out_neighbors, self.in_neighbors)
+        return tuple(v for v, (out, inn) in enumerate(pairs) if len(out) + len(inn) == 1)
 
     def underlying(self) -> BaseTree:
         return BaseTree(self.n, self.arcs)

@@ -30,3 +30,26 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch, tmp_path):
     # the CLI reaches the campaign through the attribute the tracer wraps
     report = ExperimentReport.from_json(out.read_text())
     assert tracer.counters["records"] == len(report.records) > 0
+
+
+def test_tracer_spans_every_class_memo_code(monkeypatch, capsys):
+    """The leaf-deletion class memo computes its codes through the
+    ``generators`` attribute, so each lookup is one ``generators.canon_code``
+    span instead of harness time."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    lookups = []
+    class_chi = harness._class_chi
+
+    def counted(t, code):
+        lookups.append(code)
+        return class_chi(t, code)
+
+    monkeypatch.setattr(harness, "_class_chi", counted)
+    with tracing.Tracer() as tracer:
+        # exit 1: the sweep meets counterexamples to the refuted claim
+        assert cli.cli_main(["leafdel", "--max-n", "5"]) == 1
+    capsys.readouterr()
+    spans = [s for s in tracer.spans if s[0] == "generators.canon_code"]
+    assert len(spans) == len(lookups) == len(set(lookups)) > 0
+    assert all(tracer.spans[s[1]][0] == "harness" for s in spans)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,11 +19,15 @@ from domchrom.coloring import (
     recheck_certificate,
     verify_dominator,
 )
-from domchrom.errors import SizeMismatchError
+from domchrom.errors import BadVertexIdError, SizeMismatchError
+from domchrom.generators import free_trees, orientations
+from domchrom.io import encode_tree
 from domchrom.solver import _growth_sequences
 from domchrom.trees import build_tree
 
 from conftest import oriented_trees
+
+VERIFIER_DIGEST = "dd27e5a33ae10a82411d97b28728a52a7e63f7c9e11055cc3757dbd23b44893e"
 
 
 def p2():
@@ -43,6 +50,11 @@ class TestColoring:
     def test_non_canonical_rejected(self):
         with pytest.raises(ValueError):
             Coloring((2, 1))
+
+    @pytest.mark.parametrize("colors", [(1, 3), (0, 1), (1, 0), (1, 2, -1), (1, 1, 3)])
+    def test_gaps_and_non_positive_colors_rejected(self, colors):
+        with pytest.raises(ValueError, match="canonical"):
+            Coloring(colors)
 
     def test_from_labels_canonicalizes(self):
         assert Coloring.from_labels((3, 1, 3)).colors == (1, 2, 1)
@@ -99,6 +111,11 @@ class TestDominatedClasses:
 
     def test_p3_middle(self):
         assert dominated_classes(p3_directed(), (1, 2, 3), 1) == {3}
+
+    @pytest.mark.parametrize("v", [-1, 3, 7, 1.5, "1", None])
+    def test_vertex_outside_the_tree_rejected(self, v):
+        with pytest.raises(BadVertexIdError):
+            dominated_classes(p3_directed(), (1, 2, 3), v)
 
     @given(oriented_trees(max_n=8), st.data())
     def test_subset_of_out_colors(self, t, data):
@@ -236,3 +253,33 @@ class TestAgainstDefinition:
         assert cert.witnesses[0] == 4
         bad = DominatorCertificate(cert.coloring, (2,) + cert.witnesses[1:])
         assert not recheck_certificate(t, bad)
+
+
+def _verifier_line(t, labels) -> str:
+    out = verify_dominator(t, labels)
+    if isinstance(out, DominatorCertificate):
+        body = f"cert {out.coloring.colors} {out.witnesses}"
+    else:
+        body = " ".join(
+            f"E{v.arc}" if isinstance(v, ImproperEdge) else f"D{v.vertex}" for v in out
+        )
+    return f"{encode_tree(t)}|{labels}|{body}\n"
+
+
+def test_verifier_output_pinned():
+    """The certificate or the ordered violation list for every labelling with
+    labels 1..3 of every orientation with n <= 5; labels need not be
+    canonical.  Validity agrees with the oracle's filter ``_check_colors``."""
+    h = hashlib.sha256()
+    count = 0
+    for n in range(1, 6):
+        for base in free_trees(n):
+            for t in orientations(base):
+                for labels in itertools.product((1, 2, 3), repeat=n):
+                    line = _verifier_line(t, labels)
+                    valid = _check_colors(t, canonicalize(labels).colors)
+                    assert line.split("|")[2].startswith("cert") == valid, line
+                    h.update(line.encode())
+                    count += 1
+    assert count == 3 + 2 * 9 + 4 * 27 + 16 * 81 + 48 * 243
+    assert h.hexdigest() == VERIFIER_DIGEST

@@ -272,6 +272,21 @@ def test_degree_sums_and_leaf_floor(t):
     assert all(t.degree(v) == len(t.neighbors[v]) for v in range(t.n))
 
 
+def test_role_views_match_the_degrees():
+    """Sources, sinks and underlying leaves on every orientation with n <= 7,
+    from the arcs alone."""
+    for n in range(1, 8):
+        for base in free_trees(n):
+            for t in orientations(base):
+                heads = [v for _, v in t.arcs]
+                tails = [u for u, _ in t.arcs]
+                ends = heads + tails
+                assert t.sources == tuple(v for v in range(n) if v not in heads)
+                assert t.sinks == tuple(v for v in range(n) if v not in tails)
+                leaves = tuple(v for v in range(n) if ends.count(v) == 1)
+                assert t.underlying_leaves == (leaves if n > 1 else (0,))
+
+
 @given(oriented_trees(max_n=9))
 def test_reverse_is_involution_and_swaps_roles(t):
     r = reverse(t)

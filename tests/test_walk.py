@@ -8,6 +8,7 @@ colorings, the certificate and the oriented canonical code together.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import sys
 
@@ -21,12 +22,14 @@ from domchrom.generators import (
     orientations,
     oriented_canonical_code,
     random_tree,
+    rooted_orientation,
 )
 from domchrom.io import encode_tree
-from domchrom.solver import hitting_set, hitting_set_coloring, solve_exact
+from domchrom.solver import _least_family, hitting_set, hitting_set_coloring, solve_exact
 from domchrom.trees import OrientedTree, _walk, build_tree
 
 OUTPUTS_DIGEST = "25d82ab6b71b3aceb3bce6601b8184ac73fb364bd7cedec27f48ca26e1ccf913"
+WIDE_OUTPUTS_DIGEST = "dcad3d14944c81a31e6be128da55d00acbdf88162d48f3d7b21c69200c632dbc"
 
 
 def _labellings(max_n):
@@ -135,3 +138,41 @@ def test_outputs_pinned():
         count += 1
     assert count == 4211
     assert h.hexdigest() == OUTPUTS_DIGEST
+
+
+def _wide_trees():
+    """Every orientation with n = 9, then a dozen seeded trees with
+    n = 10^3..2*10^4; every fourth is an out- or in-tree, where chi = tau + 1,
+    and random orientations of that size give chi = tau + 2."""
+    for base in free_trees(9):
+        yield from orientations(base)
+    rng = random.Random(2026)
+    for i in range(12):
+        n = rng.randint(1000, 20000)
+        base = random_tree(n, rng.getrandbits(32))
+        if i % 4 == 3:
+            yield rooted_orientation(base, rng.randrange(n), "out" if i % 8 == 3 else "in")
+        else:
+            yield orient(base, rng.getrandbits(n - 1))
+
+
+def test_wide_outputs_pinned():
+    """chi, tau, the coloring and the witnesses, past the sizes above."""
+    h = hashlib.sha256()
+    count = 0
+    for t in _wide_trees():
+        res = solve_exact(t)
+        cert = res.certificate
+        h.update(f"{res.chi}|{res.tau}|{cert.coloring.colors!r}|{cert.witnesses!r}\n".encode())
+        count += 1
+    assert count == 47 * 2**8 + 12
+    assert h.hexdigest() == WIDE_OUTPUTS_DIGEST
+
+
+def test_family_program_builds_the_hitting_set():
+    """The W that the family program gathers in its bottom-up pass is
+    hitting_set(t), on every orientation with n <= 8 in both labellings and
+    on the trees of the pin above."""
+    for t in itertools.chain(_labellings(8), _wide_trees()):
+        _, w, _ = _least_family(t, *_walk(0, t.in_neighbors, t.out_neighbors))
+        assert tuple(v for v in range(t.n) if w[v]) == hitting_set(t), t
