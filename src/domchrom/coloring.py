@@ -176,20 +176,14 @@ def _dominated(t: OrientedTree, colors: Sequence[int]) -> Iterator[tuple[int, in
     vs: list[int] = []
     cs: list[int] = []
     for v, out in enumerate(t.out_neighbors):
-        if len(out) == 1:  # the most common case, decided by one size
-            c = colors[out[0]]
-            if size[c] == 1:
+        for x in out:
+            count[colors[x]] += 1
+        for x in out:
+            c = colors[x]
+            if count[c] == size[c]:  # emptied below, so each color once
                 vs.append(v)
                 cs.append(c)
-        elif out:
-            for x in out:
-                count[colors[x]] += 1
-            for x in out:
-                c = colors[x]
-                if count[c] == size[c]:  # emptied below, so each color once
-                    vs.append(v)
-                    cs.append(c)
-                count[c] = 0
+            count[c] = 0
     return zip(vs, cs)
 
 
@@ -223,8 +217,7 @@ def verify_dominator(
         w = witnesses[v]
         if w == 0 or c_ < w:
             witnesses[v] = c_
-    if 0 in witnesses:
-        violations.extend(NoDominatedClass(v) for v, w in enumerate(witnesses) if w == 0)
+    violations.extend(NoDominatedClass(v) for v, w in enumerate(witnesses) if w == 0)
     if violations:
         return violations
     return DominatorCertificate(coloring=col, witnesses=tuple(witnesses))
