@@ -12,6 +12,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 from typing import Iterator, Sequence
 
 from .errors import SpecInvalidError, TooLargeError
@@ -164,6 +165,14 @@ def caterpillar(spec: CaterpillarSpec) -> OrientedTree:
 # orientations of a base tree
 
 
+def _spec_int(value, name: str) -> int:
+    """``value`` as a plain int, else :class:`SpecInvalidError`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise SpecInvalidError(f"{name} must be an integer, got {value!r}") from None
+
+
 def orient(base: BaseTree, mask: int) -> OrientedTree:
     """One orientation of ``base``, selected edge by edge.
 
@@ -172,6 +181,7 @@ def orient(base: BaseTree, mask: int) -> OrientedTree:
     exactly once, and complementary masks are mutual reversals.
     """
     width = len(base.edges)
+    mask = _spec_int(mask, "mask")
     if not (0 <= mask < (1 << width)):
         raise SpecInvalidError(f"mask {mask} out of range for {width} edges")
     arcs = tuple(
@@ -192,6 +202,7 @@ def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:
     """Orient every edge away from (``sense='out'``) or toward (``'in'``) the root."""
     if sense not in ("out", "in"):
         raise ValueError(f"sense must be 'out' or 'in', got {sense!r}")
+    root = _spec_int(root, "root")
     if not (0 <= root < base.n):
         raise SpecInvalidError(f"root {root} outside 0..{base.n - 1}")
     order, parent, _ = _walk(root, base.adjacency)
@@ -272,6 +283,62 @@ def oriented_canonical_code(t: OrientedTree) -> str:
     """
     adjs = (t.in_neighbors, t.out_neighbors)
     return min(_ahu_code(c, ("<(", ">("), *adjs) for c in _centers(*adjs))
+
+
+def orientation_classes(base: BaseTree) -> list[int]:
+    """The directed-isomorphism class of every orientation of ``base``.
+
+    Entry ``mask`` is the class index of ``orient(base, mask)``, classes
+    numbered in order of their first mask; two masks share an index exactly
+    when their :func:`oriented_canonical_code` values are equal.  The centers
+    and one walk from the first center serve every mask.  Each mask then runs
+    an AHU pass over integer ids, hash-consed across the whole table: a
+    subtree's key is its children's sorted ids followed by the direction of
+    the arc to its parent (1 away from the center).  A bicentral tree's key
+    is its two halves and the central arc's direction, read from whichever
+    center gives the smaller key.
+    """
+    if base.n > _MASK_WIDTH_CAP:
+        raise TooLargeError(f"orientation masks capped at n <= {_MASK_WIDTH_CAP}")
+    adj = base.adjacency
+    root, *other = _centers(adj)
+    order, parent, _ = _walk(root, adj)
+    bit = {edge: i for i, edge in enumerate(base.edges)}
+    # One step per vertex but the centers, children before parents:
+    # (parent, edge bit, 1 when the unflipped edge points away from the
+    # root), led by the vertex itself unless it is a leaf.
+    leaves, inner = [], []
+    for v in order[:0:-1]:
+        p = parent[v]
+        if [v] != other:
+            step = (p, bit[(p, v) if p < v else (v, p)], int(p < v))
+            if len(adj[v]) == 1:
+                leaves.append(step)
+            else:
+                inner.append((v, *step))
+    if other:
+        central_bit = bit[(root, other[0])]  # centers are sorted: root < other
+    ids = {(0,): 0, (1,): 1}  # a leaf's id is the direction of its arc
+    classes: dict[tuple, int] = {}
+    table = []
+    for mask in range(1 << len(base.edges)):
+        kids: list[list[int]] = [[] for _ in order]
+        for p, b, away in leaves:
+            kids[p].append((mask >> b & 1) ^ away)
+        for v, p, b, away in inner:
+            key = kids[v]
+            key.sort()
+            key.append((mask >> b & 1) ^ away)
+            kids[p].append(ids.setdefault(tuple(key), len(ids)))
+        head = tuple(sorted(kids[root]))
+        if other:
+            tail = tuple(sorted(kids[other[0]]))
+            d = mask >> central_bit & 1  # 1 when the central arc points at root
+            key = min((head, tail, d ^ 1), (tail, head, d))
+        else:
+            key = head
+        table.append(classes.setdefault(key, len(classes)))
+    return table
 
 
 # ---------------------------------------------------------------------------

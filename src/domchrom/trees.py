@@ -228,6 +228,10 @@ def delete_leaf(t: OrientedTree, v: int) -> tuple[OrientedTree, dict[int, int]]:
 
     Returns the smaller tree together with the old->new vertex map.
     """
+    try:
+        v = index(v)
+    except TypeError:
+        raise NotALeafError(f"vertex must be an integer, got {v!r}") from None
     if not (0 <= v < t.n) or t.degree(v) != 1:
         raise NotALeafError(f"vertex {v} is not an underlying leaf")
     mapping = {}

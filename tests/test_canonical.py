@@ -14,6 +14,7 @@ import networkx as nx
 import pytest
 
 from domchrom import harness
+from domchrom.errors import TooLargeError
 from domchrom.formulas import central_path
 from domchrom.generators import (
     _centers,
@@ -21,6 +22,7 @@ from domchrom.generators import (
     canonical_form,
     free_trees,
     orient,
+    orientation_classes,
     oriented_canonical_code,
     orientations,
     path,
@@ -137,6 +139,42 @@ def test_leaf_deletion_solves_each_class_it_meets_once(monkeypatch):
     monkeypatch.setattr(harness, "_chi", counting_chi)
     check_leaf_deletion(8)
     assert len(solved) == len(set(solved)) == sum(ORIENTED_TREE_COUNTS) == 1857
+
+
+def _code_classes(base: BaseTree) -> list[int]:
+    """Class index per mask, by first occurrence of its oriented code."""
+    first: dict[str, int] = {}
+    return [
+        first.setdefault(oriented_canonical_code(t), len(first))
+        for t in orientations(base)
+    ]
+
+
+def test_orientation_classes_match_oriented_codes():
+    # the reversal campaign solves one orientation per class of this table
+    for n in range(1, 10):
+        classes = 0
+        for base in free_trees(n):
+            table = orientation_classes(base)
+            assert table == _code_classes(base)
+            classes += max(table) + 1
+        assert classes == (*ORIENTED_TREE_COUNTS, 5743)[n - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orientation_classes_of_relabelled_bases(n):
+    bases = [random_tree(n, seed) for seed in range(10)]
+    bases += [
+        BaseTree(n, tuple((n - 1 - u, n - 1 - v) for u, v in base.edges))
+        for base in free_trees(n)
+    ]
+    for base in bases:
+        assert orientation_classes(base) == _code_classes(base)
+
+
+def test_orientation_classes_guard():
+    with pytest.raises(TooLargeError):
+        orientation_classes(path(27))
 
 
 def test_oriented_code_reads_no_masks():

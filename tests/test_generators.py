@@ -116,6 +116,16 @@ class TestOrientations:
             with pytest.raises(SpecInvalidError, match="root"):
                 rooted_orientation(path(3), root, "out")
 
+    def test_orient_rejects_a_non_integer_mask(self):
+        for mask in (1.5, "1", None):
+            with pytest.raises(SpecInvalidError, match="mask must be an integer"):
+                orient(path(3), mask)
+
+    def test_rooted_orientation_rejects_a_non_integer_root(self):
+        for root in (1.5, "1", None):
+            with pytest.raises(SpecInvalidError, match="root must be an integer"):
+                rooted_orientation(path(3), root, "out")
+
 
 class TestFreeTrees:
     def test_counts_match_reference(self):

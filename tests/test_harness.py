@@ -59,6 +59,20 @@ class TestReversalInvariance:
         with pytest.raises(TooLargeError):
             check_reversal_invariance(11)
 
+    def test_each_class_solved_once(self, monkeypatch):
+        # one solve per directed-isomorphism class with n <= 7 (OEIS A000238:
+        # 1 + 1 + 3 + 8 + 27 + 91 + 350), not one per orientation named (968)
+        solved = []
+
+        def counting_solve(t, *args):
+            solved.append(oriented_canonical_code(t))
+            return solve_exact(t, *args)
+
+        monkeypatch.setattr(harness, "solve_exact", counting_solve)
+        rep = check_reversal_invariance(7)
+        assert len(solved) == len(set(solved)) == 481
+        assert 2 * len(rep.records) == 968
+
 
 class TestLeafDeletion:
     def test_record_count_and_delta_range(self):

@@ -233,6 +233,13 @@ def test_delete_non_leaf_raises():
         delete_leaf(t, 0)
 
 
+@pytest.mark.parametrize("v", [1.5, "1", None, -1, 3])
+def test_delete_leaf_rejects_a_vertex_that_is_no_vertex(v):
+    t = build_tree(3, [(0, 1), (1, 2)])
+    with pytest.raises(NotALeafError):
+        delete_leaf(t, v)
+
+
 def test_degree_profile_counts():
     t = build_tree(4, [(0, 1), (2, 1), (2, 3)])
     assert tuple(t.out_degree(v) for v in range(t.n)) == (1, 0, 2, 0)
