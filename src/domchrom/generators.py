@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import product
 from operator import index
 from typing import Iterator, Sequence
 
@@ -184,10 +183,16 @@ def orient(base: BaseTree, mask: int) -> OrientedTree:
     mask = _spec_int(mask, "mask")
     if not (0 <= mask < (1 << width)):
         raise SpecInvalidError(f"mask {mask} out of range for {width} edges")
-    arcs = tuple(
+    return OrientedTree(base.n, orientation_arcs(base, mask))
+
+
+def orientation_arcs(base: BaseTree, mask: int) -> list[tuple[int, int]]:
+    """The arcs of ``orient(base, mask)`` in the sorted order that
+    :class:`OrientedTree` stores, for a mask that is known to be in range;
+    nothing is built or validated."""
+    return sorted(
         (v, u) if (mask >> i) & 1 else (u, v) for i, (u, v) in enumerate(base.edges)
     )
-    return OrientedTree(base.n, arcs)
 
 
 def orientations(base: BaseTree) -> Iterator[OrientedTree]:
@@ -254,6 +259,39 @@ def canonical_code(base: BaseTree) -> str:
 def canonical_form(base: BaseTree) -> BaseTree:
     """A canonically relabeled copy; isomorphic inputs map to equal values."""
     return _code_tree(canonical_code(base))
+
+
+def canonical_labels(base: BaseTree) -> list[int]:
+    """Each vertex's label in :func:`canonical_form`: the edges of ``base``
+    relabelled ``(label[u], label[v])`` are exactly those of
+    ``canonical_form(base)``.
+
+    It numbers the vertices as :func:`_code_tree` reads
+    :func:`canonical_code`: breadth-first from the center whose code is
+    smaller, each vertex's children in the order of their subtree codes.
+    As in :func:`_ahu_code`, a subtree's code is dropped once its parent's
+    is built, so memory stays linear.
+    """
+    adj = base.adjacency
+    best = None
+    for c in _centers(adj):
+        order, parent, _ = _walk(c, adj)
+        pending: list[list[tuple[str, int]]] = [[] for _ in order]
+        children: list[list[int]] = [[] for _ in order]
+        for v in order[::-1]:  # children before parents, the center last
+            kids = sorted(pending[v])
+            pending[v] = []
+            children[v] = [w for _, w in kids]
+            code = "(" + "".join([k for k, _ in kids]) + ")"
+            if v != c:
+                pending[parent[v]].append((code, v))
+        if best is None or code < best[0]:
+            best = (code, c, children)
+    _, root, children = best
+    label = [0] * base.n
+    for i, v in enumerate(_walk(root, children)[0]):
+        label[v] = i
+    return label
 
 
 def _code_tree(code: str) -> BaseTree:
@@ -400,19 +438,6 @@ def sequence_to_edges(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]
     v = heapq.heappop(leaves)
     edges.append((min(u, v), max(u, v)))
     return tuple(edges)
-
-
-def labeled_trees(n: int) -> Iterator[BaseTree]:
-    """Every labeled tree on n vertices, one per generator sequence.
-
-    Exhaustive (n^(n-2) trees), so only usable for small n; the test suite
-    runs it as an independent oracle against :func:`free_trees`.
-    """
-    if n <= 2:
-        yield path(n)
-        return
-    for seq in product(range(n), repeat=n - 2):
-        yield BaseTree(n, sequence_to_edges(seq, n))
 
 
 def random_tree(n: int, seed: int) -> BaseTree:

@@ -9,33 +9,33 @@ in enumeration order and each campaign builds its report from them, which
 makes reports byte-identical for any job count.
 
 Workers receive tree values that the parent has already built and validated,
-never codes to parse: a base tree (with its code where the record names it),
-alone or with a mask or a root, or a caterpillar spec.  Each worker builds
-every instance once and encodes it only for its record.  Unpickling a frozen
-dataclass skips ``__post_init__``, so a worker does not re-validate its
-payload; that is safe because every payload tree comes from this package's
-own validating constructors (``free_trees``, ``CaterpillarSpec``).
+never codes to parse: a base tree (with its code or its class tables where
+the records need them), alone or with a root, or a caterpillar spec.
+Unpickling a frozen dataclass skips ``__post_init__``, so a worker does not
+re-validate its payload; that is safe because every payload tree comes from
+this package's own validating constructors (``free_trees``,
+``CaterpillarSpec``).
 
-The leaf-deletion campaign meets the same tree many times: both
-orientations of a leaf edge leave the same subtree, most subtrees are
-instances one level down, and many labelled trees are relabellings of one
-another.  For the length of one campaign it therefore memoizes chi twice.
-``_CHI_BY_CODE`` is keyed by the compact instance code, which fixes n and
-every arc; a subtree's code is read straight off its parent's arcs, so a
-subtree is built (through the validating constructor) only when its code
-misses.  ``_CHI_BY_CLASS`` is keyed by ``oriented_canonical_code``; equal
-codes mean directed-isomorphic trees, and chi is invariant under directed
-isomorphism, so one solve serves the whole class.  At n <= 8 the campaign
-builds 5,563 trees (3,910 instances and 1,653 subtrees) and solves 1,857, one
-per class.  Every tree it does solve is still re-verified by the solver's
-certificate check.
+Two campaigns name every orientation of every free tree, and chi does not
+change under directed isomorphism, so they solve one orientation per class.
+:func:`_class_table` takes ``orientation_classes(base)``, the class of every
+mask of one base tree, and builds and solves only the orientation of each
+class's first mask; a record reads its instance code off the base edges and
+the mask (``orientation_arcs``) and its chi from the table, and builds
+nothing.  The reversal-invariance campaign makes one table per base tree in
+the worker that writes its records: at n <= 9 it builds and solves 7,600
+trees for the 15,944 orientations its records name.
 
-The reversal-invariance campaign sends one payload per base tree.  Its worker
-builds ``orientation_classes(base)``, the directed-isomorphism class of every
-mask, and keeps chi per class in a dict local to the call, so a class is
-solved once and no memo outlives the call.  At n <= 9 it solves 7,600 trees,
-one per class, for the 15,944 orientations its records name.  The other
-campaigns solve each labelled tree once and take no memo.
+The leaf-deletion campaign first makes the table of every free tree with
+n <= ``max_n`` (1,857 solves at n <= 8, one per class).  A subtree
+``delete_leaf(orient(base, mask), v)`` is an orientation of the free tree R
+isomorphic to base - v; :func:`_leaf_maps` finds, once per base tree and
+leaf, a canonical labelling of base - v onto R and with it the mask of R that
+each mask of base leaves, so every chi a record names is one table lookup,
+with no canonical code and no subtree built.  The predicates come from the
+in- and out-degrees of the arcs.  The tables live for one call, so no memo
+outlives a campaign.  The other campaigns solve each labelled tree once.
+Every tree solved is still re-verified by the solver's certificate check.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 
-from . import generators
 from .errors import SpecInvalidError, TooLargeError
 from .formulas import (
     _directed_spine,
@@ -56,10 +55,12 @@ from .formulas import (
 )
 from .generators import (
     CaterpillarSpec,
+    canonical_labels,
     caterpillar,
     free_trees,
     gs_base,
     orient,
+    orientation_arcs,
     orientation_classes,
     path,
     rooted_orientation,
@@ -69,7 +70,8 @@ from .io import certificate_to_obj, encode_arcs, encode_base, encode_tree
 from .io import decode_tree  # unused here; perfbench/tracing.py wraps this name
 from .reports import ExperimentReport
 from .solver import solve_exact
-from .trees import BaseTree, OrientedTree, classify_rooted, delete_leaf
+from .trees import BaseTree, OrientedTree, classify_rooted
+from .trees import delete_leaf  # unused here; perfbench/tracing.py wraps this name
 
 
 def _map_ordered(fn, payloads: list, jobs: int) -> list:
@@ -100,34 +102,20 @@ def _chi(t: OrientedTree) -> int:
     return solve_exact(t).chi
 
 
-#: chi by instance code and by directed-isomorphism class for the
-#: leaf-deletion campaign in progress in this process; ``check_leaf_deletion``
-#: empties both when the campaign ends, and pool workers fill their own
-#: copies, which end with the pool.
-_CHI_BY_CODE: dict[str, int] = {}
-_CHI_BY_CLASS: dict[str, int] = {}
-
-
-def _class_chi(t: OrientedTree, code: str) -> int:
-    """chi of ``t``, whose instance code ``code`` missed ``_CHI_BY_CODE``:
-    taken from a directed-isomorphic tree solved before, else solved now."""
-    # looked up on the module, where perfbench/tracing.py wraps it
-    cls = generators.oriented_canonical_code(t)
-    chi = _CHI_BY_CLASS.get(cls)
-    if chi is None:
-        chi = _CHI_BY_CLASS[cls] = _chi(t)
-    _CHI_BY_CODE[code] = chi
-    return chi
-
-
-def _subtree_code(t: OrientedTree, v: int) -> str:
-    """``encode_tree(delete_leaf(t, v)[0])`` without building the subtree.
-
-    The relabelling x -> x - (x > v) preserves order, so the remaining arcs
-    stay sorted."""
-    return encode_arcs(
-        t.n - 1, [(a - (a > v), b - (b > v)) for a, b in t.arcs if a != v and b != v]
-    )
+def _class_table(base: BaseTree) -> tuple[list[int], list[tuple[int, int | None]]]:
+    """``orientation_classes(base)`` and, for each class, chi and the rooted
+    formula (None unless the orientation is an out- or in-tree), read off the
+    orientation of the class's first mask; both are invariant under directed
+    isomorphism."""
+    classes = orientation_classes(base)
+    facts: list[tuple[int, int | None]] = []
+    for mask, cls in enumerate(classes):
+        if cls == len(facts):  # classes are numbered by first mask
+            t = orient(base, mask)
+            rc = classify_rooted(t)
+            rooted = rc.out_root is not None or rc.in_root is not None
+            facts.append((_chi(t), chi_rooted(t) if rooted else None))
+    return classes, facts
 
 
 # ---------------------------------------------------------------------------
@@ -135,51 +123,37 @@ def _subtree_code(t: OrientedTree, v: int) -> str:
 
 
 def _invariance_record(
-    base: BaseTree, base_code: str, mask: int, classes: list[int], chi_by_class: dict
+    base: BaseTree, base_code: str, mask: int, classes: list[int], facts: list
 ) -> dict:
-    """The record of ``mask`` and its complement; chi comes from
-    ``chi_by_class`` by the class that ``classes`` gives each mask, and a
-    class is solved the first time one of its orientations needs it."""
+    """The record of ``mask`` and its complement, read from the class table
+    of ``base`` (see :func:`_class_table`); nothing is built."""
     n = base.n
     mask_rev = mask ^ ((1 << len(base.edges)) - 1)
-    t = orient(base, mask)
-    t_rev = orient(base, mask_rev)
-    chis = []
-    for tree, cls in ((t, classes[mask]), (t_rev, classes[mask_rev])):
-        chi = chi_by_class.get(cls)
-        if chi is None:
-            chi = chi_by_class[cls] = _chi(tree)
-        chis.append(chi)
-    chi, chi_rev = chis
+    chi, formula = facts[classes[mask]]
+    chi_rev = facts[classes[mask_rev]][0]
     record = {
         "n": n,
         "base": base_code,
         "mask": mask,
         "mask_rev": mask_rev,
-        "instance": encode_tree(t),
-        "instance_rev": encode_tree(t_rev),
+        "instance": encode_arcs(n, orientation_arcs(base, mask)),
+        "instance_rev": encode_arcs(n, orientation_arcs(base, mask_rev)),
         "chi": chi,
         "chi_rev": chi_rev,
         "equal": chi == chi_rev,
     }
-    rc = classify_rooted(t)
-    if rc.out_root is not None or rc.in_root is not None:
-        formula = chi_rooted(t)
+    if formula is not None:
         record["rooted_formula"] = formula
         record["rooted_ok"] = formula == chi
     return record
 
 
 def _invariance_records(payload: tuple[BaseTree, str]) -> list[dict]:
-    """The records of one base tree, one per mask below its complement.
-
-    chi is kept per directed-isomorphism class of this base tree only, so
-    the table lives and dies with the call."""
+    """The records of one base tree, one per mask below its complement."""
     base, base_code = payload
-    classes = orientation_classes(base)
-    chi_by_class: dict[int, int] = {}
+    classes, facts = _class_table(base)
     return [
-        _invariance_record(base, base_code, mask, classes, chi_by_class)
+        _invariance_record(base, base_code, mask, classes, facts)
         for mask in range((len(classes) + 1) // 2)
     ]
 
@@ -190,10 +164,11 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
 
     Complementary masks are mutual reversals, so each record covers one
     mask/complement pair, and every orientation is named by exactly one
-    record.  Only one orientation per directed-isomorphism class is solved:
-    :func:`generators.orientation_classes` gives each mask of a base tree its
-    class, and the other members of the class take that chi.  At n <= 9
-    that is 7,600 solves for the 15,944 orientations the records name.
+    record.  Only one orientation per directed-isomorphism class is built
+    and solved: :func:`generators.orientation_classes` gives each mask of a
+    base tree its class, and the other members of the class take that chi.
+    At n <= 9 that is 7,600 solves for the 15,944 orientations the records
+    name.
     """
     if not (1 <= max_n <= 10):
         raise TooLargeError("reversal sweep supports 1 <= max_n <= 10")
@@ -222,50 +197,99 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
 # leaf deletion
 
 
-def _leafdel_records(payload: tuple[BaseTree, int]) -> list[dict]:
-    t = orient(*payload)
-    instance = encode_tree(t)
-    chi = _CHI_BY_CODE.get(instance)
-    if chi is None:
-        chi = _class_chi(t, instance)
-    outs, ins = t.out_neighbors, t.in_neighbors
+def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
+    """How each underlying leaf v of ``base`` (n >= 2), in vertex order,
+    reads chi of ``delete_leaf(orient(base, mask), v)`` from ``tables``.
+
+    ``tables`` maps every free tree of size n - 1 to its class table.  A
+    canonical labelling maps base - v (relabelled as :func:`delete_leaf`
+    does) onto its representative R, so each remaining edge i of ``base``
+    lands on edge p of R, reversed when the labelling swaps its ends.  The
+    entry is ``(v, neighbor, classes, facts, flips, moves)``: the subtree
+    is ``orient(R, m)`` with ``m = flips`` xor bit i of the mask moved to
+    bit p, for every ``(i, p)`` in ``moves`` (:func:`_sub_mask`).
+    """
+    n = base.n
+    maps = []
+    for v, nbrs in enumerate(base.adjacency):
+        if len(nbrs) != 1:
+            continue
+        kept = [
+            (i, a - (a > v), b - (b > v))
+            for i, (a, b) in enumerate(base.edges)
+            if v != a and v != b
+        ]
+        label = canonical_labels(BaseTree(n - 1, [(a, b) for _, a, b in kept]))
+        edges = [(i, label[a], label[b]) for i, a, b in kept]
+        rep = BaseTree(n - 1, [(a, b) for _, a, b in edges])
+        position = {edge: p for p, edge in enumerate(rep.edges)}
+        flips = 0
+        moves = []
+        for i, a, b in edges:
+            p = position[(a, b) if a < b else (b, a)]
+            flips |= (a > b) << p
+            moves.append((i, p))
+        maps.append((v, nbrs[0], *tables[rep], flips, moves))
+    return maps
+
+
+def _sub_mask(mask: int, flips: int, moves: list[tuple[int, int]]) -> int:
+    """The mask of R that one entry of :func:`_leaf_maps` gives ``mask``."""
+    for i, p in moves:
+        flips ^= (mask >> i & 1) << p
+    return flips
+
+
+def _leafdel_records(payload: tuple[BaseTree, tuple, list]) -> list[dict]:
+    """The records of every orientation of one base tree, in mask order and
+    then leaf order; chi of the instance and of each subtree comes from the
+    class tables, and the predicates from the in- and out-degrees."""
+    base, (classes, facts), leaf_maps = payload
+    n = base.n
+    degree = [len(nbrs) for nbrs in base.adjacency]
     records = []
-    for v in t.underlying_leaves:
-        code = _subtree_code(t, v)
-        chi_sub = _CHI_BY_CODE.get(code)
-        if chi_sub is None:
-            chi_sub = _class_chi(delete_leaf(t, v)[0], code)
-        delta = chi - chi_sub
-        u = (outs[v] or ins[v])[0]
-        unique_out_target = outs[u] == (v,)
-        unique_source = t.sources == (v,)
-        drop_predicted = unique_out_target or unique_source
-        source_rule_applicable = delta == 1 and not ins[v]
-        source_rule_ok = (len(ins[u]) == 1) if source_rule_applicable else None
-        violations = []
-        if delta not in (0, 1):
-            violations.append("delta_range")
-        if (delta == 1) != drop_predicted:
-            violations.append("drop_characterization")
-        if source_rule_applicable and not source_rule_ok:
-            violations.append("source_neighbor_indegree")
-        records.append(
-            {
-                "n": t.n,
-                "instance": instance,
-                "leaf": v,
-                "neighbor": u,
-                "chi": chi,
-                "chi_sub": chi_sub,
-                "delta": delta,
-                "drop_predicted": drop_predicted,
-                "unique_out_target": unique_out_target,
-                "unique_source": unique_source,
-                "source_rule_applicable": source_rule_applicable,
-                "source_rule_ok": source_rule_ok,
-                "violations": violations,
-            }
-        )
+    for mask, cls in enumerate(classes):
+        arcs = orientation_arcs(base, mask)
+        instance = encode_arcs(n, arcs)
+        chi = facts[cls][0]
+        outdeg = [0] * n
+        for a, _ in arcs:
+            outdeg[a] += 1
+        indeg = [d - o for d, o in zip(degree, outdeg)]
+        lone_source = indeg.index(0) if indeg.count(0) == 1 else -1
+        for v, u, sub_classes, sub_facts, flips, moves in leaf_maps:
+            chi_sub = sub_facts[sub_classes[_sub_mask(mask, flips, moves)]][0]
+            delta = chi - chi_sub
+            # outs[u] == (v,): v's one arc comes from u, and u has no other
+            unique_out_target = indeg[v] == 1 and outdeg[u] == 1
+            unique_source = lone_source == v
+            drop_predicted = unique_out_target or unique_source
+            source_rule_applicable = delta == 1 and indeg[v] == 0
+            source_rule_ok = (indeg[u] == 1) if source_rule_applicable else None
+            violations = []
+            if delta not in (0, 1):
+                violations.append("delta_range")
+            if (delta == 1) != drop_predicted:
+                violations.append("drop_characterization")
+            if source_rule_applicable and not source_rule_ok:
+                violations.append("source_neighbor_indegree")
+            records.append(
+                {
+                    "n": n,
+                    "instance": instance,
+                    "leaf": v,
+                    "neighbor": u,
+                    "chi": chi,
+                    "chi_sub": chi_sub,
+                    "delta": delta,
+                    "drop_predicted": drop_predicted,
+                    "unique_out_target": unique_out_target,
+                    "unique_source": unique_source,
+                    "source_rule_applicable": source_rule_applicable,
+                    "source_rule_ok": source_rule_ok,
+                    "violations": violations,
+                }
+            )
     return records
 
 
@@ -277,20 +301,18 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     its neighbor's only out-neighbor, or is the unique source) and the
     source-leaf rule (a dropped source leaf's neighbor has in-degree 1).
     Violations are findings; they carry a replayable instance encoding.
-    Each process solves each directed-isomorphism class once per campaign.
+    Every free tree with n <= ``max_n`` gets its class table first, one solve
+    per directed-isomorphism class; every chi a record names, its subtree's
+    included, is then read from those tables.
     """
     if not (2 <= max_n <= 9):
         raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
-    payloads = []
-    for n in range(2, max_n + 1):
-        for base in free_trees(n):
-            for mask in range(1 << (n - 1)):
-                payloads.append((base, mask))
-    try:
-        grouped = _map_ordered(_leafdel_records, payloads, jobs)
-    finally:
-        _CHI_BY_CODE.clear()
-        _CHI_BY_CLASS.clear()
+    bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
+    tables = dict(zip(bases, _map_ordered(_class_table, bases, jobs)))
+    payloads = [
+        (base, tables[base], _leaf_maps(base, tables)) for base in bases if base.n > 1
+    ]
+    grouped = _map_ordered(_leafdel_records, payloads, jobs)
     records = [rec for group in grouped for rec in group]
     counterexamples = [
         {"instance": rec["instance"], "leaf": rec["leaf"],

@@ -32,24 +32,22 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch, tmp_path):
     assert tracer.counters["records"] == len(report.records) > 0
 
 
-def test_tracer_spans_every_class_memo_code(monkeypatch, capsys):
-    """The leaf-deletion class memo computes its codes through the
-    ``generators`` attribute, so each lookup is one ``generators.canon_code``
-    span instead of harness time."""
+def test_traced_leafdel_reads_chi_from_class_tables(monkeypatch, capsys):
+    """A traced leaf-deletion pass makes one solve and one tree build per
+    directed-isomorphism class (n <= 5: 1 + 1 + 3 + 8 + 27), and no
+    canonical code or ``delete_leaf`` call; every solve runs inside
+    ``_map_ordered`` and every build inside ``orient``."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
-    lookups = []
-    class_chi = harness._class_chi
-
-    def counted(t, code):
-        lookups.append(code)
-        return class_chi(t, code)
-
-    monkeypatch.setattr(harness, "_class_chi", counted)
     with tracing.Tracer() as tracer:
         # exit 1: the sweep meets counterexamples to the refuted claim
         assert cli.cli_main(["leafdel", "--max-n", "5"]) == 1
     capsys.readouterr()
-    spans = [s for s in tracer.spans if s[0] == "generators.canon_code"]
-    assert len(spans) == len(lookups) == len(set(lookups)) > 0
-    assert all(tracer.spans[s[1]][0] == "harness" for s in spans)
+    names = [s[0] for s in tracer.spans]
+    assert names.count("solver") == names.count("trees.build") == 40
+    assert names.count("generators.orient") == 40
+    assert "generators.canon_code" not in names
+    assert "trees.delete_leaf" not in names
+    parents = {(name, tracer.spans[parent][0]) for name, parent, *_ in tracer.spans
+               if name in ("solver", "trees.build")}
+    assert parents == {("solver", "harness.map"), ("trees.build", "generators.orient")}

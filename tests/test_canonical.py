@@ -20,8 +20,10 @@ from domchrom.generators import (
     _centers,
     canonical_code,
     canonical_form,
+    canonical_labels,
     free_trees,
     orient,
+    orientation_arcs,
     orientation_classes,
     oriented_canonical_code,
     orientations,
@@ -98,6 +100,32 @@ def test_centers_minimize_eccentricity(n, seed):
     graph.add_nodes_from(range(n))
     graph.add_edges_from(base.edges)
     assert _centers(base.adjacency) == sorted(nx.center(graph))
+
+
+def _relabel(base: BaseTree, label: list[int]) -> BaseTree:
+    return BaseTree(base.n, tuple((label[u], label[v]) for u, v in base.edges))
+
+
+def test_canonical_labels_give_the_canonical_form():
+    # the leaf-deletion campaign finds a subtree's representative in
+    # free_trees through this labelling, so it must give the form exactly
+    rng = random.Random(11)
+    bases = [random_tree(n, seed) for n in (1, 2, 3, 30, 200) for seed in range(5)]
+    for n in range(1, 10):
+        for base in free_trees(n):
+            bases += [base, _relabelled(base, rng)]
+            bases.append(BaseTree(n, tuple((n - 1 - u, n - 1 - v) for u, v in base.edges)))
+    for base in bases:
+        label = canonical_labels(base)
+        assert sorted(label) == list(range(base.n))
+        assert _relabel(base, label) == canonical_form(base)
+
+
+def test_orientation_arcs_are_the_built_arcs():
+    for n in range(1, 8):
+        for base in free_trees(n):
+            for mask, t in enumerate(orientations(base)):
+                assert tuple(orientation_arcs(base, mask)) == t.arcs
 
 
 # Directed-isomorphism classes of oriented trees on n = 1..8 vertices (OEIS A000238).
@@ -202,6 +230,7 @@ def test_deep_trees_under_default_recursion_limit(make):
     assert len(code) == 2 * n
     form = canonical_form(base)
     assert canonical_code(form) == code
+    assert _relabel(base, canonical_labels(base)) == form
     out_tree = rooted_orientation(base, 0, "out")
     assert out_tree.sources == (0,)
     in_tree = rooted_orientation(base, 0, "in")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,6 @@ from domchrom.generators import (
     free_trees,
     gs,
     gs_base,
-    labeled_trees,
     orient,
     orientations,
     path,
@@ -24,6 +25,17 @@ from domchrom.generators import (
     star,
 )
 from domchrom.trees import BaseTree, OrientedTree, reverse
+
+
+def labeled_trees(n: int):
+    """Every labeled tree on n vertices, one per generator sequence: an
+    exhaustive (n^(n-2) trees) oracle for :func:`free_trees`."""
+    if n <= 2:
+        yield path(n)
+        return
+    for seq in product(range(n), repeat=n - 2):
+        yield BaseTree(n, sequence_to_edges(seq, n))
+
 
 # expected output of the exhaustive labeled-tree oracle (see test below,
 # which recomputes the small entries from scratch)

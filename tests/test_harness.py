@@ -7,7 +7,7 @@ import pytest
 from domchrom import harness, io
 from domchrom.coloring import DominatorCertificate, verify_dominator
 from domchrom.errors import SpecInvalidError, TooLargeError
-from domchrom.generators import free_trees, orientations, oriented_canonical_code
+from domchrom.generators import free_trees, orient, orientations, oriented_canonical_code
 from domchrom.harness import (
     check_caterpillar_bounds,
     check_leaf_deletion,
@@ -22,6 +22,8 @@ from domchrom.io import certificate_from_obj, decode_tree, encode_tree
 from domchrom.reports import ExperimentReport
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import OrientedTree, delete_leaf, reverse
+
+LEAFDEL_9_SHA256 = "202cd30ae754fc08b7cba08c335d96f2124e7aa63d182d20e2df3cc730600e60"
 
 
 class TestReversalInvariance:
@@ -72,6 +74,27 @@ class TestReversalInvariance:
         rep = check_reversal_invariance(7)
         assert len(solved) == len(set(solved)) == 481
         assert 2 * len(rep.records) == 968
+
+    def test_each_class_built_once(self, monkeypatch):
+        # records read their instance codes off the base edges and the mask,
+        # so the only trees built are the 481 that the class tables solve
+        builds = []
+        init = OrientedTree.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            builds.append(oriented_canonical_code(self))
+
+        monkeypatch.setattr(OrientedTree, "__init__", counting_init)
+        check_reversal_invariance(7)
+        assert len(builds) == len(set(builds)) == 481
+
+    def test_instance_codes_match_built_trees(self):
+        rep = check_reversal_invariance(6)
+        for rec in rep.records:
+            base = io.decode_base(rec["base"])
+            assert rec["instance"] == encode_tree(orient(base, rec["mask"]))
+            assert rec["instance_rev"] == encode_tree(orient(base, rec["mask_rev"]))
 
 
 class TestLeafDeletion:
@@ -132,6 +155,19 @@ class TestLeafDeletion:
         ]
         assert hits
 
+    def test_predicates_match_built_trees(self):
+        # records read degrees off the masks; replay them on the built trees
+        for rec in check_leaf_deletion(6).records:
+            t = decode_tree(rec["instance"])
+            v, u = rec["leaf"], rec["neighbor"]
+            assert t.out_neighbors[v] + t.in_neighbors[v] == (u,)
+            assert rec["unique_out_target"] == (t.out_neighbors[u] == (v,))
+            assert rec["unique_source"] == (t.sources == (v,))
+            applicable = rec["delta"] == 1 and not t.in_neighbors[v]
+            assert rec["source_rule_applicable"] == applicable
+            ok = len(t.in_neighbors[u]) == 1 if applicable else None
+            assert rec["source_rule_ok"] == ok
+
     def test_guard(self):
         with pytest.raises(TooLargeError):
             check_leaf_deletion(10)
@@ -179,32 +215,34 @@ class TestLeafDeletionMemo:
                 solve_exact(sub).chi,
             ), rec
 
-    def test_each_instance_built_once(self, monkeypatch):
-        # one build per orientation, plus one per subtree whose instance code
-        # the campaign has not met before; the payload reaches the worker as
-        # a tree value, not as a code to decode
+    def test_each_class_built_once(self, monkeypatch):
+        # one build per directed-isomorphism class with n <= 6, the tree its
+        # table solves; records and subtrees are read off masks, not built
         builds = []
         init = OrientedTree.__init__
 
         def counting_init(self, *args, **kwargs):
-            builds.append(args)
             init(self, *args, **kwargs)
+            builds.append(oriented_canonical_code(self))
 
         monkeypatch.setattr(OrientedTree, "__init__", counting_init)
-        rep = check_leaf_deletion(6)
-        monkeypatch.setattr(OrientedTree, "__init__", init)
-        instances = {rec["instance"] for rec in rep.records}
-        subtrees = {
-            encode_tree(delete_leaf(decode_tree(rec["instance"]), rec["leaf"])[0])
-            for rec in rep.records
+        check_leaf_deletion(6)
+        assert len(builds) == len(set(builds)) == 1 + 1 + 3 + 8 + 27 + 91
+
+    @staticmethod
+    def _module_state():
+        return {
+            name: len(value) if isinstance(value, (dict, list, set)) else id(value)
+            for name, value in vars(harness).items()
         }
-        assert len(instances) == sum(len(free_trees(n)) << (n - 1) for n in range(2, 7))
-        assert len(builds) == len(instances) + len(subtrees - instances)
 
     def test_memo_empty_after_campaign(self):
+        # no table outlives the call: the module's names and the size of
+        # every container it holds are the same after a campaign
+        before = self._module_state()
         check_leaf_deletion(5)
-        assert harness._CHI_BY_CODE == {}
-        assert harness._CHI_BY_CLASS == {}
+        check_reversal_invariance(5)
+        assert self._module_state() == before
 
     def test_memo_empty_after_campaign_that_raises(self, monkeypatch):
         solves = []
@@ -216,16 +254,15 @@ class TestLeafDeletionMemo:
             return solve_exact(t).chi
 
         monkeypatch.setattr(harness, "_chi", failing_chi)
+        before = self._module_state()
         with pytest.raises(RuntimeError, match="solver failed"):
             check_leaf_deletion(5)
         assert len(solves) == 10
-        assert harness._CHI_BY_CODE == {}
-        assert harness._CHI_BY_CLASS == {}
+        assert self._module_state() == before
 
     def test_delete_leaf_equals_fresh_build(self):
-        # the memo keys subtrees by instance code, so a delete_leaf subtree
-        # must be the same value as the tree built from its relabelled arcs,
-        # and its code the one read off the parent's arcs
+        # a delete_leaf subtree is the same value as the tree built from its
+        # relabelled arcs (x -> x - (x > v) keeps the arcs sorted)
         for n in range(2, 8):
             for base in free_trees(n):
                 for t in orientations(base):
@@ -239,8 +276,37 @@ class TestLeafDeletionMemo:
                         fresh = OrientedTree(n - 1, arcs)
                         assert sub == fresh and hash(sub) == hash(fresh)
                         assert encode_tree(sub) == encode_tree(fresh)
-                        # the campaign looks chi up by this code before it builds
-                        assert harness._subtree_code(t, v) == encode_tree(fresh)
+
+    def test_leaf_maps_name_the_subtree_class(self):
+        # _leaf_maps passes each representative's table through untouched, so
+        # a table of the oriented codes of its masks stands in for the class
+        # table: the mask it gives must orient R into the deleted subtree's
+        # class, for every leaf of every orientation with n <= 9
+        tables = {}
+        for n in range(1, 10):
+            for base in free_trees(n):
+                if n > 1:
+                    leaf_maps = harness._leaf_maps(base, tables)
+                    assert [m[0] for m in leaf_maps] == [
+                        v for v, nbrs in enumerate(base.adjacency) if len(nbrs) == 1
+                    ]
+                    for mask, t in enumerate(orientations(base)):
+                        for v, u, rep, codes, flips, moves in leaf_maps:
+                            assert t.out_neighbors[v] + t.in_neighbors[v] == (u,)
+                            sub = harness._sub_mask(mask, flips, moves)
+                            sub_code = oriented_canonical_code(delete_leaf(t, v)[0])
+                            assert sub_code == codes[sub], (base, mask, v, rep)
+                if n < 9:
+                    # codes[m] is oriented_canonical_code(orient(base, m))
+                    tables[base] = (
+                        base, [oriented_canonical_code(t) for t in orientations(base)]
+                    )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_n9_report_pinned(self, jobs):
+        # recorded with the per-class memo that the class tables replaced
+        text = check_leaf_deletion(9, jobs=jobs).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == LEAFDEL_9_SHA256
 
 
 class TestGsExplorer:
