@@ -26,7 +26,6 @@ from .generators import (
     caterpillar,
     gs,
     orient,
-    orientations,
     path,
     random_tree,
     star,
@@ -117,9 +116,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orientations(args) -> int:
-    t = read_tree(args.tree)
-    base = t.underlying()
-    chis = [solve_exact(oriented).chi for oriented in orientations(base)]
+    base = read_tree(args.tree).underlying()
+    classes, facts = harness.class_table(base, harness._chi)
+    chis = [facts[cls] for cls in classes]
     min_chi, max_chi = min(chis), max(chis)
     min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
     if args.format == "json":

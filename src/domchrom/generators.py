@@ -221,10 +221,13 @@ def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:
 # ---------------------------------------------------------------------------
 # canonical codes (AHU encoding rooted at the tree center)
 #
-# One encoder serves free and oriented trees.  It works bottom-up over a
-# breadth-first walk, so it has no recursion depth to exceed, and it keeps
-# only the codes of subtrees whose parent is still open, so memory is linear
-# (time is O(n * depth), the total length of the codes it builds).
+# One encoder, :func:`_ahu`, serves free and oriented trees, codes and
+# labellings alike.  It works bottom-up over a breadth-first walk, so it has
+# no recursion depth to exceed, and it keeps only the codes of subtrees whose
+# parent is still open, so memory is linear (time is O(n * depth), the total
+# length of the codes it builds).  A free tree's canonical form numbers its
+# vertices breadth-first from the center with the smaller code (the first
+# center on a tie), each vertex's children in the order of their codes.
 
 
 def _centers(*adjs: Sequence[Sequence[int]]) -> list[int]:
@@ -238,55 +241,45 @@ def _centers(*adjs: Sequence[Sequence[int]]) -> list[int]:
     return sorted(longest[(length - 1) // 2 : length // 2 + 1])
 
 
-def _ahu_code(root: int, opens: Sequence[str], *adjs: Sequence[Sequence[int]]) -> str:
+def _ahu(
+    root: int, opens: Sequence[str], *adjs: Sequence[Sequence[int]]
+) -> tuple[str, list[tuple[int, ...]]]:
     """AHU code rooted at ``root`` of the tree that the neighbor tuples
-    ``adjs`` describe; each subtree code opens with ``opens[i]``, i the
-    tuple in which its parent lists it (:func:`trees._walk`'s ``side``)."""
+    ``adjs`` describe, and each vertex's children in code order.  Each
+    subtree code opens with ``opens[i]``, i the tuple in which its parent
+    lists it (:func:`trees._walk`'s ``side``)."""
     order, parent, side = _walk(root, *adjs)
-    pending: list[list[str]] = [[] for _ in order]
-    for v in order[:0:-1]:  # all but the root, children before parents
-        pending[parent[v]].append(opens[side[v]] + "".join(sorted(pending[v])) + ")")
+    pending: list[list[tuple[str, int]]] = [[] for _ in order]
+    children: list[tuple[int, ...]] = [() for _ in order]
+    for v in order[::-1]:  # children before parents, the root last
+        kids = pending[v]
         pending[v] = []
-    return "(" + "".join(sorted(pending[root])) + ")"
+        code = ")"
+        if kids:
+            kids.sort()
+            codes, children[v] = zip(*kids)
+            code = "".join(codes) + code
+        if v != root:
+            pending[parent[v]].append((opens[side[v]] + code, v))
+    return "(" + code, children
 
 
 def canonical_code(base: BaseTree) -> str:
     """Isomorphism-invariant encoding: equal codes iff isomorphic trees."""
     adj = base.adjacency
-    return min(_ahu_code(c, ("(",), adj) for c in _centers(adj))
-
-
-def canonical_form(base: BaseTree) -> BaseTree:
-    """A canonically relabeled copy; isomorphic inputs map to equal values."""
-    return _code_tree(canonical_code(base))
+    return min(_ahu(c, ("(",), adj)[0] for c in _centers(adj))
 
 
 def canonical_labels(base: BaseTree) -> list[int]:
-    """Each vertex's label in :func:`canonical_form`: the edges of ``base``
-    relabelled ``(label[u], label[v])`` are exactly those of
-    ``canonical_form(base)``.
-
-    It numbers the vertices as :func:`_code_tree` reads
-    :func:`canonical_code`: breadth-first from the center whose code is
-    smaller, each vertex's children in the order of their subtree codes.
-    As in :func:`_ahu_code`, a subtree's code is dropped once its parent's
-    is built, so memory stays linear.
-    """
+    """Each vertex's label in :func:`canonical_form`: breadth-first from the
+    center whose :func:`canonical_code` is smaller, each vertex's children in
+    code order."""
     adj = base.adjacency
     best = None
     for c in _centers(adj):
-        order, parent, _ = _walk(c, adj)
-        pending: list[list[tuple[str, int]]] = [[] for _ in order]
-        children: list[list[int]] = [[] for _ in order]
-        for v in order[::-1]:  # children before parents, the center last
-            kids = sorted(pending[v])
-            pending[v] = []
-            children[v] = [w for _, w in kids]
-            code = "(" + "".join([k for k, _ in kids]) + ")"
-            if v != c:
-                pending[parent[v]].append((code, v))
+        code, children = _ahu(c, ("(",), adj)
         if best is None or code < best[0]:
-            best = (code, c, children)
+            best = code, c, children
     _, root, children = best
     label = [0] * base.n
     for i, v in enumerate(_walk(root, children)[0]):
@@ -294,21 +287,10 @@ def canonical_labels(base: BaseTree) -> list[int]:
     return label
 
 
-def _code_tree(code: str) -> BaseTree:
-    """The tree that a free-tree code describes, read back with children in
-    code order and numbered breadth-first, so it depends on the code alone."""
-    children: list[list[int]] = [[]]
-    stack = [0]
-    for char in code[1:-1]:
-        if char == "(":
-            children[stack[-1]].append(len(children))
-            stack.append(len(children))
-            children.append([])
-        else:
-            stack.pop()
-    order, parent, _ = _walk(0, children)
-    label = {v: i for i, v in enumerate(order)}
-    return BaseTree(len(order), tuple((label[parent[v]], label[v]) for v in order[1:]))
+def canonical_form(base: BaseTree) -> BaseTree:
+    """A canonically relabeled copy; isomorphic inputs map to equal values."""
+    label = canonical_labels(base)
+    return BaseTree(base.n, tuple((label[u], label[v]) for u, v in base.edges))
 
 
 def oriented_canonical_code(t: OrientedTree) -> str:
@@ -320,7 +302,7 @@ def oriented_canonical_code(t: OrientedTree) -> str:
     isomorphism maps one to the other.
     """
     adjs = (t.in_neighbors, t.out_neighbors)
-    return min(_ahu_code(c, ("<(", ">("), *adjs) for c in _centers(*adjs))
+    return min(_ahu(c, ("<(", ">("), *adjs)[0] for c in _centers(*adjs))
 
 
 def orientation_classes(base: BaseTree) -> list[int]:
@@ -401,7 +383,7 @@ def free_trees(n: int) -> list[BaseTree]:
                 grown = BaseTree(size, tree.edges + ((v, size - 1),))
                 code = canonical_code(grown)
                 if code not in nxt:
-                    nxt[code] = _code_tree(code)
+                    nxt[code] = canonical_form(grown)
         level = nxt
     return [level[code] for code in sorted(level)]
 

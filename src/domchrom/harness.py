@@ -16,15 +16,17 @@ re-validate its payload; that is safe because every payload tree comes from
 this package's own validating constructors (``free_trees``,
 ``CaterpillarSpec``).
 
-Two campaigns name every orientation of every free tree, and chi does not
-change under directed isomorphism, so they solve one orientation per class.
-:func:`_class_table` takes ``orientation_classes(base)``, the class of every
-mask of one base tree, and builds and solves only the orientation of each
-class's first mask; a record reads its instance code off the base edges and
-the mask (``orientation_arcs``) and its chi from the table, and builds
-nothing.  The reversal-invariance campaign makes one table per base tree in
-the worker that writes its records: at n <= 9 it builds and solves 7,600
-trees for the 15,944 orientations its records name.
+Five campaigns name every orientation of a base tree, and chi does not
+change under directed isomorphism.  :func:`class_table` is the only place
+that orients and solves them: it takes ``orientation_classes(base)``, the
+class of every mask, and applies its caller's ``fact`` to the orientation
+of each class's first mask only.  A record reads its instance code off the
+base edges and the mask (``orientation_arcs``) and its values from the
+table, and builds nothing.  The reversal-invariance, generalized-star, star
+and path-minimum campaigns make one table per base tree in the worker that
+writes its records.  Solves per orientations named: 7,600 of 15,944 at
+n <= 9, 935 of 3,210 for generalized stars with n <= 10, 64 of 2,046 for
+stars with m <= 10, and 4,154 of 8,184 for paths with n = 4..13.
 
 The leaf-deletion campaign first makes the table of every free tree with
 n <= ``max_n`` (1,857 solves at n <= 8, one per class).  A subtree
@@ -34,14 +36,15 @@ leaf, a canonical labelling of base - v onto R and with it the mask of R that
 each mask of base leaves, so every chi a record names is one table lookup,
 with no canonical code and no subtree built.  The predicates come from the
 in- and out-degrees of the arcs.  The tables live for one call, so no memo
-outlives a campaign.  The other campaigns solve each labelled tree once.
-Every tree solved is still re-verified by the solver's certificate check.
+outlives a campaign.  The caterpillar and rooted-formula campaigns solve
+each tree they meet once.  Every solve is re-verified by its certificate check.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .errors import SpecInvalidError, TooLargeError
 from .formulas import (
@@ -102,20 +105,23 @@ def _chi(t: OrientedTree) -> int:
     return solve_exact(t).chi
 
 
-def _class_table(base: BaseTree) -> tuple[list[int], list[tuple[int, int | None]]]:
-    """``orientation_classes(base)`` and, for each class, chi and the rooted
-    formula (None unless the orientation is an out- or in-tree), read off the
-    orientation of the class's first mask; both are invariant under directed
-    isomorphism."""
+def class_table(base: BaseTree, fact) -> tuple[list[int], list]:
+    """``orientation_classes(base)`` and, for each class, ``fact`` of the
+    orientation of the class's first mask; ``fact`` must be invariant under
+    directed isomorphism.  Only these orientations are built and solved."""
     classes = orientation_classes(base)
-    facts: list[tuple[int, int | None]] = []
+    facts = []
     for mask, cls in enumerate(classes):
         if cls == len(facts):  # classes are numbered by first mask
-            t = orient(base, mask)
-            rc = classify_rooted(t)
-            rooted = rc.out_root is not None or rc.in_root is not None
-            facts.append((_chi(t), chi_rooted(t) if rooted else None))
+            facts.append(fact(orient(base, mask)))
     return classes, facts
+
+
+def _chi_and_rooted(t: OrientedTree) -> tuple[int, int | None]:
+    """chi of ``t`` and the rooted formula (None unless an out- or in-tree)."""
+    rc = classify_rooted(t)
+    rooted = rc.out_root is not None or rc.in_root is not None
+    return _chi(t), chi_rooted(t) if rooted else None
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +132,7 @@ def _invariance_record(
     base: BaseTree, base_code: str, mask: int, classes: list[int], facts: list
 ) -> dict:
     """The record of ``mask`` and its complement, read from the class table
-    of ``base`` (see :func:`_class_table`); nothing is built."""
+    of ``base`` (see :func:`class_table`); nothing is built."""
     n = base.n
     mask_rev = mask ^ ((1 << len(base.edges)) - 1)
     chi, formula = facts[classes[mask]]
@@ -151,7 +157,7 @@ def _invariance_record(
 def _invariance_records(payload: tuple[BaseTree, str]) -> list[dict]:
     """The records of one base tree, one per mask below its complement."""
     base, base_code = payload
-    classes, facts = _class_table(base)
+    classes, facts = class_table(base, _chi_and_rooted)
     return [
         _invariance_record(base, base_code, mask, classes, facts)
         for mask in range((len(classes) + 1) // 2)
@@ -251,14 +257,14 @@ def _leafdel_records(payload: tuple[BaseTree, tuple, list]) -> list[dict]:
     for mask, cls in enumerate(classes):
         arcs = orientation_arcs(base, mask)
         instance = encode_arcs(n, arcs)
-        chi = facts[cls][0]
+        chi = facts[cls]
         outdeg = [0] * n
         for a, _ in arcs:
             outdeg[a] += 1
         indeg = [d - o for d, o in zip(degree, outdeg)]
         lone_source = indeg.index(0) if indeg.count(0) == 1 else -1
         for v, u, sub_classes, sub_facts, flips, moves in leaf_maps:
-            chi_sub = sub_facts[sub_classes[_sub_mask(mask, flips, moves)]][0]
+            chi_sub = sub_facts[sub_classes[_sub_mask(mask, flips, moves)]]
             delta = chi - chi_sub
             # outs[u] == (v,): v's one arc comes from u, and u has no other
             unique_out_target = indeg[v] == 1 and outdeg[u] == 1
@@ -308,7 +314,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     if not (2 <= max_n <= 9):
         raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
     bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
-    tables = dict(zip(bases, _map_ordered(_class_table, bases, jobs)))
+    tables = dict(zip(bases, _map_ordered(partial(class_table, fact=_chi), bases, jobs)))
     payloads = [
         (base, tables[base], _leaf_maps(base, tables)) for base in bases if base.n > 1
     ]
@@ -330,13 +336,13 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
 def _gs_record(payload: tuple[int, int]) -> dict:
     m, k = payload
     base = gs_base(m, k)
-    width = len(base.edges)
-    # at most 2^9 of each under n_cap <= 10, kept for the extremes' witnesses
-    trees = [orient(base, mask) for mask in range(1 << width)]
-    results = [solve_exact(t) for t in trees]
-    chis = [r.chi for r in results]
+    classes, results = class_table(base, solve_exact)
+    chis = [results[cls].chi for cls in classes]
     min_chi, max_chi = min(chis), max(chis)
     min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
+    # the first mask with a given chi is its class's first mask, the one the
+    # table solved, so these are the certificates of the extremes' masks
+    min_result, max_result = results[classes[min_mask]], results[classes[max_mask]]
     conjectured_min = 3 + m * (k // 2 - 1)
     conjectured_max = gs_uniform_chi(m, k)
     if m <= 2:
@@ -350,15 +356,15 @@ def _gs_record(payload: tuple[int, int]) -> dict:
         "k": k,
         "n": m * k + 1,
         "regime": regime,
-        "orientations": 1 << width,
+        "orientations": len(classes),
         "min_chi": min_chi,
         "min_mask": min_mask,
-        "min_instance": encode_tree(trees[min_mask]),
-        "min_certificate": certificate_to_obj(results[min_mask].certificate),
+        "min_instance": encode_arcs(base.n, orientation_arcs(base, min_mask)),
+        "min_certificate": certificate_to_obj(min_result.certificate),
         "max_chi": max_chi,
         "max_mask": max_mask,
-        "max_instance": encode_tree(trees[max_mask]),
-        "max_certificate": certificate_to_obj(results[max_mask].certificate),
+        "max_instance": encode_arcs(base.n, orientation_arcs(base, max_mask)),
+        "max_certificate": certificate_to_obj(max_result.certificate),
         "conjectured_min": conjectured_min,
         "min_agrees": min_chi == conjectured_min,
         "conjectured_max": conjectured_max,
@@ -409,17 +415,17 @@ def explore_conjecture_gs(
 def _star_records(payload: int) -> list[dict]:
     m = payload
     base = star(m)
+    classes, chis = class_table(base, _chi)
     records = []
     uniform_masks = {0, (1 << m) - 1}
-    for mask in range(1 << m):
-        t = orient(base, mask)
-        chi = _chi(t)
+    for mask, cls in enumerate(classes):
+        chi = chis[cls]
         uniform = mask in uniform_masks
         records.append(
             {
                 "m": m,
                 "mask": mask,
-                "instance": encode_tree(t),
+                "instance": encode_arcs(m + 1, orientation_arcs(base, mask)),
                 "chi": chi,
                 "uniform": uniform,
                 "ok": chi in (2, 3) and (chi == 2) == uniform,
@@ -567,16 +573,17 @@ def check_caterpillar_bounds(
 def _path_min_record(payload: int) -> dict:
     n = payload
     base = path(n)
-    chis = [_chi(orient(base, mask)) for mask in range(1 << (n - 1))]
+    classes, facts = class_table(base, _chi)
+    chis = [facts[cls] for cls in classes]
     min_chi, max_chi = min(chis), max(chis)
     min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
     formula = chi_path_orientation_min(n)
     return {
         "n": n,
-        "orientations": 1 << (n - 1),
+        "orientations": len(classes),
         "min_chi": min_chi,
         "min_mask": min_mask,
-        "min_instance": encode_tree(orient(base, min_mask)),
+        "min_instance": encode_arcs(n, orientation_arcs(base, min_mask)),
         "max_chi": max_chi,
         "max_mask": max_mask,
         "formula": formula,

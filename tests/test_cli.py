@@ -6,8 +6,10 @@ import json
 import pytest
 
 from domchrom.cli import cli_main
+from domchrom.generators import orient, orientation_classes, random_tree
 from domchrom.io import format_tree, parse_tree
 from domchrom.reports import ExperimentReport
+from domchrom.solver import solve_exact
 from domchrom.trees import build_tree
 
 
@@ -85,6 +87,41 @@ def test_orientations_json_all(p5_file, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["orientations"] == 16
     assert obj["min"]["chi"] == 3 and obj["max"]["chi"] == 5
+
+
+# SHA-256 of ``orientations`` on the directed 12-vertex path in each format,
+# recorded while the command still solved every mask
+ORIENTATIONS_P12_DIGESTS = {
+    "text": "35b6ea04e2e5a5cda9fbdd2b3d0132ac8ae3041a3564143dd4e0cbccaaca2658",
+    "json": "d42a9b1c4c9b5703f2e33dce4e7fb17743d3d7429004a74e87043e6771273387",
+    "csv": "1a8c0ba60686d05621abfb1cf1070c796a5ab4df449fe553f29ec40be0a98f04",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ORIENTATIONS_P12_DIGESTS))
+def test_orientations_p12_pinned(fmt, tmp_path):
+    tree = tmp_path / "p12.tree"
+    tree.write_text(format_tree(build_tree(12, [(i, i + 1) for i in range(11)])))
+    out = tmp_path / "out"
+    assert cli_main(["orientations", str(tree), "--format", fmt, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ORIENTATIONS_P12_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("seed", [5, 2])
+def test_orientations_match_fresh_solves(seed, tmp_path, capsys):
+    # seed 5 draws a tree with no automorphism, so every orientation is its
+    # own class; seed 2 draws one whose 512 orientations fall into 256
+    base = random_tree(10, seed)
+    assert len(set(orientation_classes(base))) == {5: 512, 2: 256}[seed]
+    tree = tmp_path / "t.tree"
+    tree.write_text(format_tree(orient(base, 0)))
+    assert cli_main(["orientations", str(tree), "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    chis = [solve_exact(orient(base, mask)).chi for mask in range(512)]
+    assert obj["all"] == [{"mask": m, "chi": c} for m, c in enumerate(chis)]
+    assert obj["orientations"] == 512
+    assert obj["min"] == {"mask": chis.index(min(chis)), "chi": min(chis)}
+    assert obj["max"] == {"mask": chis.index(max(chis)), "chi": max(chis)}
 
 
 def test_invariance_small_exit_zero(tmp_path):

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
 from domchrom import harness, io
 from domchrom.coloring import DominatorCertificate, verify_dominator
 from domchrom.errors import SpecInvalidError, TooLargeError
-from domchrom.generators import free_trees, orient, orientations, oriented_canonical_code
+from domchrom.generators import (
+    free_trees,
+    gs_base,
+    orient,
+    orientations,
+    oriented_canonical_code,
+)
 from domchrom.harness import (
     check_caterpillar_bounds,
     check_leaf_deletion,
@@ -18,7 +25,7 @@ from domchrom.harness import (
     explore_conjecture_gs,
     sample_caterpillar_specs,
 )
-from domchrom.io import certificate_from_obj, decode_tree, encode_tree
+from domchrom.io import certificate_from_obj, certificate_to_obj, decode_tree, encode_tree
 from domchrom.reports import ExperimentReport
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import OrientedTree, delete_leaf, reverse
@@ -338,19 +345,29 @@ class TestGsExplorer:
         rec = next(r for r in rep.records if (r["m"], r["k"]) == (3, 1))
         assert (rec["min_chi"], rec["max_chi"]) == (2, 3)
 
-    def test_each_orientation_solved_once(self, monkeypatch):
-        # the extremes' certificates come from the sweep, not from re-solves
+    def test_each_class_solved_once(self, monkeypatch):
+        # one solve per directed-isomorphism class of each cell's orientations,
+        # and the extremes' certificates are those solves, not re-solves
         solved = []
 
         def counting_solve(t):
-            solved.append((t.n, t.arcs))
+            solved.append(oriented_canonical_code(t))
             return solve_exact(t)
 
         monkeypatch.setattr(harness, "solve_exact", counting_solve)
         rep = explore_conjecture_gs(3, 3, 10)
-        assert len(solved) == len(set(solved)) == sum(
-            rec["orientations"] for rec in rep.records
-        )
+        monkeypatch.undo()
+        start = 0
+        for rec in rep.records:
+            base = gs_base(rec["m"], rec["k"])
+            codes = {oriented_canonical_code(t) for t in orientations(base)}
+            cell = solved[start : start + len(codes)]
+            start += len(codes)
+            assert len(cell) == len(set(cell)) and set(cell) == codes, rec
+            for side in ("min", "max"):
+                fresh = solve_exact(orient(base, rec[f"{side}_mask"]))
+                assert rec[f"{side}_certificate"] == certificate_to_obj(fresh.certificate)
+        assert start == len(solved) == 201  # of 682 orientations
 
 
 class TestStarCampaign:
@@ -362,6 +379,21 @@ class TestStarCampaign:
             assert len(recs) == 1 << m
             two_masks = {r["mask"] for r in recs if r["chi"] == 2}
             assert two_masks == {0, (1 << m) - 1}
+
+    def test_each_class_solved_once(self, monkeypatch):
+        # a star orientation's class is its number of arcs out of the center:
+        # m + 1 classes for m >= 2 leaves, and one (a single arc) for m = 1
+        solved = []
+
+        def counting_chi(t):
+            solved.append(oriented_canonical_code(t))
+            return solve_exact(t).chi
+
+        monkeypatch.setattr(harness, "_chi", counting_chi)
+        check_star_values(6)
+        assert len(solved) == len(set(solved))
+        sizes = Counter(code.count("(") - 1 for code in solved)
+        assert sizes == {m: 1 if m == 1 else m + 1 for m in range(1, 7)}
 
 
 class TestCaterpillarCampaign:
@@ -399,6 +431,23 @@ class TestPathMinimum:
         rep = check_path_minimum(4, 8)
         assert rep.holds
         assert [r["min_chi"] for r in rep.records] == [3, 3, 3, 4, 4]
+
+    def test_each_class_solved_once(self, monkeypatch):
+        # reversing the vertex order maps a path orientation onto another one;
+        # the orientations it fixes are the 2^((n-1)/2) masks of odd n whose
+        # bit i is the complement of bit n-2-i, so (2^(n-1) + those) / 2 classes
+        solved = []
+
+        def counting_chi(t):
+            solved.append(oriented_canonical_code(t))
+            return solve_exact(t).chi
+
+        monkeypatch.setattr(harness, "_chi", counting_chi)
+        check_path_minimum(1, 10)
+        assert len(solved) == len(set(solved))
+        sizes = Counter(code.count("(") for code in solved)
+        fixed = {n: (1 << (n - 1) // 2) if n % 2 else 0 for n in range(1, 11)}
+        assert sizes == {n: ((1 << (n - 1)) + fixed[n]) // 2 for n in range(1, 11)}
 
 
 class TestRootedFormula:
@@ -459,8 +508,8 @@ class TestDeterminismAndJobs:
                 assert cert.coloring.k == rec[f"{side}_chi"]
 
 
-# SHA-256 of each campaign's JSON report at a small size.  Reports are the
-# replayable record of every claim, so any change to their bytes must be
+# SHA-256 of each campaign's JSON report, most at a small size.  Reports are
+# the replayable record of every claim, so any change to their bytes must be
 # deliberate and show up here.
 REPORT_DIGESTS = {
     "leafdel-6": (
@@ -490,6 +539,20 @@ REPORT_DIGESTS = {
     "conjecture-4-4-cap-9": (
         lambda: explore_conjecture_gs(4, 4, 9),
         "c3ac8190cd134fd81bec1a165073a347064e48452e5a0b1cca92474a487bd2b1",
+    ),
+    # the sweeps over every orientation of a base tree at full size, recorded
+    # while these campaigns still solved every mask
+    "star-10": (
+        lambda: check_star_values(10),
+        "9f6212880908e36f751ef86f02afc79c54acb2e3aa0f56560d2c129f79cf3d28",
+    ),
+    "path-min-4-13": (
+        lambda: check_path_minimum(4, 13),
+        "09177e1d82db09a76f9d7dca159d12c49e30af4b303ba30bf358353502909f90",
+    ),
+    "conjecture-9-9-cap-10": (
+        lambda: explore_conjecture_gs(9, 9, 10),
+        "4d26e48cd89548066a746ae6791384e86feadcef5d0227e923e79c1a422be097",
     ),
 }
 
