@@ -1,18 +1,20 @@
 """Instance families and exhaustive generators.
 
 Provides the tree topologies the harness sweeps over: paths, generalized
-stars, caterpillars, uniformly random labeled trees, all orientations of a
-base tree (bitmask per edge), and one representative per isomorphism class
-of free trees up to a size cap.
+stars, caterpillars, uniformly random labeled trees, the orientations of a
+base tree (bitmask per edge) and their directed-isomorphism classes, and one
+representative per isomorphism class of free trees up to a size cap.  A tree
+derived from a validated base tree (an orientation, a canonical form, a
+one-leaf extension) is built by the trees' private ``_trusted`` constructors
+and not validated again.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from operator import index
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import SpecInvalidError, TooLargeError
 from .trees import BaseTree, OrientedTree, _walk
@@ -183,7 +185,7 @@ def orient(base: BaseTree, mask: int) -> OrientedTree:
     mask = _spec_int(mask, "mask")
     if not (0 <= mask < (1 << width)):
         raise SpecInvalidError(f"mask {mask} out of range for {width} edges")
-    return OrientedTree(base.n, orientation_arcs(base, mask))
+    return OrientedTree._trusted(base.n, tuple(orientation_arcs(base, mask)))
 
 
 def orientation_arcs(base: BaseTree, mask: int) -> list[tuple[int, int]]:
@@ -195,14 +197,6 @@ def orientation_arcs(base: BaseTree, mask: int) -> list[tuple[int, int]]:
     )
 
 
-def orientations(base: BaseTree) -> Iterator[OrientedTree]:
-    """All 2^(n-1) orientations of ``base`` in ascending mask order."""
-    if base.n > _MASK_WIDTH_CAP:
-        raise TooLargeError(f"orientation masks capped at n <= {_MASK_WIDTH_CAP}")
-    for mask in range(1 << len(base.edges)):
-        yield orient(base, mask)
-
-
 def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:
     """Orient every edge away from (``sense='out'``) or toward (``'in'``) the root."""
     if sense not in ("out", "in"):
@@ -212,10 +206,10 @@ def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:
         raise SpecInvalidError(f"root {root} outside 0..{base.n - 1}")
     order, parent, _ = _walk(root, base.adjacency)
     if sense == "out":
-        arcs = tuple((parent[v], v) for v in order[1:])
+        arcs = sorted((parent[v], v) for v in order[1:])
     else:
-        arcs = tuple((v, parent[v]) for v in order[1:])
-    return OrientedTree(base.n, arcs)
+        arcs = sorted((v, parent[v]) for v in order[1:])
+    return OrientedTree._trusted(base.n, tuple(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +258,52 @@ def _ahu(
     return "(" + code, children
 
 
-def canonical_code(base: BaseTree) -> str:
-    """Isomorphism-invariant encoding: equal codes iff isomorphic trees."""
-    adj = base.adjacency
-    return min(_ahu(c, ("(",), adj)[0] for c in _centers(adj))
-
-
-def canonical_labels(base: BaseTree) -> list[int]:
-    """Each vertex's label in :func:`canonical_form`: breadth-first from the
-    center whose :func:`canonical_code` is smaller, each vertex's children in
-    code order."""
+def _canonical(base: BaseTree) -> tuple[str, int, list[tuple[int, ...]]]:
+    """:func:`canonical_code`, the center it is read from (the first center
+    on a tie) and each vertex's children in code order, from one AHU pass
+    per center."""
     adj = base.adjacency
     best = None
     for c in _centers(adj):
         code, children = _ahu(c, ("(",), adj)
         if best is None or code < best[0]:
             best = code, c, children
-    _, root, children = best
-    label = [0] * base.n
+    return best
+
+
+def _labels(root: int, children: Sequence[Sequence[int]]) -> list[int]:
+    """Each vertex's position in the breadth-first walk from ``root`` that
+    visits children in the given order."""
+    label = [0] * len(children)
     for i, v in enumerate(_walk(root, children)[0]):
         label[v] = i
     return label
 
 
+def _relabeled(base: BaseTree, label: Sequence[int]) -> BaseTree:
+    """``base`` with vertex v renamed ``label[v]``, ``label`` a permutation."""
+    pairs = ((label[u], label[v]) for u, v in base.edges)
+    return BaseTree._trusted(
+        base.n, tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs))
+    )
+
+
+def canonical_code(base: BaseTree) -> str:
+    """Isomorphism-invariant encoding: equal codes iff isomorphic trees."""
+    return _canonical(base)[0]
+
+
+def canonical_labels(base: BaseTree) -> list[int]:
+    """Each vertex's label in :func:`canonical_form`: breadth-first from the
+    center whose :func:`canonical_code` is smaller, each vertex's children in
+    code order."""
+    _, root, children = _canonical(base)
+    return _labels(root, children)
+
+
 def canonical_form(base: BaseTree) -> BaseTree:
     """A canonically relabeled copy; isomorphic inputs map to equal values."""
-    label = canonical_labels(base)
-    return BaseTree(base.n, tuple((label[u], label[v]) for u, v in base.edges))
+    return _relabeled(base, canonical_labels(base))
 
 
 def oriented_canonical_code(t: OrientedTree) -> str:
@@ -369,7 +382,9 @@ def free_trees(n: int) -> list[BaseTree]:
     """One canonically labeled representative per isomorphism class.
 
     Grows trees one leaf at a time, deduplicating by canonical code at every
-    size; output is sorted by code, so the order is stable across runs.
+    size; output is sorted by code, so the order is stable across runs.  One
+    AHU pass per grown tree gives both its code and, when the code is new,
+    its canonical form.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -380,10 +395,11 @@ def free_trees(n: int) -> list[BaseTree]:
         nxt: dict[str, BaseTree] = {}
         for tree in level.values():
             for v in range(size - 1):
-                grown = BaseTree(size, tree.edges + ((v, size - 1),))
-                code = canonical_code(grown)
+                edges = tuple(sorted((*tree.edges, (v, size - 1))))
+                grown = BaseTree._trusted(size, edges)
+                code, root, children = _canonical(grown)
                 if code not in nxt:
-                    nxt[code] = canonical_form(grown)
+                    nxt[code] = _relabeled(grown, _labels(root, children))
         level = nxt
     return [level[code] for code in sorted(level)]
 
@@ -396,7 +412,11 @@ def sequence_to_edges(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]
     """Decode a length-(n-2) generator sequence over 0..n-1 into tree edges.
 
     Standard decoding: repeatedly join the smallest remaining leaf to the
-    next sequence entry, then join the last two survivors.
+    next sequence entry, then join the last two survivors.  Linear time: a
+    pointer scans upward for the next leaf, and an entry that becomes a leaf
+    below the pointer is itself the smallest leaf, so it is used next.  The
+    last two survivors are that leaf and n - 1, which is never the smallest
+    of two or more leaves.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -407,18 +427,19 @@ def sequence_to_edges(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    ptr = leaf = degree.index(1)
     edges = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
+        edges.append((leaf, x) if leaf < x else (x, leaf))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
     return tuple(edges)
 
 

@@ -43,7 +43,6 @@ each tree they meet once.  Every solve is re-verified by its certificate check.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .errors import SpecInvalidError, TooLargeError
@@ -82,6 +81,9 @@ def _map_ordered(fn, payloads: list, jobs: int) -> list:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if jobs == 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    # imported here, so that importing the package loads no process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(payloads) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads, chunksize=chunk))

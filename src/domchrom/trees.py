@@ -6,6 +6,13 @@ hash equal.  Adjacency views are materialized lazily and cached; they never
 take part in equality.  Every view is linear in n, and validation, the solver
 and the verifier read only the arcs and the neighbor tuples.  Every traversal,
 the solver's included, runs on :func:`_walk`, one iterative walk, at any depth.
+
+A tree's shape is validated once: by the public constructors on their
+inputs, or by the base tree it was derived from.  A tree derived from one
+already validated (an orientation, reversal, rooted orientation, leaf
+deletion, relabelling or one-leaf extension) is built by the private
+``_trusted`` constructor, which takes its pairs already sorted and checks
+nothing again.
 """
 
 from __future__ import annotations
@@ -120,6 +127,15 @@ class BaseTree:
         object.__setattr__(self, "edges", normalized)
         _check_tree_shape(self.n, normalized)
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> BaseTree:
+        """The base tree on ``edges``, sorted (min, max) pairs derived from an
+        already validated tree; nothing is normalized or checked again."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "n", n)
+        object.__setattr__(tree, "edges", edges)
+        return tree
+
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return _adjacency(self.n, self.edges)
@@ -140,6 +156,15 @@ class OrientedTree:
             raise BadVertexIdError(f"vertex ids must be integers: {exc}") from None
         object.__setattr__(self, "arcs", normalized)
         _check_tree_shape(self.n, normalized)
+
+    @classmethod
+    def _trusted(cls, n: int, arcs: tuple[tuple[int, int], ...]) -> OrientedTree:
+        """The oriented tree on ``arcs``, sorted and derived from an already
+        validated tree; nothing is normalized or checked again."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "n", n)
+        object.__setattr__(tree, "arcs", arcs)
+        return tree
 
     # -- adjacency ---------------------------------------------------------
 
@@ -207,7 +232,7 @@ def build_tree(n: int, arcs: Iterable[tuple[int, int]]) -> OrientedTree:
 
 def reverse(t: OrientedTree) -> OrientedTree:
     """Flip the direction of every arc."""
-    return OrientedTree(t.n, tuple((v, u) for u, v in t.arcs))
+    return OrientedTree._trusted(t.n, tuple(sorted((v, u) for u, v in t.arcs)))
 
 
 def classify_rooted(t: OrientedTree) -> RootClassification:
@@ -217,9 +242,10 @@ def classify_rooted(t: OrientedTree) -> RootClassification:
     tree's n - 1 arcs give the n - 1 non-sources in-degree at least one each,
     so one source already forces the rest; in-trees and sinks are symmetric.
     """
+    ins, outs = t.in_neighbors, t.out_neighbors
     return RootClassification(
-        out_root=t.sources[0] if len(t.sources) == 1 else None,
-        in_root=t.sinks[0] if len(t.sinks) == 1 else None,
+        out_root=ins.index(()) if ins.count(()) == 1 else None,
+        in_root=outs.index(()) if outs.count(()) == 1 else None,
     )
 
 
@@ -240,7 +266,8 @@ def delete_leaf(t: OrientedTree, v: int) -> tuple[OrientedTree, dict[int, int]]:
         if x != v:
             mapping[x] = nxt
             nxt += 1
+    # the relabelling keeps the order, so the kept arcs stay sorted
     arcs = tuple(
         (mapping[a], mapping[b]) for a, b in t.arcs if a != v and b != v
     )
-    return OrientedTree(t.n - 1, arcs), mapping
+    return OrientedTree._trusted(t.n - 1, arcs), mapping

@@ -1,10 +1,22 @@
 from __future__ import annotations
 
+from typing import Iterator
+
 import pytest
 from hypothesis import strategies as st
 
 from domchrom.generators import orient, sequence_to_edges
 from domchrom.trees import BaseTree, OrientedTree
+
+
+def orientations(base: BaseTree) -> Iterator[OrientedTree]:
+    """Every orientation of ``base`` in ascending mask order: bit i of the
+    mask flips edge i.  Each one is built and validated by the public
+    constructor, so this reference enumeration does not rest on the trusted
+    path that ``orient`` takes."""
+    for mask in range(1 << len(base.edges)):
+        arcs = [(v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(base.edges)]
+        yield OrientedTree(base.n, tuple(arcs))
 
 
 @st.composite
@@ -26,7 +38,7 @@ def oriented_trees(draw, min_n: int = 1, max_n: int = 9) -> OrientedTree:
 @pytest.fixture(scope="session")
 def small_corpus() -> list[OrientedTree]:
     """Every orientation of every free tree with up to 6 vertices."""
-    from domchrom.generators import free_trees, orientations
+    from domchrom.generators import free_trees
 
     corpus = []
     for n in range(1, 7):

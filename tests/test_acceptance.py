@@ -26,7 +26,6 @@ from domchrom.generators import (
     free_trees,
     gs,
     oriented_canonical_code,
-    orientations,
 )
 from domchrom.harness import (
     check_caterpillar_bounds,
@@ -40,6 +39,8 @@ from domchrom.harness import (
 from domchrom.io import certificate_from_obj, decode_tree
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import build_tree, delete_leaf
+
+from conftest import orientations
 
 CATERPILLAR_SEED = 1
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from domchrom import cli, harness
 from domchrom.reports import ExperimentReport
+from domchrom.trees import OrientedTree
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -36,18 +37,23 @@ def test_traced_leafdel_reads_chi_from_class_tables(monkeypatch, capsys):
     """A traced leaf-deletion pass makes one solve and one tree build per
     directed-isomorphism class (n <= 5: 1 + 1 + 3 + 8 + 27), and no
     canonical code or ``delete_leaf`` call; every solve runs inside
-    ``_map_ordered`` and every build inside ``orient``."""
+    ``_map_ordered`` and every build inside ``orient``, through the trusted
+    constructor: no tree is validated again (``trees.build`` reads 0)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
+    trusted = OrientedTree._trusted
     with tracing.Tracer() as tracer:
+        monkeypatch.setattr(OrientedTree, "_trusted", classmethod(
+            lambda cls, *args: tracer.span("trees.trusted", trusted, *args)))
         # exit 1: the sweep meets counterexamples to the refuted claim
         assert cli.cli_main(["leafdel", "--max-n", "5"]) == 1
     capsys.readouterr()
     names = [s[0] for s in tracer.spans]
-    assert names.count("solver") == names.count("trees.build") == 40
+    assert names.count("solver") == names.count("trees.trusted") == 40
     assert names.count("generators.orient") == 40
+    assert "trees.build" not in names
     assert "generators.canon_code" not in names
     assert "trees.delete_leaf" not in names
     parents = {(name, tracer.spans[parent][0]) for name, parent, *_ in tracer.spans
-               if name in ("solver", "trees.build")}
-    assert parents == {("solver", "harness.map"), ("trees.build", "generators.orient")}
+               if name in ("solver", "trees.trusted")}
+    assert parents == {("solver", "harness.map"), ("trees.trusted", "generators.orient")}

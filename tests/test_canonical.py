@@ -26,7 +26,6 @@ from domchrom.generators import (
     orientation_arcs,
     orientation_classes,
     oriented_canonical_code,
-    orientations,
     path,
     random_tree,
     rooted_orientation,
@@ -35,8 +34,11 @@ from domchrom.harness import check_leaf_deletion
 from domchrom.solver import solve_exact
 from domchrom.trees import BaseTree, OrientedTree
 
+from conftest import orientations
+
 FREE_TREES_DIGEST = "70f80da3e895e585339ca9dfaca917dac4c3c76a14c004fdc982932926d978d5"
 CODES_AND_FORMS_DIGEST = "cdffee8f6852527fe30bdf40b82a61018d4cfc645f316e3557f11a770563881b"
+FREE_TREES_11_12_DIGEST = "e79b2e3130405590bdf97d0f719d602ea8f73b8330eb57580bbe1ee2162a3d9f"
 ORIENTED_CODES_DIGEST = "d17f343a9927c98f93fd466081625784bb942b634c9bbbee7ee70a42b2c884d0"
 
 
@@ -83,6 +85,11 @@ def _oriented_code_lines():
 
 def test_free_trees_pinned():
     assert _digest(_free_tree_lines()) == FREE_TREES_DIGEST
+
+
+def test_free_trees_pinned_up_to_the_cap():
+    lines = (repr(base.edges) for n in (11, 12) for base in free_trees(n))
+    assert _digest(lines) == FREE_TREES_11_12_DIGEST
 
 
 def test_codes_and_forms_pinned():

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import domchrom
 from domchrom.cli import cli_main
 from domchrom.generators import orient, orientation_classes, random_tree
 from domchrom.io import format_tree, parse_tree
@@ -330,3 +334,15 @@ def test_gen_outputs_pinned(capsys):
         "67077a42a0854ee0d9d211c99582e05e7ffb8e741a2949ef470921fccea903bc"
     )
 
+
+def test_import_loads_no_process_pool():
+    # the pool is imported only where a campaign forks (jobs > 1)
+    code = (
+        "import sys, domchrom, domchrom.cli, domchrom.harness; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    src = str(Path(domchrom.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -20,12 +20,12 @@ from domchrom.coloring import (
     verify_dominator,
 )
 from domchrom.errors import BadVertexIdError, SizeMismatchError
-from domchrom.generators import free_trees, orientations
+from domchrom.generators import free_trees
 from domchrom.io import encode_tree
 from domchrom.solver import _growth_sequences
 from domchrom.trees import build_tree
 
-from conftest import oriented_trees
+from conftest import orientations, oriented_trees
 
 VERIFIER_DIGEST = "dd27e5a33ae10a82411d97b28728a52a7e63f7c9e11055cc3757dbd23b44893e"
 

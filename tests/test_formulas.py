@@ -31,7 +31,6 @@ from domchrom.generators import (
     free_trees,
     gs,
     orient,
-    orientations,
     path,
     random_tree,
     rooted_orientation,
@@ -39,6 +38,8 @@ from domchrom.generators import (
 )
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import build_tree
+
+from conftest import orientations
 
 
 class TestDirectedPath:

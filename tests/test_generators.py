@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import heapq
+import random
 from itertools import product
 
 import networkx as nx
@@ -17,7 +19,6 @@ from domchrom.generators import (
     gs,
     gs_base,
     orient,
-    orientations,
     path,
     random_tree,
     rooted_orientation,
@@ -95,22 +96,26 @@ class TestFamilies:
             CaterpillarSpec(**spec)
 
 
+def every_mask(base: BaseTree) -> list[OrientedTree]:
+    return [orient(base, mask) for mask in range(1 << len(base.edges))]
+
+
 class TestOrientations:
     def test_p4_has_eight(self):
-        assert len(list(orientations(path(4)))) == 8
+        assert len(every_mask(path(4))) == 8
 
     def test_star3_uniform_count(self):
-        seen = list(orientations(star(3)))
+        seen = every_mask(star(3))
         assert len(seen) == 8
         # exactly 2 orientations have all arcs agreeing at the center
         agreeing = [t for t in seen if t.out_degree(0) in (0, 3)]
         assert len(agreeing) == 2
 
     def test_single_vertex_one_orientation(self):
-        assert list(orientations(path(1))) == [OrientedTree(1, ())]
+        assert every_mask(path(1)) == [OrientedTree(1, ())]
 
     def test_no_duplicates(self):
-        seen = list(orientations(path(5)))
+        seen = every_mask(path(5))
         assert len(set(seen)) == len(seen) == 16
 
     def test_mask_complement_is_reversal(self):
@@ -118,10 +123,6 @@ class TestOrientations:
         full = (1 << len(base.edges)) - 1
         for mask in range(full + 1):
             assert reverse(orient(base, mask)) == orient(base, mask ^ full)
-
-    def test_too_large_guard(self):
-        with pytest.raises(TooLargeError):
-            next(orientations(path(27)))
 
     def test_rooted_orientation_rejects_root_out_of_range(self):
         for root in (5, 3, -1):
@@ -190,6 +191,27 @@ class TestCanonicalization:
         assert canonical_form(shuffled) == canonical_form(base)
 
 
+def heap_decode(seq, n):
+    """Reference decoder: a heap of the current leaves; the smallest joins
+    each entry in turn, then the last two leaves are joined."""
+    if n == 1:
+        return ()
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return tuple(edges)
+
+
 class TestRandomAndSequences:
     def test_small_cases(self):
         assert random_tree(1, 0).n == 1
@@ -202,6 +224,17 @@ class TestRandomAndSequences:
     def test_sequence_decode_known(self):
         # sequence (3, 3) on 4 vertices joins leaves 0,1,2 around vertex 3
         assert sequence_to_edges((3, 3), 4) == ((0, 3), (1, 3), (2, 3))
+
+    def test_sequence_decode_matches_the_heap_decoder(self):
+        # every sequence for n <= 6, then seeded ones up to n = 40
+        for n in range(1, 7):
+            for seq in product(range(n), repeat=max(n - 2, 0)):
+                assert sequence_to_edges(seq, n) == heap_decode(seq, n), seq
+        for n in range(1, 41):
+            rng = random.Random(n)
+            for _ in range(50):
+                seq = [rng.randrange(n) for _ in range(max(n - 2, 0))]
+                assert sequence_to_edges(seq, n) == heap_decode(seq, n), seq
 
     @given(st.integers(1, 9), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

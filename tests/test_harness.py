@@ -12,7 +12,6 @@ from domchrom.generators import (
     free_trees,
     gs_base,
     orient,
-    orientations,
     oriented_canonical_code,
 )
 from domchrom.harness import (
@@ -29,6 +28,29 @@ from domchrom.io import certificate_from_obj, certificate_to_obj, decode_tree, e
 from domchrom.reports import ExperimentReport
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import OrientedTree, delete_leaf, reverse
+
+from conftest import orientations
+
+def record_builds(monkeypatch) -> list[str]:
+    """The oriented canonical code of every tree built from here on, by the
+    validating constructor or by the trusted one that ``orient`` uses."""
+    builds = []
+    init = OrientedTree.__init__
+    trusted = OrientedTree._trusted
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append(oriented_canonical_code(self))
+
+    def counting_trusted(cls, *args):
+        tree = trusted(*args)
+        builds.append(oriented_canonical_code(tree))
+        return tree
+
+    monkeypatch.setattr(OrientedTree, "__init__", counting_init)
+    monkeypatch.setattr(OrientedTree, "_trusted", classmethod(counting_trusted))
+    return builds
+
 
 LEAFDEL_9_SHA256 = "202cd30ae754fc08b7cba08c335d96f2124e7aa63d182d20e2df3cc730600e60"
 
@@ -85,14 +107,7 @@ class TestReversalInvariance:
     def test_each_class_built_once(self, monkeypatch):
         # records read their instance codes off the base edges and the mask,
         # so the only trees built are the 481 that the class tables solve
-        builds = []
-        init = OrientedTree.__init__
-
-        def counting_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            builds.append(oriented_canonical_code(self))
-
-        monkeypatch.setattr(OrientedTree, "__init__", counting_init)
+        builds = record_builds(monkeypatch)
         check_reversal_invariance(7)
         assert len(builds) == len(set(builds)) == 481
 
@@ -225,14 +240,7 @@ class TestLeafDeletionMemo:
     def test_each_class_built_once(self, monkeypatch):
         # one build per directed-isomorphism class with n <= 6, the tree its
         # table solves; records and subtrees are read off masks, not built
-        builds = []
-        init = OrientedTree.__init__
-
-        def counting_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            builds.append(oriented_canonical_code(self))
-
-        monkeypatch.setattr(OrientedTree, "__init__", counting_init)
+        builds = record_builds(monkeypatch)
         check_leaf_deletion(6)
         assert len(builds) == len(set(builds)) == 1 + 1 + 3 + 8 + 27 + 91
 

@@ -12,7 +12,6 @@ from domchrom.errors import TooLargeError
 from domchrom.generators import (
     free_trees,
     orient,
-    orientations,
     oriented_canonical_code,
     path,
     random_tree,
@@ -27,7 +26,7 @@ from domchrom.solver import (
 )
 from domchrom.trees import build_tree, delete_leaf
 
-from conftest import oriented_trees
+from conftest import orientations, oriented_trees
 
 
 def directed_path(n):

@@ -15,22 +15,24 @@ from domchrom.errors import (
     SelfArcError,
 )
 from domchrom.generators import (
+    canonical_form,
     free_trees,
     orient,
-    orientations,
     oriented_canonical_code,
     random_tree,
+    rooted_orientation,
 )
 from domchrom.trees import (
     BaseTree,
     OrientedTree,
+    RootClassification,
     build_tree,
     classify_rooted,
     delete_leaf,
     reverse,
 )
 
-from conftest import oriented_trees
+from conftest import orientations, oriented_trees
 
 
 def test_build_single_vertex():
@@ -196,6 +198,57 @@ def test_classify_rooted_matches_the_definition_on_every_orientation():
                 assert rc.in_root == _root_by_definition(t, t.out_degree), t.arcs
                 checked += 1
     assert checked == 1 + 2 + 4 + 2 * 8 + 3 * 16 + 6 * 32 + 11 * 64
+
+
+def test_classify_rooted_matches_the_source_and_sink_views():
+    # the roots are read off the neighbor tuples; the views name the same
+    for n in range(1, 8):
+        for base in free_trees(n):
+            for t in orientations(base):
+                sources, sinks = t.sources, t.sinks
+                assert classify_rooted(t) == RootClassification(
+                    out_root=sources[0] if len(sources) == 1 else None,
+                    in_root=sinks[0] if len(sinks) == 1 else None,
+                ), t.arcs
+
+
+def _assert_as_validated(t, validated) -> None:
+    assert t == validated and hash(t) == hash(validated)
+    assert t.arcs == validated.arcs and type(t.n) is int
+
+
+class TestTrustedConstructor:
+    """Trees derived from a validated tree skip validation; each equals what
+    the validating constructor builds on the same arcs, which also shows its
+    arcs are stored sorted and form a tree."""
+
+    def test_every_mask_and_its_derived_trees(self):
+        for n in range(1, 8):
+            for base in free_trees(n):
+                for mask, validated in enumerate(orientations(base)):
+                    t = orient(base, mask)
+                    _assert_as_validated(t, validated)
+                    flipped = OrientedTree(n, tuple((v, u) for u, v in t.arcs))
+                    _assert_as_validated(reverse(t), flipped)
+                    for v in t.underlying_leaves if n > 1 else ():
+                        sub, mapping = delete_leaf(t, v)
+                        kept = [(mapping[a], mapping[b]) for a, b in t.arcs if v not in (a, b)]
+                        _assert_as_validated(sub, OrientedTree(n - 1, tuple(kept)))
+                for root in range(n):
+                    for sense in ("out", "in"):
+                        t = rooted_orientation(base, root, sense)
+                        _assert_as_validated(t, OrientedTree(n, t.arcs))
+
+    def test_free_trees_and_canonical_forms(self):
+        for n in range(1, 10):
+            for base in free_trees(n):
+                validated = BaseTree(n, base.edges)
+                assert base == validated and hash(base) == hash(validated)
+                assert base.edges == validated.edges
+                perm = random.Random(len(base.edges)).sample(range(n), n)
+                shuffled = BaseTree(n, tuple((perm[u], perm[v]) for u, v in base.edges))
+                form = canonical_form(shuffled)
+                assert form == base and form.edges == BaseTree(n, form.edges).edges
 
 
 @pytest.mark.parametrize("n", [3.0, "3", None])

@@ -19,7 +19,6 @@ from domchrom.coloring import recheck_certificate
 from domchrom.generators import (
     free_trees,
     orient,
-    orientations,
     oriented_canonical_code,
     random_tree,
     rooted_orientation,
@@ -27,6 +26,8 @@ from domchrom.generators import (
 from domchrom.io import encode_tree
 from domchrom.solver import _least_family, hitting_set, hitting_set_coloring, solve_exact
 from domchrom.trees import OrientedTree, _walk, build_tree
+
+from conftest import orientations
 
 OUTPUTS_DIGEST = "25d82ab6b71b3aceb3bce6601b8184ac73fb364bd7cedec27f48ca26e1ccf913"
 WIDE_OUTPUTS_DIGEST = "dcad3d14944c81a31e6be128da55d00acbdf88162d48f3d7b21c69200c632dbc"
