@@ -10,8 +10,9 @@ exemption so the convention is visible in output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import BadVertexIdError, SizeMismatchError
 from .trees import OrientedTree
@@ -58,9 +59,19 @@ class Coloring:
             if c is None:
                 c = seen[lab] = len(seen) + 1
             out.append(c)
-        return cls(tuple(out))
+        if not out:
+            raise ValueError("coloring must cover at least one vertex")
+        return cls._trusted(tuple(out), len(seen))
 
-    @property
+    @classmethod
+    def _trusted(cls, colors: tuple[int, ...], k: int) -> "Coloring":
+        """``colors`` in first-use form with k colors, checked no further."""
+        coloring = object.__new__(cls)
+        object.__setattr__(coloring, "colors", colors)
+        object.__setattr__(coloring, "k", k)  # what the cached ``k`` would hold
+        return coloring
+
+    @cached_property
     def k(self) -> int:
         return max(self.colors)
 
@@ -156,86 +167,102 @@ def _check_colors(t: OrientedTree, colors: Sequence[int]) -> bool:
 
 def is_proper(t: OrientedTree, c: ColoringLike) -> list[ImproperEdge]:
     """All arcs whose endpoints share a color, sorted; empty means proper."""
-    colors = _coerce(t, c).colors
-    return [ImproperEdge((u, w)) for u, w in t.arcs if colors[u] == colors[w]]
+    bad, _ = _witnesses(_coerce(t, c).colors, enumerate(t.out_neighbors))
+    return [ImproperEdge(arc) for arc in bad]
 
 
-def _dominated(t: OrientedTree, colors: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Every pair (v, c) such that the class of color c lies inside N+(v),
-    once each and in vertex order.
-
-    The class of c lies inside N+(v) exactly when v has as many out-neighbors
-    of color c as the class has vertices, so one pass over the out-neighbor
-    tuples decides every vertex and every class: ``count`` is filled for one
-    neighborhood, read, and emptied again before the next.
-    """
+def _witnesses(
+    colors: Sequence[int], pairs: Iterable[tuple[int, Sequence[int]]]
+) -> tuple[list[tuple[int, int]], list[int | str]]:
+    """The verifier's one counting pass over ``pairs`` (v, out), ``out`` a
+    tuple of out-neighbors of v: the arcs (v, x) whose ends share a color, in
+    order, and per pair the least color whose class lies inside ``out`` (0 if
+    none, SINK_EXEMPT if ``out`` is empty).  A class lies inside ``out``
+    exactly when ``out`` has as many vertices of its color as it has, so
+    ``count`` is filled for one tuple, read, and emptied again before the
+    next."""
     size = [0] * (len(colors) + 1)
     for c in colors:
         size[c] += 1
     count = [0] * len(size)
-    vs: list[int] = []
-    cs: list[int] = []
-    for v, out in enumerate(t.out_neighbors):
+    bad = []
+    witnesses: list[int | str] = []
+    for v, out in pairs:
+        if not out:
+            witnesses.append(SINK_EXEMPT)
+            continue
+        cv = colors[v]
         for x in out:
             count[colors[x]] += 1
+        best = 0
         for x in out:
             c = colors[x]
             if count[c] == size[c]:  # emptied below, so each color once
-                vs.append(v)
-                cs.append(c)
+                if best == 0 or c < best:
+                    best = c
+            elif c == cv:  # v's own class is never inside N+(v)
+                bad.append((v, x))
             count[c] = 0
-    return zip(vs, cs)
+        witnesses.append(best)
+    return bad, witnesses
 
 
 def dominated_classes(t: OrientedTree, c: ColoringLike, v: int) -> frozenset[int]:
     """Color ids whose entire class lies inside N+(v); empty for sinks.
     Raises :class:`BadVertexIdError` when v is not a vertex of ``t``."""
-    col = _coerce(t, c)
+    colors = _coerce(t, c).colors
     try:
         u = index(v)
     except TypeError:
         u = -1
     if not 0 <= u < t.n:
         raise BadVertexIdError(f"vertex {v!r} is outside 0..{t.n - 1}")
-    return frozenset(c_ for w, c_ in _dominated(t, col.colors) if w == u)
+    # one tuple per color among v's out-neighbors: its witness is that color or 0
+    groups: dict[int, list[int]] = {}
+    for x in t.out_neighbors[u]:
+        groups.setdefault(colors[x], []).append(x)
+    _, found = _witnesses(colors, [(u, tuple(g)) for g in groups.values()])
+    return frozenset(filter(None, found))
 
 
 def verify_dominator(
     t: OrientedTree, c: ColoringLike
 ) -> DominatorCertificate | list[Violation]:
-    """Check the full dominator-coloring condition.
+    """Check the full dominator-coloring condition in one pass over the arcs.
 
     Returns a certificate on success (the witness for each non-sink vertex is
     the smallest dominated color id), otherwise the exhaustive sorted list of
-    violations.
+    violations: improper arcs, then non-sinks that dominate no class.
     """
     col = _coerce(t, c)
-    violations: list[Violation] = is_proper(t, col)
-    # 0 marks a non-sink that dominates no class (yet)
-    witnesses: list[int | str] = [0 if out else SINK_EXEMPT for out in t.out_neighbors]
-    for v, c_ in _dominated(t, col.colors):
-        w = witnesses[v]
-        if w == 0 or c_ < w:
-            witnesses[v] = c_
-    violations.extend(NoDominatedClass(v) for v, w in enumerate(witnesses) if w == 0)
-    if violations:
+    bad, witnesses = _witnesses(col.colors, enumerate(t.out_neighbors))
+    if bad or 0 in witnesses:  # 0 marks a non-sink that dominates no class
+        violations: list[Violation] = [ImproperEdge(arc) for arc in bad]
+        violations.extend(NoDominatedClass(v) for v, w in enumerate(witnesses) if w == 0)
         return violations
     return DominatorCertificate(coloring=col, witnesses=tuple(witnesses))
 
 
 def recheck_certificate(t: OrientedTree, cert: DominatorCertificate) -> bool:
     """Re-validate a certificate from scratch, using only the tree and the
-    coloring it carries.  Any class inside N+(v) is a valid witness for v."""
+    coloring it carries.  Any class inside N+(v) is a valid witness for v; a
+    witness other than the smallest is counted again over v's out-neighbors
+    of its color."""
     if len(cert.coloring) != t.n or len(cert.witnesses) != t.n:
         return False
-    if is_proper(t, cert.coloring):
-        return False
-    dominated = set(_dominated(t, cert.coloring.colors))
+    colors = cert.coloring.colors
     outs = t.out_neighbors
-    for v, w in enumerate(cert.witnesses):
-        if w == SINK_EXEMPT:
-            if outs[v]:
+    bad, smallest = _witnesses(colors, enumerate(outs))
+    if bad or 0 in smallest:  # improper, or a non-sink dominates no class
+        return False
+    claims, claimed = [], []
+    for v, (w, s) in enumerate(zip(cert.witnesses, smallest)):
+        if s == SINK_EXEMPT:
+            if w != SINK_EXEMPT:
                 return False
-        elif type(w) is not int or (v, w) not in dominated:  # a bool is no color
+        elif type(w) is not int:  # a bool is no color
             return False
-    return True
+        elif w != s:
+            claims.append((v, tuple(x for x in outs[v] if colors[x] == w)))
+            claimed.append(w)
+    return _witnesses(colors, claims)[1] == claimed

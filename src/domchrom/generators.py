@@ -444,11 +444,12 @@ def sequence_to_edges(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]
 
 
 def random_tree(n: int, seed: int) -> BaseTree:
-    """Uniform random labeled tree; fixed seed gives a fixed tree."""
+    """Uniform random labeled tree; fixed seed gives a fixed tree.  The
+    decoded sequence is a tree by construction, so it is not validated."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= 2:
         return path(n)
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    return BaseTree(n, sequence_to_edges(seq, n))
+    return BaseTree._trusted(n, tuple(sorted(sequence_to_edges(seq, n))))

@@ -22,8 +22,11 @@ program over the tree.
 
 A solve walks the tree once and then makes one pass up it, which finds both
 m* and W (the greedy of :func:`hitting_set` visits the vertices in the same
-order, so it rides along); when m* = τ a pass down rebuilds the family.  The
-verifier then re-checks the coloring in one more pass.
+order, so it rides along); when m* = τ a pass down rebuilds the family,
+and otherwise the τ + 2 coloring is labelled from W and the walk's depth
+parity.  Either labelling is relabelled once into first-use form, which
+also counts its colors, and the verifier re-checks the coloring in one more
+pass that decides propriety and every witness together.
 
 ``brute_force_chi`` shares nothing with that program: it enumerates
 canonical colorings outright and filters them with ``coloring._check_colors``,
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from typing import Iterable
 
 from .coloring import Coloring, DominatorCertificate, _check_colors, verify_dominator
 from .errors import TooLargeError
@@ -44,11 +48,13 @@ from .trees import OrientedTree, _walk
 _BRUTE_CAP = 10
 
 # Roles of a vertex in a one-free-class family: in U, a singleton class, in
-# the class its parent owns, in the class one of its children owns.
+# the class its parent owns, in the class one of its children owns.  A set of
+# roles is a bit mask with bit r for role r; every set holds _S.
 _U, _S, _P, _C = range(4)
-_ROLES = (_U, _S, _P, _C)
-# The roles an out-child may take, by 2 * (parent in U) + (parent owns a class).
-_OUT_ROLES = ((_U, _S, _C), _ROLES, (_S, _C), (_S, _P, _C))
+_ANY = 0b1111
+# The roles an out-child may take, by 2 * (parent in U) + (parent owns a class):
+# (U, S, C), any, (S, C), (S, P, C).
+_OUT_ROLES = (0b1011, _ANY, 0b1010, 0b1110)
 
 
 @dataclass(frozen=True)
@@ -93,29 +99,19 @@ def hitting_set_coloring(t: OrientedTree, w: tuple[int, ...]) -> Coloring:
     """The dominator coloring with at most |w| + 2 colors that a hitting set
     ``w`` gives: each vertex of w alone in its class, and the forest V - w
     colored by BFS depth parity."""
-    return _parity_coloring(t, w, *_walk(0, t.in_neighbors, t.out_neighbors)[:2])
+    order, parent, _ = _walk(0, t.in_neighbors, t.out_neighbors)
+    return Coloring.from_labels(_parity_labels(w, order, parent))
 
 
-def _parity_coloring(
-    t: OrientedTree, w: tuple[int, ...], order: list[int], parent: list[int]
-) -> Coloring:
-    labels = [1] * t.n
+def _parity_labels(w: Iterable[int], order: list[int], parent: list[int]) -> list[int]:
+    """Labels of the coloring of :func:`hitting_set_coloring`, not yet in
+    first-use form: 1 and 2 by walk depth parity, 3, 4, ... along ``w``."""
+    labels = [1] * len(order)
     for v in order[1:]:
         labels[v] = 3 - labels[parent[v]]
-    for i, x in enumerate(w):
-        labels[x] = 3 + i
-    return Coloring.from_labels(labels)
-
-
-def _argmin(row: tuple[int, ...], roles: tuple[int, ...], level: int) -> int:
-    """The first of ``roles`` with the least cost at ``level`` in a row of
-    :func:`_least_family`'s table."""
-    best = least = -1
-    for r in roles:
-        cost = row[r] + row[(4 if r == _U else 7) + level]
-        if best < 0 or cost < least:
-            best, least = r, cost
-    return best
+    for i, x in enumerate(w, 3):
+        labels[x] = i
+    return labels
 
 
 def _least_family(
@@ -267,9 +263,20 @@ def _least_family(
         return m, w, None
 
     labels = [0] * n  # U is label 0, a singleton v is v + 1, v's class n + 1 + v
-    stack = [(0, _argmin(g[0], _ROLES, 1), 1)]
+    stack = [(0, _ANY, 1)]  # (vertex, roles it may take, level)
     while stack:
-        v, r, level = stack.pop()
+        v, roles, level = stack.pop()
+        # v takes the first of ``roles`` (in the order U, S, P, C) with the
+        # least cost at ``level``; S, P and C add the same n-part to their
+        # in-part, so they compare on the in-part alone, and U wins a tie.
+        row = g[v]
+        r, x = _S, row[1]
+        if roles & 4 and row[2] < x:
+            r, x = _P, row[2]
+        if roles & 8 and row[3] < x:
+            r, x = _C, row[3]
+        if roles & 1 and row[0] + row[4 + level] <= x + row[7 + level]:
+            r = _U
         in_u = r == _U
         own = level == 2 or bool(owns[v] >> (2 * in_u + level) & 1)
         if r == _S:
@@ -283,20 +290,18 @@ def _least_family(
         for c in outs[v]:
             if c != p:
                 if c == need:
-                    roles = (_S, _P) if own else (_S,)
+                    stack.append((c, 0b0110 if own else 0b0010, 1))  # (S, P) or S
                 else:
-                    roles = _OUT_ROLES[2 * in_u + own]
-                stack.append((c, _argmin(g[c], roles, 1), 1))
+                    stack.append((c, _OUT_ROLES[2 * in_u + own], 1))
         for c in ins[v]:
             if c == p:
                 continue
             if r == _C and c == owner_child[v]:
-                roles, lvl = _ROLES, 2
+                stack.append((c, _ANY, 2))
             elif r == _S:
-                roles, lvl = _ROLES, 0
+                stack.append((c, _ANY, 0))
             else:
-                roles, lvl = ((_S, _C) if in_u else _ROLES), 1
-            stack.append((c, _argmin(g[c], roles, lvl), lvl))
+                stack.append((c, 0b1010 if in_u else _ANY, 1))  # (S, C) next to U
     return m, w, labels
 
 
@@ -307,12 +312,13 @@ def solve_exact(t: OrientedTree, opts: SolveOptions | None = None) -> SolveResul
     for both bounds), and χ = τ + 1 exactly when the least one-free-class
     family has τ non-free classes; that family is then the coloring.
     Otherwise the τ + 2 coloring of :func:`hitting_set_coloring` is
-    returned.  Either coloring is re-verified before it is returned.  The
-    tree walk, the DP (which gathers W, hence τ, on the same pass) and the
-    verifier each take one pass over the vertices and arcs, on the tree's
-    neighbor tuples; no n-bit mask is built, so time and memory are linear
-    in n.  Deterministic.  ``opts`` is accepted and ignored: there is no
-    search, so a node budget does not apply.
+    returned.  Either coloring is relabelled once and re-verified once
+    before it is returned.  The tree walk, the DP (which gathers W, hence τ,
+    on the same pass), the relabel and the verifier each take one pass over
+    the vertices or arcs, on the tree's neighbor tuples; no n-bit mask is
+    built, so time and memory are linear in n.  Deterministic.  ``opts`` is
+    accepted and ignored: there is no search, so a node budget does not
+    apply.
     """
     order, parent, down = _walk(0, t.in_neighbors, t.out_neighbors)
     m, w, labels = _least_family(t, order, parent, down)
@@ -320,11 +326,11 @@ def solve_exact(t: OrientedTree, opts: SolveOptions | None = None) -> SolveResul
     if m < tau:  # pragma: no cover - internal consistency
         raise RuntimeError(f"a family with {m} classes beats the lower bound {tau}")
     if labels is not None:
-        coloring = Coloring.from_labels(labels)
         k = tau + 1
     else:
-        coloring = _parity_coloring(t, tuple(compress(range(t.n), w)), order, parent)
+        labels = _parity_labels(compress(range(t.n), w), order, parent)
         k = tau + 2
+    coloring = Coloring.from_labels(labels)  # the one relabel, which counts k
     if coloring.k != k:  # pragma: no cover - internal consistency
         raise RuntimeError(f"coloring has {coloring.k} colors, expected {k}")
     cert = verify_dominator(t, coloring)

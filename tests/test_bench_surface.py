@@ -9,9 +9,12 @@ here as an import error or a ``KeyError`` when the tracer installs itself.
 from __future__ import annotations
 
 import importlib
+import random
+from collections import Counter
 from pathlib import Path
 
-from domchrom import cli, harness
+from domchrom import cli, harness, solver
+from domchrom.generators import orient, random_tree
 from domchrom.reports import ExperimentReport
 from domchrom.trees import OrientedTree
 
@@ -57,3 +60,28 @@ def test_traced_leafdel_reads_chi_from_class_tables(monkeypatch, capsys):
     parents = {(name, tracer.spans[parent][0]) for name, parent, *_ in tracer.spans
                if name in ("solver", "trees.trusted")}
     assert parents == {("solver", "harness.map"), ("trees.trusted", "generators.orient")}
+
+
+def test_traced_solve_verifies_once_and_relabels_once(monkeypatch):
+    """Each solve makes exactly one ``coloring.verify`` call and at most one
+    ``coloring.canon`` call, both directly inside its own ``solver`` span: a
+    verification dropped, doubled or moved off ``solver.verify_dominator``,
+    or a second relabel, fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    rng = random.Random(3)
+    trees = []
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        trees.append(orient(random_tree(n, rng.getrandbits(32)), rng.getrandbits(n - 1)))
+    with tracing.Tracer() as tracer:
+        for t in trees:
+            solver.solve_exact(t)
+    spans = tracer.spans
+    inside = {i: Counter() for i, s in enumerate(spans) if s[0] == "solver"}
+    assert len(inside) == len(trees)
+    for name, parent, *_ in spans:
+        if name.startswith("coloring."):
+            inside[parent][name] += 1  # a KeyError: not directly inside a solve
+    assert all(c["coloring.verify"] == 1 and c["coloring.canon"] <= 1
+               for c in inside.values())

@@ -231,6 +231,11 @@ class TestAgainstDefinition:
                     if isinstance(out, DominatorCertificate):
                         w = out.witnesses[v]
                         assert w == (min(expected) if outs[v] else SINK_EXEMPT)
+                        # any dominated class, and only such a class, rechecks
+                        for c in range(1, len(classes) + 1) if outs[v] else ():
+                            other = out.witnesses[:v] + (c,) + out.witnesses[v + 1:]
+                            cert = DominatorCertificate(out.coloring, other)
+                            assert recheck_certificate(t, cert) == (c in expected)
                 if isinstance(out, DominatorCertificate):
                     assert recheck_certificate(t, out)
 

@@ -236,6 +236,22 @@ class TestRandomAndSequences:
                 seq = [rng.randrange(n) for _ in range(max(n - 2, 0))]
                 assert sequence_to_edges(seq, n) == heap_decode(seq, n), seq
 
+    def test_every_decode_is_a_valid_tree(self):
+        # random_tree builds its decode without validation; the validating
+        # constructor accepts every decode and stores its edges sorted
+        for n in range(1, 8):
+            for seq in product(range(n), repeat=max(n - 2, 0)):
+                edges = sequence_to_edges(seq, n)
+                assert BaseTree(n, edges).edges == tuple(sorted(edges)), seq
+
+    def test_random_tree_equals_the_validated_build(self):
+        for n in range(1, 41):
+            for seed in range(50):
+                rng = random.Random(seed)
+                seq = [rng.randrange(n) for _ in range(max(n - 2, 0))]
+                validated = BaseTree(n, sequence_to_edges(seq, n))
+                assert random_tree(n, seed) == validated, (n, seed)
+
     @given(st.integers(1, 9), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_random_trees_always_valid(self, n, seed):
