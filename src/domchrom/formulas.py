@@ -163,22 +163,14 @@ def build_layered_gs(m: int, k: int) -> LayeredStarResult:
                 nxt += 1
     coloring = Coloring.from_labels(labels)
     outcome = verify_dominator(tree, coloring)
-    if isinstance(outcome, DominatorCertificate):
-        return LayeredStarResult(
-            tree=tree,
-            coloring=coloring,
-            colors_used=coloring.k,
-            bound=bound,
-            certificate=outcome,
-            violations=(),
-        )
+    verified = isinstance(outcome, DominatorCertificate)
     return LayeredStarResult(
         tree=tree,
         coloring=coloring,
         colors_used=coloring.k,
         bound=bound,
-        certificate=None,
-        violations=tuple(outcome),
+        certificate=outcome if verified else None,
+        violations=() if verified else tuple(outcome),
     )
 
 

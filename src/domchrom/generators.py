@@ -4,9 +4,9 @@ Provides the tree topologies the harness sweeps over: paths, generalized
 stars, caterpillars, uniformly random labeled trees, the orientations of a
 base tree (bitmask per edge) and their directed-isomorphism classes, and one
 representative per isomorphism class of free trees up to a size cap.  A tree
-derived from a validated base tree (an orientation, a canonical form, a
-one-leaf extension) is built by the trees' private ``_trusted`` constructors
-and not validated again.
+derived from a validated base tree (an orientation, every generalized-star
+scheme among them, a canonical form, a one-leaf extension) is built by the
+trees' private ``_trusted`` constructors and not validated again.
 """
 
 from __future__ import annotations
@@ -88,19 +88,19 @@ def gs_base(m: int, k: int) -> BaseTree:
 
 
 def gs(spec: GsSpec) -> OrientedTree:
-    """Build the generalized star with the requested orientation scheme."""
+    """Build the generalized star with the requested orientation scheme.
+
+    Every edge (u, v) of :func:`gs_base` points away from the center, so each
+    scheme is one mask of it: "out" flips nothing, "in" every edge, and
+    "layered" the edges whose far end v sits on an odd layer, (v - 1) % k even.
+    """
     base = gs_base(spec.m, spec.k)
-    if spec.scheme == "mask":
-        return orient(base, spec.mask)  # type: ignore[arg-type]
-    if spec.scheme != "layered":
-        return rooted_orientation(base, 0, spec.scheme)
-    arcs = []  # layered: arcs run from odd layers into adjacent even layers
-    for j in range(spec.m):
-        for layer in range(1, spec.k + 1):
-            lo = spec.layer_vertex(j, layer - 1)
-            hi = spec.layer_vertex(j, layer)
-            arcs.append((hi, lo) if layer % 2 == 1 else (lo, hi))
-    return OrientedTree(spec.n, tuple(arcs))
+    if spec.scheme == "layered":
+        odd = ((v - 1) % spec.k % 2 == 0 for _, v in base.edges)
+        mask = sum(flip << i for i, flip in enumerate(odd))
+    else:
+        mask = {"out": 0, "in": (1 << len(base.edges)) - 1, "mask": spec.mask}[spec.scheme]
+    return orient(base, mask)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

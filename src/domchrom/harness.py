@@ -37,7 +37,8 @@ each mask of base leaves, so every chi a record names is one table lookup,
 with no canonical code and no subtree built.  The predicates come from the
 in- and out-degrees of the arcs.  The tables live for one call, so no memo
 outlives a campaign.  The caterpillar and rooted-formula campaigns solve
-each tree they meet once.  Every solve is re-verified by its certificate check.
+each tree they meet once; a caterpillar record reads its spine off the
+spec.  Every solve is re-verified by its certificate check.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ from functools import partial
 
 from .errors import SpecInvalidError, TooLargeError
 from .formulas import (
-    _directed_spine,
     caterpillar_upper_coloring,
-    central_path,
     chi_path_orientation_min,
     chi_rooted,
     directed_spine_coloring,
@@ -57,6 +56,7 @@ from .formulas import (
 )
 from .generators import (
     CaterpillarSpec,
+    _relabeled,
     canonical_labels,
     caterpillar,
     free_trees,
@@ -223,17 +223,19 @@ def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
         if len(nbrs) != 1:
             continue
         kept = [
-            (i, a - (a > v), b - (b > v))
+            (i, (a - (a > v), b - (b > v)))
             for i, (a, b) in enumerate(base.edges)
             if v != a and v != b
         ]
-        label = canonical_labels(BaseTree(n - 1, [(a, b) for _, a, b in kept]))
-        edges = [(i, label[a], label[b]) for i, a, b in kept]
-        rep = BaseTree(n - 1, [(a, b) for _, a, b in edges])
+        # the relabelling keeps the vertex order, so the kept edges stay sorted
+        sub = BaseTree._trusted(n - 1, tuple(edge for _, edge in kept))
+        label = canonical_labels(sub)
+        rep = _relabeled(sub, label)
         position = {edge: p for p, edge in enumerate(rep.edges)}
         flips = 0
         moves = []
-        for i, a, b in edges:
+        for i, (a, b) in kept:
+            a, b = label[a], label[b]
             p = position[(a, b) if a < b else (b, a)]
             flips |= (a > b) << p
             moves.append((i, p))
@@ -498,20 +500,17 @@ def sample_caterpillar_specs(
 
 
 def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
+    """The record of one caterpillar, its spine read off the spec.  Legs sit
+    only on 1..m-2, so the path 0..m-1 is the longest path that
+    :func:`formulas.central_path` picks; ``spine_mask`` orients it, and it is
+    directed exactly when that mask is 0 or all ones."""
     index, spec = payload
     t = caterpillar(spec)
-    view = central_path(t)
-    m = view.m
-    spine_arcs = []
-    arcset = set(t.arcs)
-    for i in range(m - 1):
-        a, b = view.spine[i], view.spine[i + 1]
-        spine_arcs.append((i, i + 1) if (a, b) in arcset else (i + 1, i))
-    spine_tree = OrientedTree(m, tuple(spine_arcs))
+    m = spec.spine_len
     chi = _chi(t)
-    chi_spine = _chi(spine_tree)
+    chi_spine = _chi(orient(path(m), spec.spine_mask))
     upper = caterpillar_upper_coloring(t)
-    directed = _directed_spine(t, view.spine) is not None
+    directed = spec.spine_mask in (0, (1 << (m - 1)) - 1)
     directed_ok = None
     directed_cert = None
     if directed:
@@ -531,7 +530,7 @@ def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
         "instance": encode_tree(t),
         "n": t.n,
         "m": m,
-        "spine": list(view.spine),
+        "spine": list(range(m)),
         "spine_directed": directed,
         "chi": chi,
         "chi_spine": chi_spine,

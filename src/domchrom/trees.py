@@ -10,9 +10,9 @@ the solver's included, runs on :func:`_walk`, one iterative walk, at any depth.
 A tree's shape is validated once: by the public constructors on their
 inputs, or by the base tree it was derived from.  A tree derived from one
 already validated (an orientation, reversal, rooted orientation, leaf
-deletion, relabelling or one-leaf extension) is built by the private
-``_trusted`` constructor, which takes its pairs already sorted and checks
-nothing again.
+deletion, relabelling, one-leaf extension or underlying base tree) is built
+by the private ``_trusted`` constructor, which takes its pairs already sorted
+and checks nothing again.
 """
 
 from __future__ import annotations
@@ -211,7 +211,8 @@ class OrientedTree:
         return tuple(v for v, (out, inn) in enumerate(pairs) if len(out) + len(inn) == 1)
 
     def underlying(self) -> BaseTree:
-        return BaseTree(self.n, self.arcs)
+        edges = sorted((u, v) if u < v else (v, u) for u, v in self.arcs)
+        return BaseTree._trusted(self.n, tuple(edges))
 
 
 @dataclass(frozen=True)

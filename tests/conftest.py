@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator
 
 import pytest
@@ -17,6 +18,19 @@ def orientations(base: BaseTree) -> Iterator[OrientedTree]:
     for mask in range(1 << len(base.edges)):
         arcs = [(v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(base.edges)]
         yield OrientedTree(base.n, tuple(arcs))
+
+
+def count_validations(monkeypatch) -> Counter:
+    """Validating constructions from here on, by class name: every call of
+    ``BaseTree.__post_init__`` or ``OrientedTree.__post_init__``."""
+    counts: Counter = Counter()
+    for cls in (BaseTree, OrientedTree):
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
 
 
 @st.composite

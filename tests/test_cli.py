@@ -16,6 +16,8 @@ from domchrom.reports import ExperimentReport
 from domchrom.solver import solve_exact
 from domchrom.trees import build_tree
 
+from conftest import count_validations
+
 
 @pytest.fixture()
 def p5_file(tmp_path):
@@ -91,6 +93,13 @@ def test_orientations_json_all(p5_file, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["orientations"] == 16
     assert obj["min"]["chi"] == 3 and obj["max"]["chi"] == 5
+
+
+def test_orientations_validates_only_the_file(p5_file, monkeypatch):
+    # the base tree is the file's tree read once; underlying() checks nothing
+    counts = count_validations(monkeypatch)
+    assert cli_main(["orientations", p5_file, "--min"]) == 0
+    assert counts == {"OrientedTree": 1}
 
 
 # SHA-256 of ``orientations`` on the directed 12-vertex path in each format,

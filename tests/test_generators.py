@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import heapq
 import random
 from itertools import product
@@ -42,6 +43,10 @@ def labeled_trees(n: int):
 # which recomputes the small entries from scratch)
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
 
+# SHA-256 over the arcs of gs(GsSpec(m, k, scheme)) for m, k <= 7 and the
+# out, in and layered schemes (see test_gs_schemes_pinned)
+GS_ARCS_SHA256 = "f5b5cfbe0711e47eac57c69bcd08c6bdcdef4ac3721eac36c6474dcabac37c06"
+
 
 class TestFamilies:
     def test_path_shape(self):
@@ -62,6 +67,17 @@ class TestFamilies:
         t = gs(spec)
         odd = {spec.layer_vertex(j, layer) for j in range(2) for layer in (1, 3)}
         assert set(t.sources) == odd
+
+    def test_gs_schemes_pinned(self):
+        # recorded when "out" and "in" were rooted orientations and "layered"
+        # an explicit odd-to-even layer loop; each is now one mask of gs_base
+        digest = hashlib.sha256()
+        for m in range(1, 8):
+            for k in range(1, 8):
+                for scheme in ("out", "in", "layered"):
+                    arcs = gs(GsSpec(m, k, scheme)).arcs
+                    digest.update(repr((m, k, scheme, arcs)).encode())
+        assert digest.hexdigest() == GS_ARCS_SHA256
 
     def test_gs_size_formula(self):
         for m in range(1, 5):

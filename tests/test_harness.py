@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from domchrom import harness, io
+from domchrom import formulas, harness, io
 from domchrom.coloring import DominatorCertificate, verify_dominator
 from domchrom.errors import SpecInvalidError, TooLargeError
+from domchrom.formulas import central_path
 from domchrom.generators import (
+    CaterpillarSpec,
+    caterpillar,
     free_trees,
     gs_base,
     orient,
@@ -29,7 +33,7 @@ from domchrom.reports import ExperimentReport
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import OrientedTree, delete_leaf, reverse
 
-from conftest import orientations
+from conftest import count_validations, orientations
 
 def record_builds(monkeypatch) -> list[str]:
     """The oriented canonical code of every tree built from here on, by the
@@ -244,6 +248,14 @@ class TestLeafDeletionMemo:
         check_leaf_deletion(6)
         assert len(builds) == len(set(builds)) == 1 + 1 + 3 + 8 + 27 + 91
 
+    def test_each_base_tree_validated_once(self, monkeypatch):
+        # the only validations are the one-vertex seeds of free_trees(1..8);
+        # base - v and its representative, for each of the 183 (base, leaf)
+        # pairs, are derived from an already validated tree
+        counts = count_validations(monkeypatch)
+        check_leaf_deletion(8)
+        assert counts == {"BaseTree": 8}
+
     @staticmethod
     def _module_state():
         return {
@@ -428,6 +440,46 @@ class TestCaterpillarCampaign:
     def test_rejects_an_empty_sample(self, samples):
         with pytest.raises(SpecInvalidError, match="samples"):
             check_caterpillar_bounds(samples, seed=0)
+
+    def test_declared_spine_is_the_central_path(self):
+        # the record reads its spine off the spec: legs sit only on 1..m-2,
+        # so 0..m-1 is the longest path that central_path picks
+        checked = 0
+        for m in range(1, 9):
+            spare = 12 - m
+            for counts in product(range(spare + 1), repeat=max(m - 2, 0)):
+                if sum(counts) > spare:
+                    continue
+                legs = tuple((i, c) for i, c in enumerate(counts, 1) if c)
+                t = caterpillar(CaterpillarSpec(m, legs))
+                assert central_path(t).spine == tuple(range(m)), legs
+                checked += 1
+        assert checked == 1 + 1 + 10 + 45 + 120 + 210 + 252 + 210
+
+    def test_spine_directed_exactly_for_uniform_masks(self):
+        for m in range(1, 9):
+            legs = tuple((i, 1) for i in range(1, m - 1))
+            for mask in range(1 << (m - 1)):
+                t = caterpillar(CaterpillarSpec(m, legs, spine_mask=mask))
+                directed = formulas._directed_spine(t, central_path(t).spine)
+                assert (directed is not None) == (mask in (0, (1 << (m - 1)) - 1))
+
+    def test_one_validation_per_caterpillar(self, monkeypatch):
+        # one OrientedTree per caterpillar(spec) and one BaseTree per spine
+        # path(m); central_path runs in the upper coloring and, for the 72
+        # directed spines, in the directed-spine coloring, never in the record
+        counts = count_validations(monkeypatch)
+        paths = []
+
+        def counting_central_path(t):
+            paths.append(t)
+            return central_path(t)
+
+        monkeypatch.setattr(formulas, "central_path", counting_central_path)
+        rep = check_caterpillar_bounds(200, seed=1)
+        assert rep.summary["directed_spines"] == 72
+        assert counts == {"OrientedTree": 200, "BaseTree": 200}
+        assert len(paths) == 272
 
     def test_sampler_accepts_spine_min_equal_to_n_max(self):
         specs, _ = sample_caterpillar_specs(5, 0, n_max=3, spine_min=3, spine_max=3)

@@ -239,6 +239,16 @@ class TestTrustedConstructor:
                         t = rooted_orientation(base, root, sense)
                         _assert_as_validated(t, OrientedTree(n, t.arcs))
 
+    def test_underlying_equals_the_validated_base(self):
+        # underlying() sorts the (min, max) pairs itself and checks nothing
+        for n in range(1, 8):
+            for base in free_trees(n):
+                for t in orientations(base):
+                    underlying, validated = t.underlying(), BaseTree(n, t.arcs)
+                    assert underlying == validated == base
+                    assert hash(underlying) == hash(validated)
+                    assert underlying.edges == validated.edges
+
     def test_free_trees_and_canonical_forms(self):
         for n in range(1, 10):
             for base in free_trees(n):
