@@ -49,12 +49,8 @@ class KTooSmallError(DomchromError, ValueError):
     """Layered generalized-star operations need paths of at least 2 edges."""
 
 
-class NotACaterpillarError(DomchromError, ValueError):
-    """Some vertex lies at distance 2 or more from every longest path."""
-
-
 class SpineNotDirectedError(DomchromError, ValueError):
-    """The central path of the caterpillar is not a directed path."""
+    """The spine of the caterpillar is not a directed path."""
 
 
 class SpecInvalidError(DomchromError, ValueError):

@@ -11,14 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import Coloring, DominatorCertificate, Violation, verify_dominator
-from .errors import (
-    KTooSmallError,
-    NotACaterpillarError,
-    NotRootedError,
-    SpineNotDirectedError,
-)
-from .generators import GsSpec, gs, star, orient
-from .trees import OrientedTree, _walk, classify_rooted
+from .errors import KTooSmallError, NotRootedError, SpineNotDirectedError
+from .generators import CaterpillarSpec, GsSpec, caterpillar, gs, orient, star
+from .trees import OrientedTree, classify_rooted
 
 
 def chi_directed_path(n: int) -> int:
@@ -178,154 +173,42 @@ def build_layered_gs(m: int, k: int) -> LayeredStarResult:
 # caterpillars
 
 
-@dataclass(frozen=True)
-class CaterpillarView:
-    """A caterpillar seen as a longest path (spine) plus off-spine legs.
-
-    ``spine`` is the deterministic longest path (lexicographically smallest
-    vertex sequence over all longest paths, read from its smaller endpoint).
-    ``legs`` holds the off-spine arcs, each joining a spine vertex to one
-    off-spine leaf.
-    """
-
-    spine: tuple[int, ...]
-    legs: tuple[tuple[int, int], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.spine)
-
-
-def _depths(order: list[int], parent: list[int]) -> list[int]:
-    """Distances from the root of a :func:`_walk`."""
-    depth = [0] * len(order)
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-    return depth
-
-
-def _longest_path(t: OrientedTree) -> tuple[int, ...]:
-    """The lexicographically smallest longest path, read from its smaller end.
-
-    A vertex ends some longest path exactly when its eccentricity is the
-    diameter D, and the eccentricity of v is max(d(x, v), d(y, v)) for the
-    two ends x, y of any one longest path.  The smallest such vertex a
-    starts the path.  Rooted at a, every longest path descends through
-    subtrees of heights D - 1, D - 2, ..., 0, so taking the smallest child
-    of the required height at each step gives the smallest sequence.
-    Linear in n.
-    """
-    adj = t.neighbors
-    order = _walk(0, adj)[0]
-    order, parent, _ = _walk(order[-1], adj)
-    dx = _depths(order, parent)
-    dy = _depths(*_walk(order[-1], adj)[:2])
-    diameter = dx[order[-1]]
-    a = next(v for v in range(t.n) if max(dx[v], dy[v]) == diameter)
-    order, parent, _ = _walk(a, adj)
-    height = [0] * t.n
-    for v in order[:0:-1]:
-        p = parent[v]
-        if height[p] <= height[v]:
-            height[p] = height[v] + 1
-    spine = [a]
-    for h in range(diameter - 1, -1, -1):
-        u = spine[-1]
-        spine.append(min(w for w in adj[u] if w != parent[u] and height[w] == h))
-    return tuple(spine)
-
-
-def central_path(t: OrientedTree) -> CaterpillarView:
-    """Deterministic longest underlying path with attached legs.
-
-    The spine is the lexicographically smallest longest path, written from
-    its smaller endpoint (see :func:`_longest_path`).  Raises when some
-    vertex is farther than one step from the chosen spine.
-    """
-    n = t.n
-    best = _longest_path(t)
-    spine_set = set(best)
-    legs = []
-    for tail, head in t.arcs:
-        if tail in spine_set and head in spine_set:
-            continue
-        legs.append((tail, head))
-    for v in range(n):
-        if v in spine_set:
-            continue
-        if not any(w in spine_set for w in t.neighbors[v]):
-            raise NotACaterpillarError(
-                f"vertex {v} is at distance >= 2 from the central path"
-            )
-    return CaterpillarView(spine=best, legs=tuple(sorted(legs)))
-
-
-def caterpillar_upper_coloring(t: OrientedTree) -> DominatorCertificate:
-    """Constructive coloring of an oriented caterpillar with <= 2m-1 colors.
-
-    Spine vertices get unique colors.  Off-spine sources share one fresh
-    color (their spine target is uniquely colored, so they dominate it);
-    the remaining off-spine vertices are sinks fed by their spine neighbor
-    and are grouped into one class per feeding spine vertex, which that
-    vertex dominates when it has no spine out-arc.
-    """
-    view = central_path(t)
-    labels = [0] * t.n
-    for i, v in enumerate(view.spine):
-        labels[v] = i + 1
-    nxt = view.m + 1
-    source_color = None
-    spine_set = set(view.spine)
-    group_color: dict[int, int] = {}
-    for tail, head in sorted(view.legs):
-        if head in spine_set:  # off-spine source pointing at the spine
-            if source_color is None:
-                source_color = nxt
-                nxt += 1
-            labels[tail] = source_color
-        else:  # spine vertex feeding an off-spine sink
-            if tail not in group_color:
-                group_color[tail] = nxt
-                nxt += 1
-            labels[head] = group_color[tail]
-    cert = verify_dominator(t, Coloring.from_labels(labels))
+def _certified(spec: CaterpillarSpec, labels: list[int]) -> DominatorCertificate:
+    """The certificate of ``labels`` on ``caterpillar(spec)``; only the
+    classes count, since the labels are renumbered by first use."""
+    cert = verify_dominator(caterpillar(spec), Coloring.from_labels(labels))
     if not isinstance(cert, DominatorCertificate):  # pragma: no cover
         raise RuntimeError("caterpillar construction failed verification")
     return cert
 
 
-def _directed_spine(t: OrientedTree, spine: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The spine ordered along its arc directions, or None when not directed."""
-    if len(spine) == 1:
-        return spine
-    arcs = set(t.arcs)
-    if all((spine[i], spine[i + 1]) in arcs for i in range(len(spine) - 1)):
-        return spine
-    if all((spine[i + 1], spine[i]) in arcs for i in range(len(spine) - 1)):
-        return tuple(reversed(spine))
-    return None
+def caterpillar_upper_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
+    """Constructive coloring of an oriented caterpillar with <= 2m-1 colors.
+
+    Read off the spec: the spine 0..m-1 gets unique colors, and leg j is
+    vertex m + j in ``spec.legs`` order.  Legs whose ``legs_mask`` bit is
+    set are sources pointing at the spine; they share one color (their
+    spine target is uniquely colored, so they dominate it).  The others are
+    sinks fed by their spine vertex, one class per feeding vertex, which
+    that vertex dominates when it has no spine out-arc.
+    """
+    m = spec.spine_len
+    feet = [idx for idx, count in spec.legs for _ in range(count)]
+    legs = [m + 1 if spec.legs_mask >> j & 1 else m + 2 + idx for j, idx in enumerate(feet)]
+    return _certified(spec, list(range(1, m + 1)) + legs)
 
 
-def directed_spine_coloring(t: OrientedTree) -> DominatorCertificate:
-    """Exactly m colors when the central path is a directed path.
+def directed_spine_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
+    """Exactly m colors when the spine is a directed path.
 
-    The spine v1 -> ... -> vm is colored 1..m; every off-spine vertex reuses
-    the color of v1 (as a longest-path endpoint, v1 has no legs): off-spine
-    sources dominate their uniquely colored spine target and off-spine sinks
+    The spine is directed exactly when ``spine_mask`` is 0, its head then
+    vertex 0, or all ones, its head m - 1.  The spine gets unique colors and
+    every leg reuses the head's color (legs sit on 1..m-2, so the head has
+    none): sources dominate their uniquely colored spine target and sinks
     are exempt.
     """
-    view = central_path(t)
-    ordered = _directed_spine(t, view.spine)
-    if ordered is None:
-        raise SpineNotDirectedError("central path is not a directed path")
-    labels = [0] * t.n
-    for i, v in enumerate(ordered):
-        labels[v] = i + 1
-    head_color = labels[ordered[0]]
-    for v in range(t.n):
-        if labels[v] == 0:
-            labels[v] = head_color
-    cert = verify_dominator(t, Coloring.from_labels(labels))
-    if not isinstance(cert, DominatorCertificate):  # pragma: no cover
-        raise RuntimeError("directed-spine construction failed verification")
-    return cert
+    m = spec.spine_len
+    if spec.spine_mask not in (0, (1 << (m - 1)) - 1):
+        raise SpineNotDirectedError("spine is not a directed path")
+    head = 1 if spec.spine_mask == 0 else m
+    return _certified(spec, list(range(1, m + 1)) + [head] * (spec.n - m))

@@ -5,8 +5,9 @@ stars, caterpillars, uniformly random labeled trees, the orientations of a
 base tree (bitmask per edge) and their directed-isomorphism classes, and one
 representative per isomorphism class of free trees up to a size cap.  A tree
 derived from a validated base tree (an orientation, every generalized-star
-scheme among them, a canonical form, a one-leaf extension) is built by the
-trees' private ``_trusted`` constructors and not validated again.
+scheme among them, a canonical form, a one-leaf extension) or from a
+validated caterpillar spec is built by the trees' private ``_trusted``
+constructors and not validated again.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ _FREE_TREE_CAP = 12
 _MASK_WIDTH_CAP = 26
 
 GS_SCHEMES = ("out", "in", "layered", "mask")
+
+
+def _spec_int(value, name: str) -> int:
+    """``value`` as a plain int, else :class:`SpecInvalidError`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise SpecInvalidError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +117,12 @@ class CaterpillarSpec:
     """Caterpillar built from a spine of ``spine_len`` vertices plus legs.
 
     ``legs`` lists (spine index, leg count) with indices restricted to
-    1..spine_len-2, which keeps the declared spine a longest path.  Arc
+    1..spine_len-2, which keeps the declared spine a longest path; leg j
+    is vertex spine_len + j, in the order the pairs list them.  Arc
     directions come from bitmasks: bit 0 keeps the edge as listed
-    (spine i -> i+1, spine -> leg), bit 1 flips it.
+    (spine i -> i+1, spine -> leg), bit 1 flips it.  Every field is
+    normalized to ints (``legs`` to a tuple of int pairs), so a spec that
+    constructs is a valid caterpillar.
     """
 
     spine_len: int
@@ -119,11 +131,20 @@ class CaterpillarSpec:
     legs_mask: int = 0
 
     def __post_init__(self) -> None:
-        m = self.spine_len
+        m = _spec_int(self.spine_len, "spine_len")
+        try:
+            pairs = [(idx, count) for idx, count in self.legs]
+        except (TypeError, ValueError):
+            raise SpecInvalidError(f"legs must be (index, count) pairs, got {self.legs!r}") from None
+        legs = tuple((_spec_int(i, "leg index"), _spec_int(c, "leg count")) for i, c in pairs)
+        object.__setattr__(self, "spine_len", m)
+        object.__setattr__(self, "legs", legs)
+        for name in ("spine_mask", "legs_mask"):
+            object.__setattr__(self, name, _spec_int(getattr(self, name), name))
         if m < 1:
             raise SpecInvalidError("spine must have at least one vertex")
         total_legs = 0
-        for idx, count in self.legs:
+        for idx, count in legs:
             if count < 1:
                 raise SpecInvalidError("leg count must be >= 1")
             if not (1 <= idx <= m - 2):
@@ -142,6 +163,8 @@ class CaterpillarSpec:
 
 
 def caterpillar(spec: CaterpillarSpec) -> OrientedTree:
+    """The oriented caterpillar of ``spec``.  A spec is valid by construction,
+    so the tree is built without a second check."""
     m = spec.spine_len
     arcs = []
     for i in range(m - 1):
@@ -159,19 +182,11 @@ def caterpillar(spec: CaterpillarSpec) -> OrientedTree:
                 arcs.append((idx, nxt))
             nxt += 1
             bit += 1
-    return OrientedTree(spec.n, tuple(arcs))
+    return OrientedTree._trusted(spec.n, tuple(sorted(arcs)))
 
 
 # ---------------------------------------------------------------------------
 # orientations of a base tree
-
-
-def _spec_int(value, name: str) -> int:
-    """``value`` as a plain int, else :class:`SpecInvalidError`."""
-    try:
-        return index(value)
-    except TypeError:
-        raise SpecInvalidError(f"{name} must be an integer, got {value!r}") from None
 
 
 def orient(base: BaseTree, mask: int) -> OrientedTree:

@@ -37,8 +37,9 @@ each mask of base leaves, so every chi a record names is one table lookup,
 with no canonical code and no subtree built.  The predicates come from the
 in- and out-degrees of the arcs.  The tables live for one call, so no memo
 outlives a campaign.  The caterpillar and rooted-formula campaigns solve
-each tree they meet once; a caterpillar record reads its spine off the
-spec.  Every solve is re-verified by its certificate check.
+each tree they meet once; a caterpillar record and both constructions it
+checks read the spine and the legs off the spec, so nothing searches for a
+longest path.  Every solve is re-verified by its certificate check.
 """
 
 from __future__ import annotations
@@ -501,20 +502,21 @@ def sample_caterpillar_specs(
 
 def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
     """The record of one caterpillar, its spine read off the spec.  Legs sit
-    only on 1..m-2, so the path 0..m-1 is the longest path that
-    :func:`formulas.central_path` picks; ``spine_mask`` orients it, and it is
-    directed exactly when that mask is 0 or all ones."""
+    only on 1..m-2, so the path 0..m-1 is a longest path (the
+    lexicographically smallest); ``spine_mask`` orients it, and it is
+    directed exactly when that mask is 0 or all ones.  Both constructions
+    take the spec and verify against their own ``caterpillar(spec)``."""
     index, spec = payload
     t = caterpillar(spec)
     m = spec.spine_len
     chi = _chi(t)
     chi_spine = _chi(orient(path(m), spec.spine_mask))
-    upper = caterpillar_upper_coloring(t)
+    upper = caterpillar_upper_coloring(spec)
     directed = spec.spine_mask in (0, (1 << (m - 1)) - 1)
     directed_ok = None
     directed_cert = None
     if directed:
-        cert = directed_spine_coloring(t)
+        cert = directed_spine_coloring(spec)
         directed_cert = certificate_to_obj(cert)
         directed_ok = chi == m and cert.coloring.k == m
     lower_ok = chi_spine <= chi

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from typing import Iterator
 
 import pytest
@@ -18,6 +19,44 @@ def orientations(base: BaseTree) -> Iterator[OrientedTree]:
     for mask in range(1 << len(base.edges)):
         arcs = [(v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(base.edges)]
         yield OrientedTree(base.n, tuple(arcs))
+
+
+def reference_longest_path(t: OrientedTree) -> tuple[int, ...]:
+    """The lexicographically smallest longest path of ``t``, read from its
+    smaller endpoint, straight from the definition: every pair at maximum
+    distance is compared.  Quadratic in n, so for small trees only."""
+    dist, parent = [], []
+    for src in range(t.n):
+        d, p = [-1] * t.n, [-1] * t.n
+        d[src] = 0
+        queue = [src]
+        for u in queue:
+            for w in t.neighbors[u]:
+                if d[w] < 0:
+                    d[w], p[w] = d[u] + 1, u
+                    queue.append(w)
+        dist.append(d)
+        parent.append(p)
+    diameter = max(max(row) for row in dist)
+    paths = []
+    for a in range(t.n):
+        for b in range(a, t.n):
+            if dist[a][b] == diameter:
+                seq = [a]
+                while seq[-1] != b:
+                    seq.append(parent[b][seq[-1]])
+                paths.append(tuple(seq))
+    return min(paths)
+
+
+def caterpillar_layouts(spine_max: int, n_max: int) -> Iterator[tuple[int, tuple]]:
+    """Every (spine_len, legs) of a caterpillar with at most ``spine_max``
+    spine vertices and ``n_max`` vertices, legs listed by spine index."""
+    for m in range(1, spine_max + 1):
+        spare = n_max - m
+        for counts in product(range(spare + 1), repeat=max(m - 2, 0)):
+            if sum(counts) <= spare:
+                yield m, tuple((i, c) for i, c in enumerate(counts, 1) if c)
 
 
 def count_validations(monkeypatch) -> Counter:

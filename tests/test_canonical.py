@@ -15,7 +15,6 @@ import pytest
 
 from domchrom import harness
 from domchrom.errors import TooLargeError
-from domchrom.formulas import central_path
 from domchrom.generators import (
     _centers,
     canonical_code,
@@ -34,7 +33,7 @@ from domchrom.harness import check_leaf_deletion
 from domchrom.solver import solve_exact
 from domchrom.trees import BaseTree, OrientedTree
 
-from conftest import orientations
+from conftest import orientations, reference_longest_path
 
 FREE_TREES_DIGEST = "70f80da3e895e585339ca9dfaca917dac4c3c76a14c004fdc982932926d978d5"
 CODES_AND_FORMS_DIGEST = "cdffee8f6852527fe30bdf40b82a61018d4cfc645f316e3557f11a770563881b"
@@ -246,5 +245,12 @@ def test_deep_trees_under_default_recursion_limit(make):
     code = oriented_canonical_code(in_tree)
     assert len(code) == 3 * n - 1  # n bracket pairs and n - 1 direction tags
     assert oriented_canonical_code(mirrored) == code
-    spine = central_path(out_tree).spine
-    assert len(spine) == (n if make is path else n // 2 + 1)
+
+
+@pytest.mark.parametrize("make", [path, _broom], ids=["path", "broom"])
+def test_deep_tree_shapes(make):
+    # the longest path of each deep shape, at sizes the quadratic reference
+    # can afford: the whole path, or the broom's handle and one bristle
+    for n in range(4, 41):
+        out_tree = rooted_orientation(make(n), 0, "out")
+        assert len(reference_longest_path(out_tree)) == (n if make is path else n // 2 + 1)

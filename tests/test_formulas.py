@@ -1,21 +1,15 @@
 from __future__ import annotations
 
-import random
+import hashlib
+from itertools import product
 
 import pytest
 
 from domchrom.coloring import DominatorCertificate, verify_dominator
-from domchrom.errors import (
-    KTooSmallError,
-    NotACaterpillarError,
-    NotRootedError,
-    SpineNotDirectedError,
-)
+from domchrom.errors import KTooSmallError, NotRootedError, SpineNotDirectedError
 from domchrom.formulas import (
-    _longest_path,
     build_layered_gs,
     caterpillar_upper_coloring,
-    central_path,
     chi_directed_path,
     chi_path_orientation_min,
     chi_rooted,
@@ -30,16 +24,14 @@ from domchrom.generators import (
     caterpillar,
     free_trees,
     gs,
-    orient,
     path,
-    random_tree,
     rooted_orientation,
     star,
 )
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import build_tree
 
-from conftest import orientations
+from conftest import caterpillar_layouts, orientations
 
 
 class TestDirectedPath:
@@ -169,134 +161,81 @@ class TestLayeredConstruction:
             build_layered_gs(3, 1)
 
 
-class TestCentralPath:
-    def test_bare_path(self):
-        t = build_tree(4, [(0, 1), (1, 2), (2, 3)])
-        view = central_path(t)
-        assert view.spine == (0, 1, 2, 3) and view.legs == ()
-
-    def test_star_spine_through_center(self):
-        t = build_tree(4, [(0, 1), (0, 2), (0, 3)])
-        view = central_path(t)
-        assert view.spine == (1, 0, 2)
-        assert view.legs == ((0, 3),)
-
-    def test_spine_with_internal_leg(self):
-        t = build_tree(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
-        view = central_path(t)
-        assert view.spine == (0, 1, 2, 3)
-        assert view.legs == ((1, 4),)
-
-    @staticmethod
-    def reference_longest_path(t):
-        # the definition: over every pair at maximum distance, the path read
-        # from its smaller endpoint; keep the lexicographically smallest
-        dist, parent = [], []
-        for src in range(t.n):
-            d, p = [-1] * t.n, [-1] * t.n
-            d[src] = 0
-            queue = [src]
-            for u in queue:
-                for w in t.neighbors[u]:
-                    if d[w] < 0:
-                        d[w], p[w] = d[u] + 1, u
-                        queue.append(w)
-            dist.append(d)
-            parent.append(p)
-        diameter = max(max(row) for row in dist)
-        paths = []
-        for a in range(t.n):
-            for b in range(a, t.n):
-                if dist[a][b] == diameter:
-                    seq = [a]
-                    while seq[-1] != b:
-                        seq.append(parent[b][seq[-1]])
-                    paths.append(tuple(seq))
-        return min(paths)
-
-    @staticmethod
-    def relabelled(base, rng):
-        perm = list(range(base.n))
-        rng.shuffle(perm)
-        return build_tree(base.n, [(perm[u], perm[v]) for u, v in base.edges])
-
-    def test_longest_path_matches_definition_on_free_trees(self):
-        rng = random.Random(0)
-        for n in range(1, 11):
-            for base in free_trees(n):
-                for t in [orient(base, 0)] + [self.relabelled(base, rng) for _ in range(5)]:
-                    assert _longest_path(t) == self.reference_longest_path(t), t
-
-    def test_longest_path_matches_definition_on_random_trees(self):
-        for seed in range(300):
-            n = 11 + seed % 50
-            t = orient(random_tree(n, seed), 0)
-            assert _longest_path(t) == self.reference_longest_path(t), seed
-
-    def test_long_caterpillar_is_linear(self):
-        # an all-pairs distance table would hold 10^8 entries here
-        spine = 10_000
-        spec = CaterpillarSpec(spine, tuple((i, 1) for i in range(1, spine - 1)))
-        view = central_path(caterpillar(spec))
-        assert view.spine == tuple(range(spine))
-        assert len(view.legs) == spine - 2
-
-    def test_not_a_caterpillar(self):
-        # three legs of length 2 joined at a center: one leg end is at
-        # distance 2 from any longest path
-        t = gs(GsSpec(3, 2, "out"))
-        with pytest.raises(NotACaterpillarError):
-            central_path(t)
+# SHA-256 over both constructions' certificates for every caterpillar spec
+# with n <= 9 (see test_caterpillar_certificates_pinned), recorded while the
+# constructions still found the spine as the tree's longest path
+CATERPILLAR_CERT_SHA256 = "cccac301f12c74c1108ff485aa16c21ff21ee775c93777a30cf9b6d37263f39b"
 
 
 class TestCaterpillarColorings:
     def test_upper_with_out_leg(self):
-        t = build_tree(4, [(0, 1), (1, 2), (1, 3)])
-        cert = caterpillar_upper_coloring(t)
+        spec = CaterpillarSpec(3, ((1, 1),))
+        assert caterpillar(spec) == build_tree(4, [(0, 1), (1, 2), (1, 3)])
+        cert = caterpillar_upper_coloring(spec)
         assert cert.k == 4 <= 2 * 3 - 1
 
     def test_upper_with_source_leg(self):
-        t = build_tree(4, [(0, 1), (1, 2), (3, 1)])
-        cert = caterpillar_upper_coloring(t)
+        spec = CaterpillarSpec(3, ((1, 1),), legs_mask=1)
+        assert caterpillar(spec) == build_tree(4, [(0, 1), (1, 2), (3, 1)])
+        cert = caterpillar_upper_coloring(spec)
         assert cert.k == 4
 
     def test_upper_bare_path(self):
-        t = build_tree(4, [(0, 1), (1, 2), (2, 3)])
-        cert = caterpillar_upper_coloring(t)
+        cert = caterpillar_upper_coloring(CaterpillarSpec(4))
         assert cert.k == 4 <= 7
 
     def test_directed_spine_with_legs(self):
-        t = build_tree(
-            7,
-            [(0, 1), (1, 2), (2, 3), (3, 4), (5, 2), (2, 6)],
-        )
-        cert = directed_spine_coloring(t)
+        # spine 0 -> ... -> 4, a source leg 5 -> 2 and a sink leg 2 -> 6
+        spec = CaterpillarSpec(5, ((2, 2),), legs_mask=0b01)
+        t = caterpillar(spec)
+        assert t == build_tree(7, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 2), (2, 6)])
+        cert = directed_spine_coloring(spec)
         assert cert.k == 5
         assert solve_exact(t).chi == 5
 
     def test_directed_spine_bare_p5(self):
-        t = build_tree(5, [(i, i + 1) for i in range(4)])
-        assert directed_spine_coloring(t).k == 5
+        assert directed_spine_coloring(CaterpillarSpec(5)).k == 5
 
     def test_directed_spine_detects_backward_listing(self):
-        # arcs run against the lexicographic listing; still a directed path
-        t = build_tree(3, [(2, 1), (1, 0)])
-        assert directed_spine_coloring(t).k == 3
+        # every spine arc points from i + 1 to i; still a directed path
+        spec = CaterpillarSpec(3, spine_mask=0b11)
+        assert caterpillar(spec) == build_tree(3, [(2, 1), (1, 0)])
+        assert directed_spine_coloring(spec).k == 3
 
     def test_spine_not_directed(self):
-        t = build_tree(3, [(0, 1), (2, 1)])
+        spec = CaterpillarSpec(3, spine_mask=0b10)
+        assert caterpillar(spec) == build_tree(3, [(0, 1), (2, 1)])
         with pytest.raises(SpineNotDirectedError):
-            directed_spine_coloring(t)
+            directed_spine_coloring(spec)
 
     def test_constructions_verify_on_random_caterpillars(self):
         from domchrom.harness import sample_caterpillar_specs
-        from domchrom.generators import caterpillar
 
         specs, _ = sample_caterpillar_specs(40, seed=7, n_max=11)
         for spec in specs:
-            t = caterpillar(spec)
-            cert = caterpillar_upper_coloring(t)
-            out = verify_dominator(t, cert.coloring)
+            cert = caterpillar_upper_coloring(spec)
+            out = verify_dominator(caterpillar(spec), cert.coloring)
             assert isinstance(out, DominatorCertificate)
-            m = central_path(t).m
-            assert cert.k <= 2 * m - 1
+            assert cert.k <= 2 * spec.spine_len - 1
+
+    def test_caterpillar_certificates_pinned(self):
+        """Both constructions' certificates on every spec with n <= 9: every
+        leg layout, spine mask and legs mask, and the directed-spine coloring
+        wherever the spine is directed.  Any valid coloring would pass the
+        other tests; this one keeps the constructions' choice fixed."""
+        h = hashlib.sha256()
+        count = directed = 0
+        for m, legs in caterpillar_layouts(9, 9):
+            width = sum(c for _, c in legs)
+            for spine_mask, legs_mask in product(range(1 << (m - 1)), range(1 << width)):
+                spec = CaterpillarSpec(m, legs, spine_mask, legs_mask)
+                up = caterpillar_upper_coloring(spec)
+                line = f"{m}|{legs}|{spine_mask}|{legs_mask}|{up.coloring.colors}|{up.witnesses}"
+                if spine_mask in (0, (1 << (m - 1)) - 1):
+                    cert = directed_spine_coloring(spec)
+                    line += f"|{cert.coloring.colors}|{cert.witnesses}"
+                    directed += 1
+                h.update((line + "\n").encode())
+                count += 1
+        assert (count, directed) == (21_847, 2_189)
+        assert h.hexdigest() == CATERPILLAR_CERT_SHA256

@@ -28,6 +28,8 @@ from domchrom.generators import (
 )
 from domchrom.trees import BaseTree, OrientedTree, reverse
 
+from conftest import caterpillar_layouts
+
 
 def labeled_trees(n: int):
     """Every labeled tree on n vertices, one per generator sequence: an
@@ -110,6 +112,47 @@ class TestFamilies:
         # a mask needs one bit per edge it orients; with no edges it must be 0
         with pytest.raises(SpecInvalidError):
             CaterpillarSpec(**spec)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (3, ((1, 1.0),)),
+            (3.0,),
+            (3, (), 1.0),
+            (3, (), 0, 1.0),
+            (3, ((1.0, 1),)),
+            (3, 5),
+            (3, ((1,),)),
+        ],
+        ids=["leg-count", "spine-len", "spine-mask", "legs-mask", "leg-index", "legs", "leg-pair"],
+    )
+    def test_caterpillar_spec_rejects_non_integers(self, args):
+        with pytest.raises(SpecInvalidError):
+            CaterpillarSpec(*args)
+
+    def test_caterpillar_spec_normalizes_to_ints(self):
+        spec = CaterpillarSpec(3, [[1, True], [True, 1]], False, 3)
+        assert spec.legs == ((1, 1), (1, 1)) and spec.spine_mask == 0
+        assert all(type(x) is int for pair in spec.legs for x in (*pair, spec.spine_mask))
+        assert type(spec.legs) is tuple and all(type(pair) is tuple for pair in spec.legs)
+
+    def test_caterpillar_equals_the_validated_build(self):
+        # caterpillar builds its arcs without validation; the validating
+        # constructor accepts the same arcs, listed as the spec describes them
+        rng = random.Random(0)
+        for m, legs in caterpillar_layouts(8, 12):
+            feet = [idx for idx, count in legs for _ in range(count)]
+            spine_all, legs_all = (1 << (m - 1)) - 1, (1 << len(feet)) - 1
+            masks = [(0, 0), (spine_all, legs_all)]
+            masks += [(rng.randint(0, spine_all), rng.randint(0, legs_all)) for _ in range(3)]
+            for spine_mask, legs_mask in masks:
+                spec = CaterpillarSpec(m, legs, spine_mask, legs_mask)
+                arcs = [(i + 1, i) if spine_mask >> i & 1 else (i, i + 1) for i in range(m - 1)]
+                arcs += [
+                    (m + j, idx) if legs_mask >> j & 1 else (idx, m + j)
+                    for j, idx in enumerate(feet)
+                ]
+                assert caterpillar(spec) == OrientedTree(spec.n, tuple(arcs)), spec
 
 
 def every_mask(base: BaseTree) -> list[OrientedTree]:

@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from itertools import product
 
 import pytest
 
-from domchrom import formulas, harness, io
+from domchrom import harness, io
 from domchrom.coloring import DominatorCertificate, verify_dominator
-from domchrom.errors import SpecInvalidError, TooLargeError
-from domchrom.formulas import central_path
+from domchrom.errors import SpecInvalidError, SpineNotDirectedError, TooLargeError
+from domchrom.formulas import directed_spine_coloring
 from domchrom.generators import (
     CaterpillarSpec,
     caterpillar,
@@ -33,7 +32,7 @@ from domchrom.reports import ExperimentReport
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import OrientedTree, delete_leaf, reverse
 
-from conftest import count_validations, orientations
+from conftest import caterpillar_layouts, count_validations, orientations, reference_longest_path
 
 def record_builds(monkeypatch) -> list[str]:
     """The oriented canonical code of every tree built from here on, by the
@@ -442,44 +441,54 @@ class TestCaterpillarCampaign:
             check_caterpillar_bounds(samples, seed=0)
 
     def test_declared_spine_is_the_central_path(self):
-        # the record reads its spine off the spec: legs sit only on 1..m-2,
-        # so 0..m-1 is the longest path that central_path picks
+        # the record and both constructions read the spine off the spec:
+        # legs sit only on 1..m-2, so 0..m-1 is the tree's smallest longest path
         checked = 0
-        for m in range(1, 9):
-            spare = 12 - m
-            for counts in product(range(spare + 1), repeat=max(m - 2, 0)):
-                if sum(counts) > spare:
-                    continue
-                legs = tuple((i, c) for i, c in enumerate(counts, 1) if c)
-                t = caterpillar(CaterpillarSpec(m, legs))
-                assert central_path(t).spine == tuple(range(m)), legs
-                checked += 1
+        for m, legs in caterpillar_layouts(8, 12):
+            t = caterpillar(CaterpillarSpec(m, legs))
+            assert reference_longest_path(t) == tuple(range(m)), legs
+            checked += 1
         assert checked == 1 + 1 + 10 + 45 + 120 + 210 + 252 + 210
 
     def test_spine_directed_exactly_for_uniform_masks(self):
         for m in range(1, 9):
             legs = tuple((i, 1) for i in range(1, m - 1))
             for mask in range(1 << (m - 1)):
-                t = caterpillar(CaterpillarSpec(m, legs, spine_mask=mask))
-                directed = formulas._directed_spine(t, central_path(t).spine)
-                assert (directed is not None) == (mask in (0, (1 << (m - 1)) - 1))
+                spec = CaterpillarSpec(m, legs, spine_mask=mask)
+                t = caterpillar(spec)
+                spine = reference_longest_path(t)
+                steps = set(zip(spine, spine[1:]))
+                directed = steps <= set(t.arcs) or {(v, u) for u, v in steps} <= set(t.arcs)
+                assert directed == (mask in (0, (1 << (m - 1)) - 1))
+                if directed:
+                    assert directed_spine_coloring(spec).k == m
+                else:
+                    with pytest.raises(SpineNotDirectedError):
+                        directed_spine_coloring(spec)
 
     def test_one_validation_per_caterpillar(self, monkeypatch):
-        # one OrientedTree per caterpillar(spec) and one BaseTree per spine
-        # path(m); central_path runs in the upper coloring and, for the 72
-        # directed spines, in the directed-spine coloring, never in the record
+        # caterpillar(spec) trusts its validated spec, so the only validating
+        # builds are the 200 spine paths path(m); both constructions are
+        # handed the spec, the directed one for the 72 directed spines
         counts = count_validations(monkeypatch)
-        paths = []
+        handed = Counter()
 
-        def counting_central_path(t):
-            paths.append(t)
-            return central_path(t)
+        def counting(name, construct):
+            def wrapper(arg):
+                handed[name, type(arg).__name__] += 1
+                return construct(arg)
 
-        monkeypatch.setattr(formulas, "central_path", counting_central_path)
+            monkeypatch.setattr(harness, name, wrapper)
+
+        counting("caterpillar_upper_coloring", harness.caterpillar_upper_coloring)
+        counting("directed_spine_coloring", harness.directed_spine_coloring)
         rep = check_caterpillar_bounds(200, seed=1)
         assert rep.summary["directed_spines"] == 72
-        assert counts == {"OrientedTree": 200, "BaseTree": 200}
-        assert len(paths) == 272
+        assert counts == {"BaseTree": 200}
+        assert handed == {
+            ("caterpillar_upper_coloring", "CaterpillarSpec"): 200,
+            ("directed_spine_coloring", "CaterpillarSpec"): 72,
+        }
 
     def test_sampler_accepts_spine_min_equal_to_n_max(self):
         specs, _ = sample_caterpillar_specs(5, 0, n_max=3, spine_min=3, spine_max=3)
@@ -595,6 +604,12 @@ REPORT_DIGESTS = {
     "caterpillar-50-seed-0": (
         lambda: check_caterpillar_bounds(50, seed=0),
         "0133a9ba74e13dad5174049feabcaa78102c429a5e674d4e531b89ce17904436",
+    ),
+    # spines of 1 and 2 vertices (203 and 248 records), which the 50-sample
+    # pin never draws, and 180 all-ones directed spines with m >= 2
+    "caterpillar-2000-seed-7-wide": (
+        lambda: check_caterpillar_bounds(2000, seed=7, n_max=14, spine_min=1, spine_max=10),
+        "28ee6db1c8cdfd6096a9664da5a6a960f89c516402439910676afc21d847b1d3",
     ),
     "conjecture-4-4-cap-9": (
         lambda: explore_conjecture_gs(4, 4, 9),
