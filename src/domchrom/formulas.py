@@ -3,7 +3,8 @@
 Every formula here is paired elsewhere with the exact solver: the harness
 sweeps confirm the closed forms on exhaustive corpora, and the constructions
 return certificates that the verifier re-checks, so nothing in this module
-has to be taken on faith.
+has to be taken on faith.  A star's value and its verified witness are two
+functions, since a campaign needs only the value.
 """
 
 from __future__ import annotations
@@ -12,8 +13,18 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, DominatorCertificate, Violation, verify_dominator
 from .errors import KTooSmallError, NotRootedError, SpineNotDirectedError
-from .generators import CaterpillarSpec, GsSpec, caterpillar, gs, orient, star
+from .generators import CaterpillarSpec, GsSpec, caterpillar, gs, mask_bits, orient, star
 from .trees import OrientedTree, classify_rooted
+
+
+def _certified(t: OrientedTree, labels: list[int]) -> DominatorCertificate:
+    """The certificate of ``labels`` on ``t``, whose construction must
+    verify; only the classes count, since the labels are renumbered by
+    first use."""
+    cert = verify_dominator(t, Coloring.from_labels(labels))
+    if not isinstance(cert, DominatorCertificate):  # pragma: no cover
+        raise RuntimeError("construction failed verification")
+    return cert
 
 
 def chi_directed_path(n: int) -> int:
@@ -58,38 +69,26 @@ def chi_rooted(t: OrientedTree) -> int:
     raise NotRootedError("tree is neither an out-tree nor an in-tree")
 
 
-@dataclass(frozen=True)
-class StarValue:
-    """Star orientation value with a witness certificate achieving it."""
-
-    chi: int
-    tree: OrientedTree
-    certificate: DominatorCertificate
-
-
-def chi_star(mask: int, m: int) -> StarValue:
+def chi_star(mask: int, m: int) -> int:
     """Value for an oriented star: 2 when all arcs agree, 3 otherwise.
 
     ``mask`` has one bit per leaf (bit j set = leaf j+1 points at the
-    center).  The returned certificate is rebuilt constructively and
-    re-verified.
+    center); :func:`star_coloring` is the witness.
     """
     if m < 1:
         raise ValueError("star needs m >= 1 leaves")
     if not (0 <= mask < (1 << m)):
         raise ValueError("mask out of range")
-    tree = orient(star(m), mask)
-    uniform = mask == 0 or mask == (1 << m) - 1
-    if uniform:
-        labels = [1] + [2] * m
-    else:
-        # in-leaves force a unique center color; out-leaves form the class
-        # the center dominates; in-leaves take a third color.
-        labels = [1] + [3 if (mask >> (j - 1)) & 1 else 2 for j in range(1, m + 1)]
-    cert = verify_dominator(tree, Coloring.from_labels(labels))
-    if not isinstance(cert, DominatorCertificate):  # pragma: no cover
-        raise RuntimeError("star witness construction failed verification")
-    return StarValue(chi=2 if uniform else 3, tree=tree, certificate=cert)
+    return 2 if mask in (0, (1 << m) - 1) else 3
+
+
+def star_coloring(mask: int, m: int) -> DominatorCertificate:
+    """A verified coloring of ``orient(star(m), mask)`` with ``chi_star(mask, m)``
+    colors: the center alone, the out-leaves as the class it dominates, and
+    the in-leaves, which need the center's class to be unique, as a third."""
+    chi_star(mask, m)  # validates mask and m
+    labels = [1] + [3 if bit == "1" else 2 for bit in mask_bits(mask, m)]
+    return _certified(orient(star(m), mask), labels)
 
 
 def gs_uniform_chi(m: int, k: int) -> int:
@@ -173,15 +172,6 @@ def build_layered_gs(m: int, k: int) -> LayeredStarResult:
 # caterpillars
 
 
-def _certified(spec: CaterpillarSpec, labels: list[int]) -> DominatorCertificate:
-    """The certificate of ``labels`` on ``caterpillar(spec)``; only the
-    classes count, since the labels are renumbered by first use."""
-    cert = verify_dominator(caterpillar(spec), Coloring.from_labels(labels))
-    if not isinstance(cert, DominatorCertificate):  # pragma: no cover
-        raise RuntimeError("caterpillar construction failed verification")
-    return cert
-
-
 def caterpillar_upper_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
     """Constructive coloring of an oriented caterpillar with <= 2m-1 colors.
 
@@ -194,8 +184,9 @@ def caterpillar_upper_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
     """
     m = spec.spine_len
     feet = [idx for idx, count in spec.legs for _ in range(count)]
-    legs = [m + 1 if spec.legs_mask >> j & 1 else m + 2 + idx for j, idx in enumerate(feet)]
-    return _certified(spec, list(range(1, m + 1)) + legs)
+    sources = mask_bits(spec.legs_mask, len(feet))
+    legs = [m + 1 if bit == "1" else m + 2 + idx for idx, bit in zip(feet, sources)]
+    return _certified(caterpillar(spec), list(range(1, m + 1)) + legs)
 
 
 def directed_spine_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
@@ -211,4 +202,4 @@ def directed_spine_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
     if spec.spine_mask not in (0, (1 << (m - 1)) - 1):
         raise SpineNotDirectedError("spine is not a directed path")
     head = 1 if spec.spine_mask == 0 else m
-    return _certified(spec, list(range(1, m + 1)) + [head] * (spec.n - m))
+    return _certified(caterpillar(spec), list(range(1, m + 1)) + [head] * (spec.n - m))

@@ -3,7 +3,9 @@
 Provides the tree topologies the harness sweeps over: paths, generalized
 stars, caterpillars, uniformly random labeled trees, the orientations of a
 base tree (bitmask per edge) and their directed-isomorphism classes, and one
-representative per isomorphism class of free trees up to a size cap.  A tree
+representative per isomorphism class of free trees up to a size cap.  Bit i
+of a mask flips edge i in every family, and each mask is read in one pass
+(:func:`mask_bits`).  A tree
 derived from a validated base tree (an orientation, every generalized-star
 scheme among them, a canonical form, a one-leaf extension) or from a
 validated caterpillar spec is built by the trees' private ``_trusted``
@@ -105,8 +107,8 @@ def gs(spec: GsSpec) -> OrientedTree:
     """
     base = gs_base(spec.m, spec.k)
     if spec.scheme == "layered":
-        odd = ((v - 1) % spec.k % 2 == 0 for _, v in base.edges)
-        mask = sum(flip << i for i, flip in enumerate(odd))
+        bits = "".join("10"[(v - 1) % spec.k % 2] for _, v in base.edges)
+        mask = int(bits[::-1], 2)
     else:
         mask = {"out": 0, "in": (1 << len(base.edges)) - 1, "mask": spec.mask}[spec.scheme]
     return orient(base, mask)  # type: ignore[arg-type]
@@ -163,26 +165,16 @@ class CaterpillarSpec:
 
 
 def caterpillar(spec: CaterpillarSpec) -> OrientedTree:
-    """The oriented caterpillar of ``spec``.  A spec is valid by construction,
-    so the tree is built without a second check."""
+    """The oriented caterpillar of ``spec``.  Its edges are the spine
+    (i, i+1), then leg j as (its spine vertex, m + j), oriented by the one
+    mask ``spine_mask | legs_mask << (m - 1)``.  A spec is valid by
+    construction, so the tree is built without a second check."""
     m = spec.spine_len
-    arcs = []
-    for i in range(m - 1):
-        if (spec.spine_mask >> i) & 1:
-            arcs.append((i + 1, i))
-        else:
-            arcs.append((i, i + 1))
-    nxt = m
-    bit = 0
-    for idx, count in spec.legs:
-        for _ in range(count):
-            if (spec.legs_mask >> bit) & 1:
-                arcs.append((nxt, idx))
-            else:
-                arcs.append((idx, nxt))
-            nxt += 1
-            bit += 1
-    return OrientedTree._trusted(spec.n, tuple(sorted(arcs)))
+    edges = [(i, i + 1) for i in range(m - 1)]
+    feet = [idx for idx, count in spec.legs for _ in range(count)]
+    edges += [(idx, m + j) for j, idx in enumerate(feet)]
+    mask = spec.spine_mask | spec.legs_mask << (m - 1)
+    return OrientedTree._trusted(spec.n, tuple(orientation_arcs(edges, mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +192,24 @@ def orient(base: BaseTree, mask: int) -> OrientedTree:
     mask = _spec_int(mask, "mask")
     if not (0 <= mask < (1 << width)):
         raise SpecInvalidError(f"mask {mask} out of range for {width} edges")
-    return OrientedTree._trusted(base.n, tuple(orientation_arcs(base, mask)))
+    return OrientedTree._trusted(base.n, tuple(orientation_arcs(base.edges, mask)))
 
 
-def orientation_arcs(base: BaseTree, mask: int) -> list[tuple[int, int]]:
-    """The arcs of ``orient(base, mask)`` in the sorted order that
-    :class:`OrientedTree` stores, for a mask that is known to be in range;
-    nothing is built or validated."""
-    return sorted(
-        (v, u) if (mask >> i) & 1 else (u, v) for i, (u, v) in enumerate(base.edges)
-    )
+def mask_bits(mask: int, width: int) -> str:
+    """Bits 0..width-1 of a non-negative ``mask``, bit i as character i
+    ("0" or "1").  One pass over the mask, where a shift per bit would cost
+    O(width) each."""
+    return bin(mask)[:1:-1].ljust(width, "0")[:width]
+
+
+def orientation_arcs(edges: Sequence[tuple[int, int]], mask: int) -> list[tuple[int, int]]:
+    """The (min, max) ``edges`` with edge i reversed where bit i of ``mask``
+    is set, in sorted order: the arcs that :class:`OrientedTree` stores, for
+    a mask known to be in range.  Nothing is built or validated."""
+    bits = mask_bits(mask, len(edges))
+    arcs = [(v, u) if bit == "1" else (u, v) for (u, v), bit in zip(edges, bits)]
+    arcs.sort()
+    return arcs
 
 
 def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:

@@ -39,7 +39,8 @@ in- and out-degrees of the arcs.  The tables live for one call, so no memo
 outlives a campaign.  The caterpillar and rooted-formula campaigns solve
 each tree they meet once; a caterpillar record and both constructions it
 checks read the spine and the legs off the spec, so nothing searches for a
-longest path.  Every solve is re-verified by its certificate check.
+longest path.  Star and rooted-tree values come from :mod:`formulas` alone.
+Every solve is re-verified by its certificate check.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from .errors import SpecInvalidError, TooLargeError
+from .errors import NotRootedError, SpecInvalidError, TooLargeError
 from .formulas import (
     caterpillar_upper_coloring,
     chi_path_orientation_min,
     chi_rooted,
+    chi_star,
     directed_spine_coloring,
     gs_uniform_chi,
 )
@@ -73,7 +75,7 @@ from .io import certificate_to_obj, encode_arcs, encode_base, encode_tree
 from .io import decode_tree  # unused here; perfbench/tracing.py wraps this name
 from .reports import ExperimentReport
 from .solver import solve_exact
-from .trees import BaseTree, OrientedTree, classify_rooted
+from .trees import BaseTree, OrientedTree
 from .trees import delete_leaf  # unused here; perfbench/tracing.py wraps this name
 
 
@@ -122,9 +124,11 @@ def class_table(base: BaseTree, fact) -> tuple[list[int], list]:
 
 def _chi_and_rooted(t: OrientedTree) -> tuple[int, int | None]:
     """chi of ``t`` and the rooted formula (None unless an out- or in-tree)."""
-    rc = classify_rooted(t)
-    rooted = rc.out_root is not None or rc.in_root is not None
-    return _chi(t), chi_rooted(t) if rooted else None
+    try:
+        formula = chi_rooted(t)
+    except NotRootedError:
+        formula = None
+    return _chi(t), formula
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +149,8 @@ def _invariance_record(
         "base": base_code,
         "mask": mask,
         "mask_rev": mask_rev,
-        "instance": encode_arcs(n, orientation_arcs(base, mask)),
-        "instance_rev": encode_arcs(n, orientation_arcs(base, mask_rev)),
+        "instance": encode_arcs(n, orientation_arcs(base.edges, mask)),
+        "instance_rev": encode_arcs(n, orientation_arcs(base.edges, mask_rev)),
         "chi": chi,
         "chi_rev": chi_rev,
         "equal": chi == chi_rev,
@@ -260,7 +264,7 @@ def _leafdel_records(payload: tuple[BaseTree, tuple, list]) -> list[dict]:
     degree = [len(nbrs) for nbrs in base.adjacency]
     records = []
     for mask, cls in enumerate(classes):
-        arcs = orientation_arcs(base, mask)
+        arcs = orientation_arcs(base.edges, mask)
         instance = encode_arcs(n, arcs)
         chi = facts[cls]
         outdeg = [0] * n
@@ -364,11 +368,11 @@ def _gs_record(payload: tuple[int, int]) -> dict:
         "orientations": len(classes),
         "min_chi": min_chi,
         "min_mask": min_mask,
-        "min_instance": encode_arcs(base.n, orientation_arcs(base, min_mask)),
+        "min_instance": encode_arcs(base.n, orientation_arcs(base.edges, min_mask)),
         "min_certificate": certificate_to_obj(min_result.certificate),
         "max_chi": max_chi,
         "max_mask": max_mask,
-        "max_instance": encode_arcs(base.n, orientation_arcs(base, max_mask)),
+        "max_instance": encode_arcs(base.n, orientation_arcs(base.edges, max_mask)),
         "max_certificate": certificate_to_obj(max_result.certificate),
         "conjectured_min": conjectured_min,
         "min_agrees": min_chi == conjectured_min,
@@ -430,10 +434,10 @@ def _star_records(payload: int) -> list[dict]:
             {
                 "m": m,
                 "mask": mask,
-                "instance": encode_arcs(m + 1, orientation_arcs(base, mask)),
+                "instance": encode_arcs(m + 1, orientation_arcs(base.edges, mask)),
                 "chi": chi,
                 "uniform": uniform,
-                "ok": chi in (2, 3) and (chi == 2) == uniform,
+                "ok": chi == chi_star(mask, m),
             }
         )
     return records
@@ -586,7 +590,7 @@ def _path_min_record(payload: int) -> dict:
         "orientations": len(classes),
         "min_chi": min_chi,
         "min_mask": min_mask,
-        "min_instance": encode_arcs(n, orientation_arcs(base, min_mask)),
+        "min_instance": encode_arcs(n, orientation_arcs(base.edges, min_mask)),
         "max_chi": max_chi,
         "max_mask": max_mask,
         "formula": formula,
@@ -617,8 +621,8 @@ def _rooted_record(payload: tuple[BaseTree, str, int, str]) -> dict:
     base, base_code, root, sense = payload
     t = rooted_orientation(base, root, sense)
     chi = _chi(t)
+    formula = chi_rooted(t)
     leaves = len(t.sinks) if sense == "out" else len(t.sources)
-    formula = t.n - leaves + 1
     return {
         "n": base.n,
         "base": base_code,
@@ -628,7 +632,7 @@ def _rooted_record(payload: tuple[BaseTree, str, int, str]) -> dict:
         "directed_leaves": leaves,
         "formula": formula,
         "chi": chi,
-        "equal": chi == formula and chi_rooted(t) == formula,
+        "equal": chi == formula,
     }
 
 

@@ -131,7 +131,7 @@ def test_orientation_arcs_are_the_built_arcs():
     for n in range(1, 8):
         for base in free_trees(n):
             for mask, t in enumerate(orientations(base)):
-                assert tuple(orientation_arcs(base, mask)) == t.arcs
+                assert tuple(orientation_arcs(base.edges, mask)) == t.arcs
 
 
 # Directed-isomorphism classes of oriented trees on n = 1..8 vertices (OEIS A000238).

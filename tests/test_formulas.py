@@ -17,6 +17,7 @@ from domchrom.formulas import (
     directed_spine_coloring,
     gs_layered_bound,
     gs_uniform_chi,
+    star_coloring,
 )
 from domchrom.generators import (
     CaterpillarSpec,
@@ -24,6 +25,7 @@ from domchrom.generators import (
     caterpillar,
     free_trees,
     gs,
+    orient,
     path,
     rooted_orientation,
     star,
@@ -91,24 +93,30 @@ class TestRootedFormula:
 
 class TestStar:
     def test_uniform_out(self):
-        res = chi_star(0, 5)
-        assert res.chi == 2 and res.certificate.k == 2
+        assert chi_star(0, 5) == 2 and star_coloring(0, 5).k == 2
 
     def test_uniform_in(self):
-        res = chi_star(0b11111, 5)
-        assert res.chi == 2 and res.certificate.k == 2
+        assert chi_star(0b11111, 5) == 2 and star_coloring(0b11111, 5).k == 2
 
     def test_mixed_pair_is_directed_p3(self):
-        res = chi_star(0b01, 2)
-        assert res.chi == 3
-        assert solve_exact(res.tree).chi == 3
+        assert chi_star(0b01, 2) == 3
+        assert solve_exact(orient(star(2), 0b01)).chi == 3
 
     def test_matches_solver_all_masks(self):
         for m in range(1, 7):
             for mask in range(1 << m):
-                res = chi_star(mask, m)
-                assert res.chi == solve_exact(res.tree).chi
-                assert res.certificate.k == res.chi
+                t = orient(star(m), mask)
+                chi = chi_star(mask, m)
+                assert chi == solve_exact(t).chi
+                cert = star_coloring(mask, m)
+                assert cert.k == chi
+                assert isinstance(verify_dominator(t, cert.coloring), DominatorCertificate)
+
+    @pytest.mark.parametrize("mask,m", [(0, 0), (4, 2), (-1, 2)])
+    def test_rejects_bad_arguments(self, mask, m):
+        for fn in (chi_star, star_coloring):
+            with pytest.raises(ValueError):
+                fn(mask, m)
 
 
 class TestGsFormulas:

@@ -19,7 +19,9 @@ from domchrom.generators import (
     free_trees,
     gs,
     gs_base,
+    mask_bits,
     orient,
+    orientation_arcs,
     path,
     random_tree,
     rooted_orientation,
@@ -48,6 +50,11 @@ FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
 # SHA-256 over the arcs of gs(GsSpec(m, k, scheme)) for m, k <= 7 and the
 # out, in and layered schemes (see test_gs_schemes_pinned)
 GS_ARCS_SHA256 = "f5b5cfbe0711e47eac57c69bcd08c6bdcdef4ac3721eac36c6474dcabac37c06"
+
+# SHA-256 over the arcs of caterpillar(spec) for every spec with n <= 9 (see
+# test_caterpillar_arcs_pinned), recorded while caterpillar read its two
+# masks bit by bit
+CATERPILLAR_ARCS_SHA256 = "60f74bc488fa1b9e9f8d83471cbf925d9143d01e35e8da93d6df31c5fe8a2e62"
 
 
 class TestFamilies:
@@ -154,6 +161,18 @@ class TestFamilies:
                 ]
                 assert caterpillar(spec) == OrientedTree(spec.n, tuple(arcs)), spec
 
+    def test_caterpillar_arcs_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for m, legs in caterpillar_layouts(9, 9):
+            width = sum(c for _, c in legs)
+            for spine_mask, legs_mask in product(range(1 << (m - 1)), range(1 << width)):
+                t = caterpillar(CaterpillarSpec(m, legs, spine_mask, legs_mask))
+                digest.update(f"{t.arcs}\n".encode())
+                count += 1
+        assert count == 21_847
+        assert digest.hexdigest() == CATERPILLAR_ARCS_SHA256
+
 
 def every_mask(base: BaseTree) -> list[OrientedTree]:
     return [orient(base, mask) for mask in range(1 << len(base.edges))]
@@ -182,6 +201,19 @@ class TestOrientations:
         full = (1 << len(base.edges)) - 1
         for mask in range(full + 1):
             assert reverse(orient(base, mask)) == orient(base, mask ^ full)
+
+    def test_mask_bits_and_arcs_match_a_per_bit_reference(self):
+        rng = random.Random(21)
+        for width in range(2001):
+            edges = [(i, i + 1) for i in range(width)]
+            full = (1 << width) - 1
+            # the high half of the third mask is zero, so its bin() is short
+            masks = (0, full, rng.getrandbits(width // 2), rng.getrandbits(width))
+            for mask in masks:
+                bits = [mask >> i & 1 for i in range(width)]
+                assert [*map(int, mask_bits(mask, width))] == bits
+                arcs = [(v, u) if bit else (u, v) for (u, v), bit in zip(edges, bits)]
+                assert orientation_arcs(edges, mask) == sorted(arcs)
 
     def test_rooted_orientation_rejects_root_out_of_range(self):
         for root in (5, 3, -1):
