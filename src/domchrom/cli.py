@@ -117,8 +117,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_orientations(args) -> int:
     base = read_tree(args.tree).underlying()
-    classes, facts = harness.class_table(base, harness._chi)
-    chis = [facts[cls] for cls in classes]
+    chis = harness.class_table(base, harness._chi)
     min_chi, max_chi = min(chis), max(chis)
     min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
     if args.format == "json":

@@ -9,8 +9,8 @@ in enumeration order and each campaign builds its report from them, which
 makes reports byte-identical for any job count.
 
 Workers receive tree values that the parent has already built and validated,
-never codes to parse: a base tree (with its code or its class tables where
-the records need them), alone or with a root, or a caterpillar spec.
+never codes to parse: a base tree (with its code or its orientation tables
+where the records need them), alone or with a root, or a caterpillar spec.
 Unpickling a frozen dataclass skips ``__post_init__``, so a worker does not
 re-validate its payload; that is safe because every payload tree comes from
 this package's own validating constructors (``free_trees``,
@@ -18,15 +18,16 @@ this package's own validating constructors (``free_trees``,
 
 Five campaigns name every orientation of a base tree, and chi does not
 change under directed isomorphism.  :func:`class_table` is the only place
-that orients and solves them: it takes ``orientation_classes(base)``, the
-class of every mask, and applies its caller's ``fact`` to the orientation
-of each class's first mask only.  A record reads its instance code off the
-base edges and the mask (``orientation_arcs``) and its values from the
-table, and builds nothing.  The reversal-invariance, generalized-star, star
-and path-minimum campaigns make one table per base tree in the worker that
-writes its records.  Solves per orientations named: 7,600 of 15,944 at
-n <= 9, 935 of 3,210 for generalized stars with n <= 10, 64 of 2,046 for
-stars with m <= 10, and 4,154 of 8,184 for paths with n = 4..13.
+that orients and solves them: it returns one value per mask, its caller's
+``fact`` applied to the orientation of the first mask of that mask's class
+(``orientation_classes``), so only one orientation per class is built.  A
+record reads its instance code off the base edges and the mask
+(``orientation_arcs``) and its values from the table by mask, and builds
+nothing.  The reversal-invariance, generalized-star, star and path-minimum
+campaigns make one table per base tree in the worker that writes its
+records.  Solves per orientations named: 7,600 of 15,944 at n <= 9, 935 of
+3,210 for generalized stars with n <= 10, 64 of 2,046 for stars with
+m <= 10, and 4,154 of 8,184 for paths with n = 4..13.
 
 The leaf-deletion campaign first makes the table of every free tree with
 n <= ``max_n`` (1,857 solves at n <= 8, one per class).  A subtree
@@ -88,7 +89,9 @@ def _map_ordered(fn, payloads: list, jobs: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(payloads) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a forking pool starts every worker at its first submit, so it asks for
+    # no more workers than there are payloads
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         return list(pool.map(fn, payloads, chunksize=chunk))
 
 
@@ -110,16 +113,20 @@ def _chi(t: OrientedTree) -> int:
     return solve_exact(t).chi
 
 
-def class_table(base: BaseTree, fact) -> tuple[list[int], list]:
-    """``orientation_classes(base)`` and, for each class, ``fact`` of the
-    orientation of the class's first mask; ``fact`` must be invariant under
-    directed isomorphism.  Only these orientations are built and solved."""
-    classes = orientation_classes(base)
+def class_table(base: BaseTree, fact) -> list:
+    """``fact`` of every orientation of ``base``, by mask; ``fact`` must be
+    invariant under directed isomorphism.  Only the first mask of each class
+    of :func:`generators.orientation_classes` is oriented and solved, so the
+    entry of the first mask of a class, such as the first mask with a given
+    value, is ``fact`` of its own orientation, and every mask of the class
+    shares that object."""
     facts = []
-    for mask, cls in enumerate(classes):
+    table = []
+    for mask, cls in enumerate(orientation_classes(base)):
         if cls == len(facts):  # classes are numbered by first mask
             facts.append(fact(orient(base, mask)))
-    return classes, facts
+        table.append(facts[cls])
+    return table
 
 
 def _chi_and_rooted(t: OrientedTree) -> tuple[int, int | None]:
@@ -135,15 +142,13 @@ def _chi_and_rooted(t: OrientedTree) -> tuple[int, int | None]:
 # reversal invariance
 
 
-def _invariance_record(
-    base: BaseTree, base_code: str, mask: int, classes: list[int], facts: list
-) -> dict:
-    """The record of ``mask`` and its complement, read from the class table
-    of ``base`` (see :func:`class_table`); nothing is built."""
+def _invariance_record(base: BaseTree, base_code: str, mask: int, table: list) -> dict:
+    """The record of ``mask`` and its complement, read from the table of
+    ``base`` (see :func:`class_table`); nothing is built."""
     n = base.n
     mask_rev = mask ^ ((1 << len(base.edges)) - 1)
-    chi, formula = facts[classes[mask]]
-    chi_rev = facts[classes[mask_rev]][0]
+    chi, formula = table[mask]
+    chi_rev = table[mask_rev][0]
     record = {
         "n": n,
         "base": base_code,
@@ -164,10 +169,10 @@ def _invariance_record(
 def _invariance_records(payload: tuple[BaseTree, str]) -> list[dict]:
     """The records of one base tree, one per mask below its complement."""
     base, base_code = payload
-    classes, facts = class_table(base, _chi_and_rooted)
+    table = class_table(base, _chi_and_rooted)
     return [
-        _invariance_record(base, base_code, mask, classes, facts)
-        for mask in range((len(classes) + 1) // 2)
+        _invariance_record(base, base_code, mask, table)
+        for mask in range((len(table) + 1) // 2)
     ]
 
 
@@ -214,13 +219,13 @@ def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
     """How each underlying leaf v of ``base`` (n >= 2), in vertex order,
     reads chi of ``delete_leaf(orient(base, mask), v)`` from ``tables``.
 
-    ``tables`` maps every free tree of size n - 1 to its class table.  A
-    canonical labelling maps base - v (relabelled as :func:`delete_leaf`
+    ``tables`` maps every free tree of size n - 1 to its :func:`class_table`.
+    A canonical labelling maps base - v (relabelled as :func:`delete_leaf`
     does) onto its representative R, so each remaining edge i of ``base``
     lands on edge p of R, reversed when the labelling swaps its ends.  The
-    entry is ``(v, neighbor, classes, facts, flips, moves)``: the subtree
-    is ``orient(R, m)`` with ``m = flips`` xor bit i of the mask moved to
-    bit p, for every ``(i, p)`` in ``moves`` (:func:`_sub_mask`).
+    entry is ``(v, neighbor, table, flips, moves)``, ``table`` being R's: the
+    subtree is ``orient(R, m)`` with ``m = flips`` xor bit i of the mask moved
+    to bit p, for every ``(i, p)`` in ``moves`` (:func:`_sub_mask`).
     """
     n = base.n
     maps = []
@@ -244,7 +249,7 @@ def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
             p = position[(a, b) if a < b else (b, a)]
             flips |= (a > b) << p
             moves.append((i, p))
-        maps.append((v, nbrs[0], *tables[rep], flips, moves))
+        maps.append((v, nbrs[0], tables[rep], flips, moves))
     return maps
 
 
@@ -255,25 +260,24 @@ def _sub_mask(mask: int, flips: int, moves: list[tuple[int, int]]) -> int:
     return flips
 
 
-def _leafdel_records(payload: tuple[BaseTree, tuple, list]) -> list[dict]:
+def _leafdel_records(payload: tuple[BaseTree, list, list]) -> list[dict]:
     """The records of every orientation of one base tree, in mask order and
     then leaf order; chi of the instance and of each subtree comes from the
-    class tables, and the predicates from the in- and out-degrees."""
-    base, (classes, facts), leaf_maps = payload
+    tables, and the predicates from the in- and out-degrees."""
+    base, table, leaf_maps = payload
     n = base.n
     degree = [len(nbrs) for nbrs in base.adjacency]
     records = []
-    for mask, cls in enumerate(classes):
+    for mask, chi in enumerate(table):
         arcs = orientation_arcs(base.edges, mask)
         instance = encode_arcs(n, arcs)
-        chi = facts[cls]
         outdeg = [0] * n
         for a, _ in arcs:
             outdeg[a] += 1
         indeg = [d - o for d, o in zip(degree, outdeg)]
         lone_source = indeg.index(0) if indeg.count(0) == 1 else -1
-        for v, u, sub_classes, sub_facts, flips, moves in leaf_maps:
-            chi_sub = sub_facts[sub_classes[_sub_mask(mask, flips, moves)]]
+        for v, u, sub_table, flips, moves in leaf_maps:
+            chi_sub = sub_table[_sub_mask(mask, flips, moves)]
             delta = chi - chi_sub
             # outs[u] == (v,): v's one arc comes from u, and u has no other
             unique_out_target = indeg[v] == 1 and outdeg[u] == 1
@@ -316,9 +320,9 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     its neighbor's only out-neighbor, or is the unique source) and the
     source-leaf rule (a dropped source leaf's neighbor has in-degree 1).
     Violations are findings; they carry a replayable instance encoding.
-    Every free tree with n <= ``max_n`` gets its class table first, one solve
-    per directed-isomorphism class; every chi a record names, its subtree's
-    included, is then read from those tables.
+    Every free tree with n <= ``max_n`` gets its :func:`class_table` first,
+    one solve per directed-isomorphism class; every chi a record names, its
+    subtree's included, is then read from those tables by mask.
     """
     if not (2 <= max_n <= 9):
         raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
@@ -345,13 +349,11 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
 def _gs_record(payload: tuple[int, int]) -> dict:
     m, k = payload
     base = gs_base(m, k)
-    classes, results = class_table(base, solve_exact)
-    chis = [results[cls].chi for cls in classes]
+    results = class_table(base, solve_exact)
+    chis = [result.chi for result in results]
     min_chi, max_chi = min(chis), max(chis)
     min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
-    # the first mask with a given chi is its class's first mask, the one the
-    # table solved, so these are the certificates of the extremes' masks
-    min_result, max_result = results[classes[min_mask]], results[classes[max_mask]]
+    min_result, max_result = results[min_mask], results[max_mask]
     conjectured_min = 3 + m * (k // 2 - 1)
     conjectured_max = gs_uniform_chi(m, k)
     if m <= 2:
@@ -365,7 +367,7 @@ def _gs_record(payload: tuple[int, int]) -> dict:
         "k": k,
         "n": m * k + 1,
         "regime": regime,
-        "orientations": len(classes),
+        "orientations": len(results),
         "min_chi": min_chi,
         "min_mask": min_mask,
         "min_instance": encode_arcs(base.n, orientation_arcs(base.edges, min_mask)),
@@ -424,11 +426,9 @@ def explore_conjecture_gs(
 def _star_records(payload: int) -> list[dict]:
     m = payload
     base = star(m)
-    classes, chis = class_table(base, _chi)
     records = []
     uniform_masks = {0, (1 << m) - 1}
-    for mask, cls in enumerate(classes):
-        chi = chis[cls]
+    for mask, chi in enumerate(class_table(base, _chi)):
         uniform = mask in uniform_masks
         records.append(
             {
@@ -580,14 +580,13 @@ def check_caterpillar_bounds(
 def _path_min_record(payload: int) -> dict:
     n = payload
     base = path(n)
-    classes, facts = class_table(base, _chi)
-    chis = [facts[cls] for cls in classes]
+    chis = class_table(base, _chi)
     min_chi, max_chi = min(chis), max(chis)
     min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
     formula = chi_path_orientation_min(n)
     return {
         "n": n,
-        "orientations": len(classes),
+        "orientations": len(chis),
         "min_chi": min_chi,
         "min_mask": min_mask,
         "min_instance": encode_arcs(n, orientation_arcs(base.edges, min_mask)),

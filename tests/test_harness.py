@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 from collections import Counter
 
 import pytest
 
 from domchrom import harness, io
-from domchrom.coloring import DominatorCertificate, verify_dominator
+from domchrom.coloring import DominatorCertificate, recheck_certificate, verify_dominator
 from domchrom.errors import SpecInvalidError, SpineNotDirectedError, TooLargeError
 from domchrom.formulas import directed_spine_coloring
 from domchrom.generators import (
@@ -30,7 +31,7 @@ from domchrom.harness import (
 from domchrom.io import certificate_from_obj, certificate_to_obj, decode_tree, encode_tree
 from domchrom.reports import ExperimentReport
 from domchrom.solver import brute_force_chi, solve_exact
-from domchrom.trees import OrientedTree, delete_leaf, reverse
+from domchrom.trees import OrientedTree, build_tree, delete_leaf, reverse
 
 from conftest import caterpillar_layouts, count_validations, orientations, reference_longest_path
 
@@ -53,6 +54,23 @@ def record_builds(monkeypatch) -> list[str]:
     monkeypatch.setattr(OrientedTree, "__init__", counting_init)
     monkeypatch.setattr(OrientedTree, "_trusted", classmethod(counting_trusted))
     return builds
+
+
+def reversal_gaps(base) -> list[int]:
+    """|chi(T) - chi(T reversed)| for each orientation T of ``base`` whose
+    mask is below its complement (the mask of T reversed), read from the
+    per-mask table; with no edge, mask 0 pairs with itself."""
+    table = harness.class_table(base, harness._chi)
+    full = len(table) - 1
+    return [abs(table[m] - table[m ^ full]) for m in range((len(table) + 1) // 2)]
+
+
+def spider(k: int) -> OrientedTree:
+    """Centre 0, middles i -> 0 with tips i -> k + i for i = 1..k, and a
+    source leaf 2k + 1 -> 0: chi is 3, and k + 2 after reversal."""
+    middles = [(i, 0) for i in range(1, k + 1)]
+    tips = [(i, k + i) for i in range(1, k + 1)]
+    return build_tree(2 * k + 2, [*middles, *tips, (2 * k + 1, 0)])
 
 
 LEAFDEL_9_SHA256 = "202cd30ae754fc08b7cba08c335d96f2124e7aa63d182d20e2df3cc730600e60"
@@ -113,6 +131,35 @@ class TestReversalInvariance:
         builds = record_builds(monkeypatch)
         check_reversal_invariance(7)
         assert len(builds) == len(set(builds)) == 481
+
+    def test_reversal_gaps_pinned(self):
+        # the gap grows with n: at most 2 up to n = 9, 3 at n = 10
+        largest = []
+        for n in range(1, 11):
+            gaps = Counter(gap for base in free_trees(n) for gap in reversal_gaps(base))
+            largest.append(max(gaps))
+            if n == 9:
+                assert gaps == {0: 4014, 1: 1966, 2: 36}
+            if n == 10:
+                assert gaps == {0: 17429, 1: 9417, 2: 289, 3: 1}
+        assert largest == [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
+
+    def test_spider_is_the_gap_three_pair_at_n10(self):
+        witness = decode_tree("10:1>0,1>6,2>0,2>7,3>0,3>8,4>0,4>9,5>0")
+        assert oriented_canonical_code(witness) == oriented_canonical_code(spider(4))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_spider_gap_by_oracle(self, k):
+        t = spider(k)
+        assert (brute_force_chi(t), brute_force_chi(reverse(t))) == (3, k + 2)
+
+    @pytest.mark.parametrize("k", [10, 100, 500])
+    def test_spider_gap_by_solver(self, k):
+        t = spider(k)
+        for tree, chi in ((t, 3), (reverse(t), k + 2)):
+            result = solve_exact(tree)
+            assert result.chi == chi
+            assert recheck_certificate(tree, result.certificate)
 
     def test_instance_codes_match_built_trees(self):
         rep = check_reversal_invariance(6)
@@ -305,9 +352,9 @@ class TestLeafDeletionMemo:
 
     def test_leaf_maps_name_the_subtree_class(self):
         # _leaf_maps passes each representative's table through untouched, so
-        # a table of the oriented codes of its masks stands in for the class
-        # table: the mask it gives must orient R into the deleted subtree's
-        # class, for every leaf of every orientation with n <= 9
+        # a per-mask table of oriented codes stands in for the chi table: the
+        # mask it gives must orient R into the deleted subtree's class, for
+        # every leaf of every orientation with n <= 9
         tables = {}
         for n in range(1, 10):
             for base in free_trees(n):
@@ -317,16 +364,14 @@ class TestLeafDeletionMemo:
                         v for v, nbrs in enumerate(base.adjacency) if len(nbrs) == 1
                     ]
                     for mask, t in enumerate(orientations(base)):
-                        for v, u, rep, codes, flips, moves in leaf_maps:
+                        for v, u, codes, flips, moves in leaf_maps:
                             assert t.out_neighbors[v] + t.in_neighbors[v] == (u,)
                             sub = harness._sub_mask(mask, flips, moves)
                             sub_code = oriented_canonical_code(delete_leaf(t, v)[0])
-                            assert sub_code == codes[sub], (base, mask, v, rep)
+                            assert sub_code == codes[sub], (base, mask, v)
                 if n < 9:
                     # codes[m] is oriented_canonical_code(orient(base, m))
-                    tables[base] = (
-                        base, [oriented_canonical_code(t) for t in orientations(base)]
-                    )
+                    tables[base] = [oriented_canonical_code(t) for t in orientations(base)]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_n9_report_pinned(self, jobs):
@@ -544,6 +589,32 @@ class TestDeterminismAndJobs:
                 check_star_values(2, jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             check_leaf_deletion(3, jobs=0)
+
+    @pytest.mark.parametrize("m_max, jobs", [(2, 64), (3, 2)])
+    def test_pool_asks_for_no_more_workers_than_payloads(self, monkeypatch, m_max, jobs):
+        # an in-process stand-in for the pool records what it is asked for;
+        # no process is started
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, chunksize):
+                asked.append(chunksize)
+                return map(fn, payloads)
+
+        expected = check_star_values(m_max).to_json()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert check_star_values(m_max, jobs=jobs).to_json() == expected
+        # one payload per star; the chunk is the one jobs alone gives
+        assert asked == [min(jobs, m_max), max(1, m_max // (jobs * 4))]
 
     def test_jobs_equivalence_invariance(self):
         seq = check_reversal_invariance(4, jobs=1)
