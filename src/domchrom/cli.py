@@ -21,6 +21,7 @@ from . import harness
 from .coloring import DominatorCertificate, SINK_EXEMPT, verify_dominator
 from .errors import DomchromError
 from .generators import (
+    GS_SCHEMES,
     CaterpillarSpec,
     GsSpec,
     caterpillar,
@@ -31,6 +32,7 @@ from .generators import (
     star,
 )
 from .io import (
+    _pairs,
     certificate_to_obj,
     format_tree,
     read_coloring,
@@ -118,8 +120,8 @@ def _cmd_verify(args) -> int:
 def _cmd_orientations(args) -> int:
     base = read_tree(args.tree).underlying()
     chis = harness.class_table(base, harness._chi)
-    min_chi, max_chi = min(chis), max(chis)
-    min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
+    min_mask, max_mask = harness.extreme_masks(chis)
+    min_chi, max_chi = chis[min_mask], chis[max_mask]
     if args.format == "json":
         obj = {
             "n": base.n,
@@ -151,11 +153,6 @@ def _cmd_orientations(args) -> int:
             lines.append(f"max chi = {max_chi} at mask {max_mask}")
         _emit("\n".join(lines) + "\n", args.output)
     return 0
-
-
-def _parse_legs(raw: str) -> tuple[tuple[int, int], ...]:
-    pairs = (token.partition(":") for token in raw.split(",")) if raw else ()
-    return tuple((int(idx), int(count)) for idx, _, count in pairs)
 
 
 def _command(sub, name: str, summary: str, run, *formats: str) -> argparse.ArgumentParser:
@@ -238,13 +235,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, required=True, help="path count")
     p.add_argument("--k", type=int, required=True, help="edges per path")
-    p.add_argument("--scheme", choices=("out", "in", "layered", "mask"), default="out")
+    p.add_argument("--scheme", choices=GS_SCHEMES, default="out")
     p.add_argument("--mask", type=int, default=None, help="mask for --scheme mask")
 
     p = _add_family(
         families, "caterpillar", "oriented caterpillar",
         lambda a: caterpillar(
-            CaterpillarSpec(a.spine, _parse_legs(a.legs), a.spine_mask, a.legs_mask)
+            CaterpillarSpec(
+                a.spine, _pairs(a.legs.split(",") if a.legs else (), ":", "--legs item"),
+                a.spine_mask, a.legs_mask,
+            )
         ),
     )
     p.add_argument("--spine", type=int, required=True, help="spine length")

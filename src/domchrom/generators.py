@@ -42,12 +42,14 @@ def _spec_int(value, name: str) -> int:
 
 def path(n: int) -> BaseTree:
     """The path on vertices 0..n-1 with edges (i, i+1)."""
+    n = _spec_int(n, "n")
     return BaseTree(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def star(m: int) -> BaseTree:
     """Star with center 0 and m leaves; same shape as a generalized star with
     1-edge paths."""
+    m = _spec_int(m, "m")
     if m < 1:
         raise SpecInvalidError("star needs at least one leaf")
     return BaseTree(m + 1, tuple((0, i) for i in range(1, m + 1)))
@@ -60,6 +62,7 @@ class GsSpec:
     ``scheme`` selects the orientation: "out" points every arc away from the
     center, "in" toward it, "layered" directs every arc from odd to even
     distance layers, and "mask" applies an explicit per-edge direction mask.
+    ``m``, ``k`` and a given ``mask`` are normalized to ints.
     """
 
     m: int
@@ -68,6 +71,8 @@ class GsSpec:
     mask: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("m", "k") if self.mask is None else ("m", "k", "mask"):
+            object.__setattr__(self, name, _spec_int(getattr(self, name), name))
         if self.m < 1 or self.k < 1:
             raise SpecInvalidError("generalized star needs m >= 1 and k >= 1")
         if self.scheme not in GS_SCHEMES:
@@ -439,6 +444,9 @@ def sequence_to_edges(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]
         raise ValueError(f"sequence for n={n} must have length {max(n - 2, 0)}")
     if n == 1:
         return ()
+    if seq and not (0 <= min(seq) and max(seq) < n):
+        bad = next(x for x in seq if not 0 <= x < n)
+        raise ValueError(f"sequence entry {bad} outside 0..{n - 1}")
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -463,8 +471,6 @@ def random_tree(n: int, seed: int) -> BaseTree:
     decoded sequence is a tree by construction, so it is not validated."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n <= 2:
-        return path(n)
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return BaseTree._trusted(n, tuple(sorted(sequence_to_edges(seq, n))))

@@ -129,6 +129,14 @@ def class_table(base: BaseTree, fact) -> list:
     return table
 
 
+def extreme_masks(values: list) -> tuple[int, int]:
+    """The first mask with the least value of a per-mask table, and the first
+    with the greatest.  Masks of one class share one value, so neither has an
+    earlier mask in its class: each is the first mask of its class, and its
+    :func:`class_table` entry is ``fact`` of its own orientation."""
+    return values.index(min(values)), values.index(max(values))
+
+
 def _chi_and_rooted(t: OrientedTree) -> tuple[int, int | None]:
     """chi of ``t`` and the rooted formula (None unless an out- or in-tree)."""
     try:
@@ -351,8 +359,8 @@ def _gs_record(payload: tuple[int, int]) -> dict:
     base = gs_base(m, k)
     results = class_table(base, solve_exact)
     chis = [result.chi for result in results]
-    min_chi, max_chi = min(chis), max(chis)
-    min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
+    min_mask, max_mask = extreme_masks(chis)
+    min_chi, max_chi = chis[min_mask], chis[max_mask]
     min_result, max_result = results[min_mask], results[max_mask]
     conjectured_min = 3 + m * (k // 2 - 1)
     conjectured_max = gs_uniform_chi(m, k)
@@ -581,8 +589,8 @@ def _path_min_record(payload: int) -> dict:
     n = payload
     base = path(n)
     chis = class_table(base, _chi)
-    min_chi, max_chi = min(chis), max(chis)
-    min_mask, max_mask = chis.index(min_chi), chis.index(max_chi)
+    min_mask, max_mask = extreme_masks(chis)
+    min_chi, max_chi = chis[min_mask], chis[max_mask]
     formula = chi_path_orientation_min(n)
     return {
         "n": n,

@@ -3,8 +3,10 @@
 Tree files: first content line ``n <count>``, then one ``<tail> <head>`` line
 per arc (0-based), ``#`` starts a comment, LF endings.  Coloring files: one
 ``<vertex> <color>`` line per vertex with 1-based colors.  Compact codes like
-``4:0>1,2>1,2>3`` embed instances into reports so every record can be
-replayed on its own.
+``4:0>1,2>1,2>3`` (oriented) and ``4:0-1,1-2,1-3`` (base tree) embed
+instances into reports so every record can be replayed on its own.  Every
+integer pair read from text, here and in the CLI's ``--legs``, goes through
+:func:`_pairs`, so each malformed pair raises the same :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,32 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 
 class FormatError(DomchromError, ValueError):
-    """Malformed tree or coloring file."""
+    """Malformed text input: a tree or coloring file, a compact tree code, or
+    an integer-pair CLI value such as ``--legs``."""
+
+
+def _pairs(items: Iterable[str], sep: str | None, what: str) -> list[tuple[int, int]]:
+    """Each item split at ``sep`` (at whitespace when ``None``) into exactly
+    two ints; any other item raises :class:`FormatError` naming ``what``."""
+    pairs = []
+    for item in items:
+        try:
+            a, b = map(int, item.split(sep))
+        except ValueError:
+            joint = "whitespace" if sep is None else repr(sep)
+            raise FormatError(
+                f"bad {what} {item!r}: expected two integers joined by {joint}"
+            ) from None
+        pairs.append((a, b))
+    return pairs
+
+
+def _read(path: PathLike | IO[str]) -> str:
+    """The text of an open file, or of the file at ``path``."""
+    if hasattr(path, "read"):
+        return path.read()  # type: ignore[union-attr]
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _content_lines(text: str) -> list[str]:
@@ -43,16 +70,7 @@ def parse_tree(text: str) -> OrientedTree:
         n = int(head[1])
     except ValueError as exc:
         raise FormatError(f"bad vertex count {head[1]!r}") from exc
-    arcs = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"arc line must be '<tail> <head>', got {line!r}")
-        try:
-            arcs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise FormatError(f"bad arc line {line!r}") from exc
-    return OrientedTree(n, tuple(arcs))
+    return OrientedTree(n, tuple(_pairs(lines[1:], None, "arc line")))
 
 
 def format_tree(t: OrientedTree) -> str:
@@ -62,10 +80,7 @@ def format_tree(t: OrientedTree) -> str:
 
 
 def read_tree(path: PathLike | IO[str]) -> OrientedTree:
-    if hasattr(path, "read"):
-        return parse_tree(path.read())  # type: ignore[union-attr]
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tree(fh.read())
+    return parse_tree(_read(path))
 
 
 def write_tree(t: OrientedTree, path: PathLike) -> None:
@@ -74,23 +89,14 @@ def write_tree(t: OrientedTree, path: PathLike) -> None:
 
 
 def parse_coloring(text: str, n: int) -> Coloring:
-    lines = _content_lines(text)
     assigned: dict[int, int] = {}
-    for line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"coloring line must be '<vertex> <color>', got {line!r}")
-        try:
-            v, c = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"bad coloring line {line!r}") from exc
+    for v, c in _pairs(_content_lines(text), None, "coloring line"):
         if v in assigned:
             raise FormatError(f"vertex {v} assigned twice")
         if c < 1:
             raise FormatError(f"colors are 1-based, got {c} for vertex {v}")
         assigned[v] = c
-    missing = [v for v in range(n) if v not in assigned]
-    if missing or len(assigned) != n:
+    if assigned.keys() != set(range(n)):
         raise FormatError(f"coloring must assign every vertex 0..{n - 1} exactly once")
     return Coloring.from_labels([assigned[v] for v in range(n)])
 
@@ -100,15 +106,12 @@ def format_coloring(c: Coloring) -> str:
 
 
 def read_coloring(path: PathLike | IO[str], n: int) -> Coloring:
-    if hasattr(path, "read"):
-        return parse_coloring(path.read(), n)  # type: ignore[union-attr]
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_coloring(fh.read(), n)
+    return parse_coloring(_read(path), n)
 
 
-def to_dot(t: OrientedTree, coloring: Coloring | None = None, name: str = "tree") -> str:
+def to_dot(t: OrientedTree, coloring: Coloring | None = None) -> str:
     """DOT digraph; node labels carry color ids when a coloring is given."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph tree {"]
     for v in range(t.n):
         if coloring is not None:
             lines.append(f'  {v} [label="{coloring.colors[v]}"];')
@@ -131,48 +134,30 @@ def encode_tree(t: OrientedTree) -> str:
 def encode_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> str:
     """The code of the oriented tree on 0..n-1 whose arcs, in sorted order as
     :class:`OrientedTree` stores them, are ``arcs``; nothing is validated."""
-    if n == 1:
-        return "1:"
     return f"{n}:" + ",".join([f"{u}>{v}" for u, v in arcs])
 
 
-def decode_tree(code: str) -> OrientedTree:
-    head, _, body = code.partition(":")
+def _decode(code: str, sep: str, what: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the pairs of a compact code ``n:a<sep>b,...``."""
     try:
+        head, body = code.split(":", 1)
         n = int(head)
-    except ValueError as exc:
-        raise FormatError(f"bad tree code {code!r}") from exc
-    arcs = []
-    if body:
-        for token in body.split(","):
-            tail, _, tip = token.partition(">")
-            try:
-                arcs.append((int(tail), int(tip)))
-            except ValueError as exc:
-                raise FormatError(f"bad arc token {token!r} in {code!r}") from exc
+    except ValueError:
+        raise FormatError(f"{what} code must start with '<n>:', got {code!r}") from None
+    return n, _pairs(body.split(",") if body else (), sep, f"{what} code item")
+
+
+def decode_tree(code: str) -> OrientedTree:
+    n, arcs = _decode(code, ">", "tree")
     return OrientedTree(n, tuple(arcs))
 
 
 def encode_base(base: BaseTree) -> str:
-    if base.n == 1:
-        return "1:"
-    return f"{base.n}:" + ",".join(f"{u}-{v}" for u, v in base.edges)
+    return f"{base.n}:" + ",".join([f"{u}-{v}" for u, v in base.edges])
 
 
 def decode_base(code: str) -> BaseTree:
-    head, _, body = code.partition(":")
-    try:
-        n = int(head)
-    except ValueError as exc:
-        raise FormatError(f"bad base-tree code {code!r}") from exc
-    edges = []
-    if body:
-        for token in body.split(","):
-            a, _, b = token.partition("-")
-            try:
-                edges.append((int(a), int(b)))
-            except ValueError as exc:
-                raise FormatError(f"bad edge token {token!r} in {code!r}") from exc
+    n, edges = _decode(code, "-", "base-tree")
     return BaseTree(n, tuple(edges))
 
 

@@ -248,6 +248,12 @@ def test_gen_caterpillar_rejects_mask_without_edges(capsys):
     assert "mask" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("legs", ["1:x", "1:1:1", "1", "1:1,"])
+def test_gen_caterpillar_rejects_malformed_legs(legs, capsys):
+    assert cli_main(["gen", "caterpillar", "--spine", "4", "--legs", legs]) == 2
+    assert "--legs item" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli_main(["solve"]) == 2  # missing argument
     assert cli_main(["nonsense"]) == 2

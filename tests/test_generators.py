@@ -143,6 +143,27 @@ class TestFamilies:
         assert all(type(x) is int for pair in spec.legs for x in (*pair, spec.spine_mask))
         assert type(spec.legs) is tuple and all(type(pair) is tuple for pair in spec.legs)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GsSpec(2, 2.0),
+            lambda: GsSpec("2", 2),
+            lambda: GsSpec(2, 2, "mask", 1.0),
+            lambda: gs(GsSpec(2.5, 2)),
+            lambda: star(2.0),
+            lambda: path(2.0),
+        ],
+        ids=["gs-k", "gs-m-str", "gs-mask", "gs-build", "star-m", "path-n"],
+    )
+    def test_sizes_reject_non_integers(self, build):
+        with pytest.raises(SpecInvalidError):
+            build()
+
+    def test_gs_spec_normalizes_to_ints(self):
+        spec = GsSpec(True, 2, "mask", False)
+        assert (spec.m, spec.k, spec.mask) == (1, 2, 0)
+        assert all(type(x) is int for x in (spec.m, spec.k, spec.mask))
+
     def test_caterpillar_equals_the_validated_build(self):
         # caterpillar builds its arcs without validation; the validating
         # constructor accepts the same arcs, listed as the spec describes them
@@ -315,6 +336,11 @@ class TestRandomAndSequences:
     def test_sequence_decode_known(self):
         # sequence (3, 3) on 4 vertices joins leaves 0,1,2 around vertex 3
         assert sequence_to_edges((3, 3), 4) == ((0, 3), (1, 3), (2, 3))
+
+    @pytest.mark.parametrize("seq", [[-1], [5]], ids=["negative", "too-large"])
+    def test_sequence_entries_outside_the_range_rejected(self, seq):
+        with pytest.raises(ValueError, match=f"entry {seq[0]} outside 0..2"):
+            sequence_to_edges(seq, 3)
 
     def test_sequence_decode_matches_the_heap_decoder(self):
         # every sequence for n <= 6, then seeded ones up to n = 40

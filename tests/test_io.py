@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from domchrom.coloring import DominatorCertificate, verify_dominator
 from domchrom.io import (
@@ -19,7 +20,10 @@ from domchrom.io import (
     to_dot,
     write_tree,
 )
+from domchrom.solver import solve_exact
 from domchrom.trees import BaseTree, build_tree
+
+from conftest import oriented_trees
 
 
 def sample_tree():
@@ -139,3 +143,60 @@ class TestCompactCodes:
     def test_certificate_from_obj_raises_format_error_not_a_builtin(self, obj):
         with pytest.raises(FormatError):
             certificate_from_obj(obj)
+
+
+# Malformed pairs, each dropped into an otherwise valid input of every
+# reader with that reader's separator at ``{}``.  Empty items are malformed
+# only in compact codes (a file reader skips blank lines), so the decoders'
+# own table below has them.
+MALFORMED = [
+    pytest.param("0{}1{}2", id="three-ints"),
+    pytest.param("0{}x", id="non-integer"),
+    pytest.param("0{}1.5", id="float"),
+    pytest.param("7", id="one-int"),
+]
+
+
+@pytest.mark.parametrize("item", MALFORMED)
+@pytest.mark.parametrize(
+    "read, sep",
+    [
+        pytest.param(lambda body: decode_tree(f"3:0>1,{body}"), ">", id="decode_tree"),
+        pytest.param(lambda body: decode_base(f"3:0-1,{body}"), "-", id="decode_base"),
+        pytest.param(lambda body: parse_tree(f"n 3\n0 1\n{body} #\n"), " ", id="parse_tree"),
+        pytest.param(lambda body: parse_coloring(f"0 1\n{body} #\n", 2), " ", id="parse_coloring"),
+    ],
+)
+def test_every_reader_rejects_a_malformed_pair(read, sep, item):
+    with pytest.raises(FormatError):
+        read(item.format(sep, sep))
+
+
+@pytest.mark.parametrize("decode", [decode_tree, decode_base])
+@pytest.mark.parametrize(
+    "code",
+    [
+        pytest.param("3:0>1,,1>2", id="empty-token"),
+        pytest.param("3:0-1,,1-2", id="empty-token-base"),
+        pytest.param("2:0>1,", id="trailing-comma"),
+        pytest.param("2:0-1,", id="trailing-comma-base"),
+        pytest.param("x:0>1", id="bad-head"),
+        pytest.param(":", id="empty-head"),
+        pytest.param("2", id="no-head"),
+        pytest.param("0>1", id="no-colon"),
+    ],
+)
+def test_decoders_reject_malformed_codes(decode, code):
+    with pytest.raises(FormatError):
+        decode(code)
+
+
+@given(oriented_trees())
+@settings(max_examples=60, deadline=None)
+def test_text_formats_round_trip(t):
+    assert parse_tree(format_tree(t)) == t
+    assert decode_tree(encode_tree(t)) == t
+    base = t.underlying()
+    assert decode_base(encode_base(base)) == base
+    coloring = solve_exact(t).certificate.coloring
+    assert parse_coloring(format_coloring(coloring), t.n) == coloring
