@@ -120,38 +120,27 @@ def _cmd_verify(args) -> int:
 def _cmd_orientations(args) -> int:
     base = read_tree(args.tree).underlying()
     chis = harness.class_table(base, harness._chi)
-    min_mask, max_mask = harness.extreme_masks(chis)
-    min_chi, max_chi = chis[min_mask], chis[max_mask]
+    extremes = {
+        key: (mask, chis[mask]) for key, mask in zip(("min", "max"), harness.extreme_masks(chis))
+    }
+    # --min or --max makes its extreme the one row; otherwise every mask is one
+    picked = [key for key in extremes if getattr(args, key)]
+    rows = [extremes[key] for key in picked] or list(enumerate(chis))
     if args.format == "json":
-        obj = {
-            "n": base.n,
-            "orientations": len(chis),
-            "min": {"mask": min_mask, "chi": min_chi},
-            "max": {"mask": max_mask, "chi": max_chi},
-        }
-        if not (args.min or args.max):
-            obj["all"] = [{"mask": m, "chi": c} for m, c in enumerate(chis)]
+        obj = {"n": base.n, "orientations": len(chis)}
+        obj.update((key, {"mask": m, "chi": c}) for key, (m, c) in extremes.items())
+        if not picked:
+            obj["all"] = [{"mask": m, "chi": c} for m, c in rows]
         _emit_json(obj, args.output)
-    elif args.format == "csv":
-        lines = ["mask,chi"]
-        if args.min:
-            lines.append(f"{min_mask},{min_chi}")
-        elif args.max:
-            lines.append(f"{max_mask},{max_chi}")
-        else:
-            lines.extend(f"{m},{c}" for m, c in enumerate(chis))
-        _emit("\n".join(lines) + "\n", args.output)
+        return 0
+    if args.format == "csv":
+        lines = ["mask,chi", *(f"{m},{c}" for m, c in rows)]
     else:
-        lines = []
-        if args.min:
-            lines.append(f"min chi = {min_chi} at mask {min_mask}")
-        elif args.max:
-            lines.append(f"max chi = {max_chi} at mask {max_mask}")
-        else:
-            lines.extend(f"mask {m}: chi = {c}" for m, c in enumerate(chis))
-            lines.append(f"min chi = {min_chi} at mask {min_mask}")
-            lines.append(f"max chi = {max_chi} at mask {max_mask}")
-        _emit("\n".join(lines) + "\n", args.output)
+        lines = [] if picked else [f"mask {m}: chi = {c}" for m, c in rows]
+        for key in picked or extremes:
+            m, c = extremes[key]
+            lines.append(f"{key} chi = {c} at mask {m}")
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
 from typing import Iterable, Sequence, Union
 
-from .errors import BadVertexIdError, SizeMismatchError
+from .errors import BadVertexIdError, SizeMismatchError, _int
 from .trees import OrientedTree
 
 #: Witness marker for vertices with empty out-neighborhood.
@@ -33,10 +32,7 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            colors = tuple(map(index, self.colors))
-        except TypeError as exc:
-            raise ValueError(f"colors must be integers: {exc}") from None
+        colors = tuple(_int(c, "color", ValueError) for c in self.colors)
         object.__setattr__(self, "colors", colors)
         if not colors:
             raise ValueError("coloring must cover at least one vertex")
@@ -211,10 +207,7 @@ def dominated_classes(t: OrientedTree, c: ColoringLike, v: int) -> frozenset[int
     """Color ids whose entire class lies inside N+(v); empty for sinks.
     Raises :class:`BadVertexIdError` when v is not a vertex of ``t``."""
     colors = _coerce(t, c).colors
-    try:
-        u = index(v)
-    except TypeError:
-        u = -1
+    u = _int(v, "vertex", BadVertexIdError)
     if not 0 <= u < t.n:
         raise BadVertexIdError(f"vertex {v!r} is outside 0..{t.n - 1}")
     # one tuple per color among v's out-neighbors: its witness is that color or 0

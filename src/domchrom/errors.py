@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and :func:`_int`, the one
+reader of every integer argument (text is parsed with ``int()`` where read)."""
+
+from operator import index
 
 
 class DomchromError(Exception):
@@ -55,3 +58,12 @@ class SpineNotDirectedError(DomchromError, ValueError):
 
 class SpecInvalidError(DomchromError, ValueError):
     """A generator spec violates its structural invariants."""
+
+
+def _int(value, what: str, error: type[ValueError] = SpecInvalidError) -> int:
+    """``value`` as a plain int (an ``__index__`` type or a bool reads as its
+    int), else ``error`` saying that ``what`` must be an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None

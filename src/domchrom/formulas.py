@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import Coloring, DominatorCertificate, Violation, verify_dominator
-from .errors import KTooSmallError, NotRootedError, SpineNotDirectedError
+from .errors import KTooSmallError, NotRootedError, SpineNotDirectedError, _int
 from .generators import CaterpillarSpec, GsSpec, caterpillar, gs, mask_bits, orient, star
 from .trees import OrientedTree, classify_rooted
 
@@ -29,6 +29,7 @@ def _certified(t: OrientedTree, labels: list[int]) -> DominatorCertificate:
 
 def chi_directed_path(n: int) -> int:
     """Dominator chromatic number of the directed path on n vertices."""
+    n = _int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     return n
@@ -45,6 +46,7 @@ def chi_path_orientation_min(n: int) -> int:
     Piecewise in n mod 4 for n >= 4, with the single exception at n = 6; the
     n <= 3 values come from the stored brute-force table.
     """
+    n = _int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= 3:
@@ -75,6 +77,7 @@ def chi_star(mask: int, m: int) -> int:
     ``mask`` has one bit per leaf (bit j set = leaf j+1 points at the
     center); :func:`star_coloring` is the witness.
     """
+    mask, m = _int(mask, "mask"), _int(m, "m")
     if m < 1:
         raise ValueError("star needs m >= 1 leaves")
     if not (0 <= mask < (1 << m)):
@@ -86,13 +89,13 @@ def star_coloring(mask: int, m: int) -> DominatorCertificate:
     """A verified coloring of ``orient(star(m), mask)`` with ``chi_star(mask, m)``
     colors: the center alone, the out-leaves as the class it dominates, and
     the in-leaves, which need the center's class to be unique, as a third."""
-    chi_star(mask, m)  # validates mask and m
-    labels = [1] + [3 if bit == "1" else 2 for bit in mask_bits(mask, m)]
-    return _certified(orient(star(m), mask), labels)
+    t = orient(star(m), mask)  # reads and checks m and mask
+    return _certified(t, [1] + [3 if out else 2 for out in t.out_neighbors[1:]])
 
 
 def gs_uniform_chi(m: int, k: int) -> int:
     """Exact value for a generalized star oriented as an out- or in-tree."""
+    m, k = _int(m, "m"), _int(k, "k")
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
     return m * (k - 1) + 2
@@ -100,6 +103,7 @@ def gs_uniform_chi(m: int, k: int) -> int:
 
 def gs_layered_bound(m: int, k: int) -> int:
     """Upper bound achieved by the layered orientation, defined for k >= 2."""
+    m, k = _int(m, "m"), _int(k, "k")
     if m < 1:
         raise ValueError("need m >= 1")
     if k < 2:
@@ -145,8 +149,8 @@ def build_layered_gs(m: int, k: int) -> LayeredStarResult:
     s2_color = 3
     labels[0] = center_color
     nxt = 4
-    for layer in range(1, k + 1):
-        for j in range(m):
+    for layer in range(1, spec.k + 1):
+        for j in range(spec.m):
             v = spec.layer_vertex(j, layer)
             if layer % 2 == 1:
                 labels[v] = odd_color

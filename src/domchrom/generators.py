@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import index
 from typing import Sequence
 
-from .errors import SpecInvalidError, TooLargeError
+from .errors import SpecInvalidError, TooLargeError, _int
 from .trees import BaseTree, OrientedTree, _walk
 
 _FREE_TREE_CAP = 12
@@ -28,28 +27,20 @@ _MASK_WIDTH_CAP = 26
 GS_SCHEMES = ("out", "in", "layered", "mask")
 
 
-def _spec_int(value, name: str) -> int:
-    """``value`` as a plain int, else :class:`SpecInvalidError`."""
-    try:
-        return index(value)
-    except TypeError:
-        raise SpecInvalidError(f"{name} must be an integer, got {value!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # named topologies
 
 
 def path(n: int) -> BaseTree:
     """The path on vertices 0..n-1 with edges (i, i+1)."""
-    n = _spec_int(n, "n")
+    n = _int(n, "n")
     return BaseTree(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def star(m: int) -> BaseTree:
     """Star with center 0 and m leaves; same shape as a generalized star with
     1-edge paths."""
-    m = _spec_int(m, "m")
+    m = _int(m, "m")
     if m < 1:
         raise SpecInvalidError("star needs at least one leaf")
     return BaseTree(m + 1, tuple((0, i) for i in range(1, m + 1)))
@@ -72,7 +63,7 @@ class GsSpec:
 
     def __post_init__(self) -> None:
         for name in ("m", "k") if self.mask is None else ("m", "k", "mask"):
-            object.__setattr__(self, name, _spec_int(getattr(self, name), name))
+            object.__setattr__(self, name, _int(getattr(self, name), name))
         if self.m < 1 or self.k < 1:
             raise SpecInvalidError("generalized star needs m >= 1 and k >= 1")
         if self.scheme not in GS_SCHEMES:
@@ -94,9 +85,9 @@ class GsSpec:
 def gs_base(m: int, k: int) -> BaseTree:
     spec = GsSpec(m, k)
     edges = []
-    for j in range(m):
+    for j in range(spec.m):
         prev = 0
-        for layer in range(1, k + 1):
+        for layer in range(1, spec.k + 1):
             cur = spec.layer_vertex(j, layer)
             edges.append((prev, cur))
             prev = cur
@@ -138,16 +129,15 @@ class CaterpillarSpec:
     legs_mask: int = 0
 
     def __post_init__(self) -> None:
-        m = _spec_int(self.spine_len, "spine_len")
         try:
             pairs = [(idx, count) for idx, count in self.legs]
         except (TypeError, ValueError):
             raise SpecInvalidError(f"legs must be (index, count) pairs, got {self.legs!r}") from None
-        legs = tuple((_spec_int(i, "leg index"), _spec_int(c, "leg count")) for i, c in pairs)
-        object.__setattr__(self, "spine_len", m)
+        legs = tuple((_int(i, "leg index"), _int(c, "leg count")) for i, c in pairs)
         object.__setattr__(self, "legs", legs)
-        for name in ("spine_mask", "legs_mask"):
-            object.__setattr__(self, name, _spec_int(getattr(self, name), name))
+        for name in ("spine_len", "spine_mask", "legs_mask"):
+            object.__setattr__(self, name, _int(getattr(self, name), name))
+        m = self.spine_len
         if m < 1:
             raise SpecInvalidError("spine must have at least one vertex")
         total_legs = 0
@@ -194,7 +184,7 @@ def orient(base: BaseTree, mask: int) -> OrientedTree:
     exactly once, and complementary masks are mutual reversals.
     """
     width = len(base.edges)
-    mask = _spec_int(mask, "mask")
+    mask = _int(mask, "mask")
     if not (0 <= mask < (1 << width)):
         raise SpecInvalidError(f"mask {mask} out of range for {width} edges")
     return OrientedTree._trusted(base.n, tuple(orientation_arcs(base.edges, mask)))
@@ -221,7 +211,7 @@ def rooted_orientation(base: BaseTree, root: int, sense: str) -> OrientedTree:
     """Orient every edge away from (``sense='out'``) or toward (``'in'``) the root."""
     if sense not in ("out", "in"):
         raise ValueError(f"sense must be 'out' or 'in', got {sense!r}")
-    root = _spec_int(root, "root")
+    root = _int(root, "root")
     if not (0 <= root < base.n):
         raise SpecInvalidError(f"root {root} outside 0..{base.n - 1}")
     order, parent, _ = _walk(root, base.adjacency)
@@ -406,6 +396,7 @@ def free_trees(n: int) -> list[BaseTree]:
     AHU pass per grown tree gives both its code and, when the code is new,
     its canonical form.
     """
+    n = _int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _FREE_TREE_CAP:
@@ -438,15 +429,23 @@ def sequence_to_edges(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]
     last two survivors are that leaf and n - 1, which is never the smallest
     of two or more leaves.
     """
+    n = _int(n, "n")
+    seq = [_int(x, "sequence entry") for x in seq]
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(seq) != max(n - 2, 0):
         raise ValueError(f"sequence for n={n} must have length {max(n - 2, 0)}")
+    bad = [x for x in seq if not 0 <= x < n]
+    if bad:
+        raise ValueError(f"sequence entry {bad[0]} outside 0..{n - 1}")
+    return _decode(seq, n)
+
+
+def _decode(seq: list[int], n: int) -> tuple[tuple[int, int], ...]:
+    """:func:`sequence_to_edges` of a sequence of ints already valid for
+    ``n >= 1``; nothing is checked."""
     if n == 1:
         return ()
-    if seq and not (0 <= min(seq) and max(seq) < n):
-        bad = next(x for x in seq if not 0 <= x < n)
-        raise ValueError(f"sequence entry {bad} outside 0..{n - 1}")
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -468,9 +467,11 @@ def sequence_to_edges(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]
 
 def random_tree(n: int, seed: int) -> BaseTree:
     """Uniform random labeled tree; fixed seed gives a fixed tree.  The
-    decoded sequence is a tree by construction, so it is not validated."""
+    sequence is drawn in range, so it is decoded unchecked, and the decoded
+    sequence is a tree by construction, so it is not validated."""
+    n = _int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    return BaseTree._trusted(n, tuple(sorted(sequence_to_edges(seq, n))))
+    return BaseTree._trusted(n, tuple(sorted(_decode(seq, n))))

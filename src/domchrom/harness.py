@@ -49,7 +49,7 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from .errors import NotRootedError, SpecInvalidError, TooLargeError
+from .errors import NotRootedError, SpecInvalidError, TooLargeError, _int
 from .formulas import (
     caterpillar_upper_coloring,
     chi_path_orientation_min,
@@ -81,7 +81,8 @@ from .trees import delete_leaf  # unused here; perfbench/tracing.py wraps this n
 
 
 def _map_ordered(fn, payloads: list, jobs: int) -> list:
-    if not isinstance(jobs, int) or jobs < 1:
+    jobs = _int(jobs, "jobs", ValueError)
+    if jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if jobs == 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
@@ -196,6 +197,7 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
     At n <= 9 that is 7,600 solves for the 15,944 orientations the records
     name.
     """
+    max_n = _int(max_n, "max_n")
     if not (1 <= max_n <= 10):
         raise TooLargeError("reversal sweep supports 1 <= max_n <= 10")
     payloads = [
@@ -332,6 +334,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     one solve per directed-isomorphism class; every chi a record names, its
     subtree's included, is then read from those tables by mask.
     """
+    max_n = _int(max_n, "max_n")
     if not (2 <= max_n <= 9):
         raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
     bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
@@ -403,6 +406,7 @@ def explore_conjecture_gs(
     disagreements are findings, never failures, so the summary always holds
     when the sweep completes and every witness re-verifies.
     """
+    m_max, k_max, n_cap = _int(m_max, "m_max"), _int(k_max, "k_max"), _int(n_cap, "n_cap")
     if not (1 <= n_cap <= 10):
         raise TooLargeError("conjecture exploration supports n_cap <= 10")
     payloads = [
@@ -457,6 +461,7 @@ def check_star_values(m_max: int, jobs: int = 1) -> ExperimentReport:
     Expected: every value lies in {2, 3}, with 2 exactly on the two
     orientations whose arcs all agree.
     """
+    m_max = _int(m_max, "m_max")
     if not (1 <= m_max <= 10):
         raise TooLargeError("star sweep supports 1 <= m_max <= 10")
     grouped = _map_ordered(_star_records, list(range(1, m_max + 1)), jobs)
@@ -484,6 +489,8 @@ def sample_caterpillar_specs(
     spine range is empty or every spine it allows exceeds ``n_max``, since no
     draw could then be accepted.
     """
+    samples, n_max = _int(samples, "samples"), _int(n_max, "n_max")
+    spine_min, spine_max = _int(spine_min, "spine_min"), _int(spine_max, "spine_max")
     if samples < 1:
         raise SpecInvalidError(f"samples must be >= 1, got {samples}")
     if spine_min > spine_max:
@@ -568,13 +575,14 @@ def check_caterpillar_bounds(
 ) -> ExperimentReport:
     """Spine lower bound, 2m-1 upper bound, and directed-spine equality on a
     seeded random sample of oriented caterpillars."""
-    specs, skipped = sample_caterpillar_specs(samples, seed, n_max, spine_min, spine_max)
+    params = dict(
+        samples=_int(samples, "samples"), seed=seed, n_max=_int(n_max, "n_max"),
+        spine_min=_int(spine_min, "spine_min"), spine_max=_int(spine_max, "spine_max"),
+    )
+    specs, skipped = sample_caterpillar_specs(**params)
     records = _map_ordered(_caterpillar_record, list(enumerate(specs)), jobs)
     counterexamples = [rec["instance"] for rec in records if not rec["ok"]]
     directed_cases = sum(1 for rec in records if rec["spine_directed"])
-    params = dict(
-        samples=samples, seed=seed, n_max=n_max, spine_min=spine_min, spine_max=spine_max
-    )
     return _report(
         "caterpillar_bounds", params, records, counterexamples,
         skipped=skipped, directed_spines=directed_cases,
@@ -612,6 +620,7 @@ def check_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1) -> Experime
     Rows with n <= 3 are labeled as extensions of the formula (they come from
     the stored brute-force table rather than the piecewise expression).
     """
+    n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
     if not (1 <= n_lo <= n_hi <= 13):
         raise TooLargeError("path sweep supports 1 <= n_lo <= n_hi <= 13")
     records = _map_ordered(_path_min_record, list(range(n_lo, n_hi + 1)), jobs)
@@ -646,6 +655,7 @@ def _rooted_record(payload: tuple[BaseTree, str, int, str]) -> dict:
 def check_rooted_formula(max_n: int, jobs: int = 1) -> ExperimentReport:
     """Out- and in-orientations from every root of every free tree, solved
     exactly and compared against n - leaves + 1."""
+    max_n = _int(max_n, "max_n")
     if not (1 <= max_n <= 10):
         raise TooLargeError("rooted sweep supports 1 <= max_n <= 10")
     payloads = []

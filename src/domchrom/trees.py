@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -28,15 +27,16 @@ from .errors import (
     NotALeafError,
     NotATreeError,
     SelfArcError,
+    _int,
 )
 
 
-def _vertex_count(n) -> int:
-    """``n`` as a plain int, else :class:`NotATreeError`."""
-    try:
-        return index(n)
-    except TypeError:
-        raise NotATreeError(f"vertex count must be an integer, got {n!r}") from None
+def _vertex_ids(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Each pair of vertex ids as two plain ints, else :class:`BadVertexIdError`."""
+    return [
+        (_int(u, "vertex id", BadVertexIdError), _int(v, "vertex id", BadVertexIdError))
+        for u, v in pairs
+    ]
 
 
 def _check_tree_shape(n: int, pairs: tuple[tuple[int, int], ...]) -> None:
@@ -118,11 +118,8 @@ class BaseTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _vertex_count(self.n))
-        try:
-            pairs = [(index(u), index(v)) for u, v in self.edges]
-        except TypeError as exc:
-            raise BadVertexIdError(f"vertex ids must be integers: {exc}") from None
+        object.__setattr__(self, "n", _int(self.n, "vertex count", NotATreeError))
+        pairs = _vertex_ids(self.edges)
         normalized = tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
         object.__setattr__(self, "edges", normalized)
         _check_tree_shape(self.n, normalized)
@@ -149,11 +146,8 @@ class OrientedTree:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _vertex_count(self.n))
-        try:
-            normalized = tuple(sorted((index(u), index(v)) for u, v in self.arcs))
-        except TypeError as exc:
-            raise BadVertexIdError(f"vertex ids must be integers: {exc}") from None
+        object.__setattr__(self, "n", _int(self.n, "vertex count", NotATreeError))
+        normalized = tuple(sorted(_vertex_ids(self.arcs)))
         object.__setattr__(self, "arcs", normalized)
         _check_tree_shape(self.n, normalized)
 
@@ -255,10 +249,7 @@ def delete_leaf(t: OrientedTree, v: int) -> tuple[OrientedTree, dict[int, int]]:
 
     Returns the smaller tree together with the old->new vertex map.
     """
-    try:
-        v = index(v)
-    except TypeError:
-        raise NotALeafError(f"vertex must be an integer, got {v!r}") from None
+    v = _int(v, "vertex", NotALeafError)
     if not (0 <= v < t.n) or t.degree(v) != 1:
         raise NotALeafError(f"vertex {v} is not an underlying leaf")
     mapping = {}

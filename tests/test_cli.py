@@ -120,6 +120,29 @@ def test_orientations_p12_pinned(fmt, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ORIENTATIONS_P12_DIGESTS[fmt]
 
 
+# SHA-256 of ``orientations --min`` and ``--max`` on the same path, recorded
+# while each format still selected its rows on its own
+ORIENTATIONS_P12_EXTREME_DIGESTS = {
+    ("text", "--min"): "9589bebe4aea78ed0daac8ff3ee4b3adcd25358b8fca48d0cd26dced370803e2",
+    ("text", "--max"): "4323a58c08336e80643186fb7b1eeed7eb6dc82099d02cb9a376000eb0f4e060",
+    ("json", "--min"): "c2e679bbfe66a73dc55a9b3d319134852f51a2abcfc1a3ee0a434536e13eb63b",
+    ("json", "--max"): "c2e679bbfe66a73dc55a9b3d319134852f51a2abcfc1a3ee0a434536e13eb63b",
+    ("csv", "--min"): "3c4d3cdd1600b80a7a628a4f426d3c35793af0093453b598135e26a2d597c431",
+    ("csv", "--max"): "8705e06cc2859e811639bf34e6015ba5da442385717db35880fe2b5bb40b2f25",
+}
+
+
+@pytest.mark.parametrize("fmt, flag", sorted(ORIENTATIONS_P12_EXTREME_DIGESTS))
+def test_orientations_p12_extremes_pinned(fmt, flag, tmp_path):
+    tree = tmp_path / "p12.tree"
+    tree.write_text(format_tree(build_tree(12, [(i, i + 1) for i in range(11)])))
+    out = tmp_path / "out"
+    argv = ["orientations", str(tree), "--format", fmt, flag, "--output", str(out)]
+    assert cli_main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == ORIENTATIONS_P12_EXTREME_DIGESTS[fmt, flag]
+
+
 @pytest.mark.parametrize("seed", [5, 2])
 def test_orientations_match_fresh_solves(seed, tmp_path, capsys):
     # seed 5 draws a tree with no automorphism, so every orientation is its
