@@ -5,9 +5,12 @@ verification failure, 2 = usage or input error.
 Each subcommand declares its handler and only the flags it reads: any other
 flag, or a missing required one, is a usage error.  Every subcommand takes
 ``--output``.  ``gen`` has one subcommand per family, each with its own flags.
-A campaign passes its flags to the ``harness`` check it runs and takes
+A campaign passes its flags to the ``harness`` stream it runs and takes
 ``--jobs``, an integer >= 1 that defaults to the ``DOMCHROM_JOBS``
-environment variable (unset or empty: 1).
+environment variable (unset or empty: 1).  A JSON report is written record
+by record as the campaign yields them.  An ``--output`` regular file is
+written beside its path and moved into place only once complete, so a run
+that fails leaves no file; stdout and devices are written directly.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, suppress
 
 from . import harness
 from .coloring import DominatorCertificate, SINK_EXEMPT, verify_dominator
@@ -39,6 +43,7 @@ from .io import (
     read_tree,
     to_dot,
 )
+from .reports import ExperimentReport, write_json
 from .solver import solve_exact
 
 
@@ -55,12 +60,34 @@ def _jobs(raw: str) -> int:
     return jobs
 
 
+@contextmanager
+def _output(path: str | None):
+    """The text stream that output for ``path`` goes to: stdout without a
+    path, the file itself when it exists and is no regular file (a device
+    such as /dev/null), else a temporary file beside it that replaces the
+    path only when the body completes, and is removed when it fails."""
+    if not path:
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
+
+
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(output) as fh:
+        fh.write(text)
 
 
 def _emit_json(obj: dict, output: str | None) -> None:
@@ -169,17 +196,23 @@ def _add_family(families, name: str, summary: str, build) -> argparse.ArgumentPa
 
 
 #: Namespace keys that the CLI itself reads; a campaign passes every other key
-#: (its flags' dests are the check's parameter names) to its ``harness`` check.
+#: (its flags' dests are the stream's parameter names) to its ``harness`` stream.
 _CLI_KEYS = frozenset({"command", "run", "output", "format"})
 
 
-def _add_campaign(sub, name: str, summary: str, check) -> argparse.ArgumentParser:
-    """Campaign ``name``: runs ``check`` on its flags and emits the report."""
+def _add_campaign(sub, name: str, summary: str, stream) -> argparse.ArgumentParser:
+    """Campaign ``name``: runs ``stream`` on its flags and emits the report,
+    JSON record by record as the records arrive, CSV once they are all in."""
 
     def run(args) -> int:
-        report = check(**{k: v for k, v in vars(args).items() if k not in _CLI_KEYS})
-        _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.output)
-        return 0 if report.holds else 1
+        campaign = stream(**{k: v for k, v in vars(args).items() if k not in _CLI_KEYS})
+        if args.format == "csv":
+            report = ExperimentReport.from_stream(campaign)
+            _emit(report.to_csv(), args.output)
+            return 0 if report.holds else 1
+        with _output(args.output) as fh:
+            holds = write_json(campaign, fh.write)["holds"]
+        return 0 if holds else 1
 
     p = _command(sub, name, summary, run, "json", "csv")
     # argparse passes a string default through ``type`` only when this
@@ -260,26 +293,26 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true")
 
     p = _add_campaign(
-        sub, "invariance", "reversal-invariance campaign", harness.check_reversal_invariance
+        sub, "invariance", "reversal-invariance campaign", harness.stream_reversal_invariance
     )
     p.add_argument("--max-n", type=int, required=True)
 
-    p = _add_campaign(sub, "leafdel", "leaf-deletion campaign", harness.check_leaf_deletion)
+    p = _add_campaign(sub, "leafdel", "leaf-deletion campaign", harness.stream_leaf_deletion)
     p.add_argument("--max-n", type=int, required=True)
 
     p = _add_campaign(
         sub, "conjecture", "generalized-star min/max exploration",
-        harness.explore_conjecture_gs,
+        harness.stream_conjecture_gs,
     )
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--n-cap", type=int, default=10)
 
-    p = _add_campaign(sub, "star", "star-orientation campaign", harness.check_star_values)
+    p = _add_campaign(sub, "star", "star-orientation campaign", harness.stream_star_values)
     p.add_argument("--m-max", type=int, required=True)
 
     p = _add_campaign(
-        sub, "caterpillar", "caterpillar bound campaign", harness.check_caterpillar_bounds
+        sub, "caterpillar", "caterpillar bound campaign", harness.stream_caterpillar_bounds
     )
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="sampling seed")

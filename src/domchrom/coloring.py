@@ -32,7 +32,11 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        colors = tuple(_int(c, "color", ValueError) for c in self.colors)
+        try:
+            colors = iter(self.colors)
+        except TypeError:
+            raise ValueError(f"colors must be a sequence, got {self.colors!r}") from None
+        colors = tuple(_int(c, "color", ValueError) for c in colors)
         object.__setattr__(self, "colors", colors)
         if not colors:
             raise ValueError("coloring must cover at least one vertex")

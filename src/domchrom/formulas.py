@@ -177,7 +177,13 @@ def build_layered_gs(m: int, k: int) -> LayeredStarResult:
 
 
 def caterpillar_upper_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
-    """Constructive coloring of an oriented caterpillar with <= 2m-1 colors.
+    """Constructive coloring of an oriented caterpillar with <= 2m-1 colors,
+    verified on ``caterpillar(spec)``; see :func:`_caterpillar_upper_labels`."""
+    return _certified(caterpillar(spec), _caterpillar_upper_labels(spec))
+
+
+def _caterpillar_upper_labels(spec: CaterpillarSpec) -> list[int]:
+    """The labels of :func:`caterpillar_upper_coloring`.
 
     Read off the spec: the spine 0..m-1 gets unique colors, and leg j is
     vertex m + j in ``spec.legs`` order.  Legs whose ``legs_mask`` bit is
@@ -190,11 +196,17 @@ def caterpillar_upper_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
     feet = [idx for idx, count in spec.legs for _ in range(count)]
     sources = mask_bits(spec.legs_mask, len(feet))
     legs = [m + 1 if bit == "1" else m + 2 + idx for idx, bit in zip(feet, sources)]
-    return _certified(caterpillar(spec), list(range(1, m + 1)) + legs)
+    return list(range(1, m + 1)) + legs
 
 
 def directed_spine_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
-    """Exactly m colors when the spine is a directed path.
+    """Exactly m colors when the spine is a directed path, verified on
+    ``caterpillar(spec)``; see :func:`_directed_spine_labels`."""
+    return _certified(caterpillar(spec), _directed_spine_labels(spec))
+
+
+def _directed_spine_labels(spec: CaterpillarSpec) -> list[int]:
+    """The labels of :func:`directed_spine_coloring`.
 
     The spine is directed exactly when ``spine_mask`` is 0, its head then
     vertex 0, or all ones, its head m - 1.  The spine gets unique colors and
@@ -206,4 +218,4 @@ def directed_spine_coloring(spec: CaterpillarSpec) -> DominatorCertificate:
     if spec.spine_mask not in (0, (1 << (m - 1)) - 1):
         raise SpineNotDirectedError("spine is not a directed path")
     head = 1 if spec.spine_mask == 0 else m
-    return _certified(caterpillar(spec), list(range(1, m + 1)) + [head] * (spec.n - m))
+    return list(range(1, m + 1)) + [head] * (spec.n - m)

@@ -4,9 +4,16 @@ Each campaign enumerates a finite corpus, solves every instance exactly, and
 emits one record per instance that carries the instance's compact code, so
 each record replays on its own.  A counterexample never aborts a sweep; it
 lands in the summary and flips the ``holds`` flag.  Instances are
-independent, so campaigns parallelize over processes; workers return records
-in enumeration order and each campaign builds its report from them, which
+independent, so campaigns parallelize over processes; :func:`_map_ordered`
+yields the workers' records in enumeration order while the pool runs, which
 makes reports byte-identical for any job count.
+
+Each campaign is a stream (``stream_*``, see :mod:`reports`): it checks its
+parameters, yields its name and params, then each record as the ordered map
+yields it, and returns its summary, whose counterexamples and other findings
+it folds as the records pass.  The CLI writes a stream's records as they
+arrive; each ``check_*`` function collects its stream into an
+:class:`ExperimentReport`.
 
 Workers receive tree values that the parent has already built and validated,
 never codes to parse: a base tree (with its code or its orientation tables
@@ -40,8 +47,9 @@ in- and out-degrees of the arcs.  The tables live for one call, so no memo
 outlives a campaign.  The caterpillar and rooted-formula campaigns solve
 each tree they meet once; a caterpillar record and both constructions it
 checks read the spine and the legs off the spec, so nothing searches for a
-longest path.  Star and rooted-tree values come from :mod:`formulas` alone.
-Every solve is re-verified by its certificate check.
+longest path, and both constructions are verified on the one tree the record
+builds.  Star and rooted-tree values come from :mod:`formulas` alone.  Every
+solve is re-verified by its certificate check.
 """
 
 from __future__ import annotations
@@ -51,11 +59,12 @@ from functools import partial
 
 from .errors import NotRootedError, SpecInvalidError, TooLargeError, _int
 from .formulas import (
-    caterpillar_upper_coloring,
+    _caterpillar_upper_labels,
+    _certified,
+    _directed_spine_labels,
     chi_path_orientation_min,
     chi_rooted,
     chi_star,
-    directed_spine_coloring,
     gs_uniform_chi,
 )
 from .generators import (
@@ -80,34 +89,38 @@ from .trees import BaseTree, OrientedTree
 from .trees import delete_leaf  # unused here; perfbench/tracing.py wraps this name
 
 
-def _map_ordered(fn, payloads: list, jobs: int) -> list:
+def _map_ordered(fn, payloads: list, jobs: int):
+    """Yield ``fn`` of each payload in payload order.  Above one job, a
+    process pool computes them in chunks and stays open while the consumer
+    reads; a consumer that stops early cancels the chunks not yet started."""
     jobs = _int(jobs, "jobs", ValueError)
     if jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if jobs == 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+        yield from map(fn, payloads)
+        return
     # imported here, so that importing the package loads no process pool
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(payloads) // (jobs * 4))
     # a forking pool starts every worker at its first submit, so it asks for
     # no more workers than there are payloads
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(fn, payloads, chunksize=chunk))
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)))
+    try:
+        yield from pool.map(fn, payloads, chunksize=chunk)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _report(
-    campaign: str, params: dict, records: list[dict], counterexamples: list, **extra
-) -> ExperimentReport:
-    """The campaign's report; its summary holds exactly when no counterexample
-    was found, and carries ``extra`` beside the instance count."""
-    summary = {
-        "instances": len(records),
+def _summary(instances: int, counterexamples: list, **extra) -> dict:
+    """A campaign's summary; it holds exactly when no counterexample was
+    found, and carries ``extra`` beside the instance count."""
+    return {
+        "instances": instances,
         "counterexamples": counterexamples,
         "holds": not counterexamples,
         **extra,
     }
-    return ExperimentReport(campaign, params, records, summary)
 
 
 def _chi(t: OrientedTree) -> int:
@@ -185,6 +198,34 @@ def _invariance_records(payload: tuple[BaseTree, str]) -> list[dict]:
     ]
 
 
+def stream_reversal_invariance(max_n: int, jobs: int = 1):
+    """The campaign stream of :func:`check_reversal_invariance`."""
+    max_n = _int(max_n, "max_n")
+    if not (1 <= max_n <= 10):
+        raise TooLargeError("reversal sweep supports 1 <= max_n <= 10")
+    yield "reversal_invariance", {"max_n": max_n}
+    payloads = [
+        (base, encode_base(base)) for n in range(1, max_n + 1) for base in free_trees(n)
+    ]
+    counterexamples = []
+    max_chi = -1
+    max_instance = ""
+    instances = 0
+    for group in _map_ordered(_invariance_records, payloads, jobs):
+        instances += len(group)
+        for rec in group:
+            if not rec["equal"] or not rec.get("rooted_ok", True):
+                counterexamples.append(rec["instance"])
+            for key, inst in (("chi", "instance"), ("chi_rev", "instance_rev")):
+                if rec[key] > max_chi:
+                    max_chi = rec[key]
+                    max_instance = rec[inst]
+            yield rec
+    return _summary(
+        instances, counterexamples, max_chi=max_chi, max_chi_instance=max_instance
+    )
+
+
 def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
     """Compare chi of every orientation of every free tree up to ``max_n``
     with chi of its reversal.
@@ -197,28 +238,7 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
     At n <= 9 that is 7,600 solves for the 15,944 orientations the records
     name.
     """
-    max_n = _int(max_n, "max_n")
-    if not (1 <= max_n <= 10):
-        raise TooLargeError("reversal sweep supports 1 <= max_n <= 10")
-    payloads = [
-        (base, encode_base(base)) for n in range(1, max_n + 1) for base in free_trees(n)
-    ]
-    grouped = _map_ordered(_invariance_records, payloads, jobs)
-    records = [rec for group in grouped for rec in group]
-    counterexamples = []
-    max_chi = -1
-    max_instance = ""
-    for rec in records:
-        if not rec["equal"] or not rec.get("rooted_ok", True):
-            counterexamples.append(rec["instance"])
-        for key, inst in (("chi", "instance"), ("chi_rev", "instance_rev")):
-            if rec[key] > max_chi:
-                max_chi = rec[key]
-                max_instance = rec[inst]
-    return _report(
-        "reversal_invariance", {"max_n": max_n}, records, counterexamples,
-        max_chi=max_chi, max_chi_instance=max_instance,
-    )
+    return ExperimentReport.from_stream(stream_reversal_invariance(max_n, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +342,31 @@ def _leafdel_records(payload: tuple[BaseTree, list, list]) -> list[dict]:
     return records
 
 
+def stream_leaf_deletion(max_n: int, jobs: int = 1):
+    """The campaign stream of :func:`check_leaf_deletion`."""
+    max_n = _int(max_n, "max_n")
+    if not (2 <= max_n <= 9):
+        raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
+    yield "leaf_deletion", {"max_n": max_n}
+    bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
+    tables = dict(zip(bases, _map_ordered(partial(class_table, fact=_chi), bases, jobs)))
+    payloads = [
+        (base, tables[base], _leaf_maps(base, tables)) for base in bases if base.n > 1
+    ]
+    counterexamples = []
+    instances = 0
+    for group in _map_ordered(_leafdel_records, payloads, jobs):
+        instances += len(group)
+        for rec in group:
+            if rec["violations"]:
+                counterexamples.append(
+                    {"instance": rec["instance"], "leaf": rec["leaf"],
+                     "violations": rec["violations"]}
+                )
+            yield rec
+    return _summary(instances, counterexamples)
+
+
 def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     """Delete every underlying leaf of every orientation of every free tree.
 
@@ -334,23 +379,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     one solve per directed-isomorphism class; every chi a record names, its
     subtree's included, is then read from those tables by mask.
     """
-    max_n = _int(max_n, "max_n")
-    if not (2 <= max_n <= 9):
-        raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
-    bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
-    tables = dict(zip(bases, _map_ordered(partial(class_table, fact=_chi), bases, jobs)))
-    payloads = [
-        (base, tables[base], _leaf_maps(base, tables)) for base in bases if base.n > 1
-    ]
-    grouped = _map_ordered(_leafdel_records, payloads, jobs)
-    records = [rec for group in grouped for rec in group]
-    counterexamples = [
-        {"instance": rec["instance"], "leaf": rec["leaf"],
-         "violations": rec["violations"]}
-        for rec in records
-        if rec["violations"]
-    ]
-    return _report("leaf_deletion", {"max_n": max_n}, records, counterexamples)
+    return ExperimentReport.from_stream(stream_leaf_deletion(max_n, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +426,8 @@ def _gs_record(payload: tuple[int, int]) -> dict:
     }
 
 
-def explore_conjecture_gs(
-    m_max: int, k_max: int, n_cap: int = 10, jobs: int = 1
-) -> ExperimentReport:
-    """Exact min/max over all orientations of each generalized star.
-
-    Agreement with the conjectured extremes is reported per (m, k);
-    disagreements are findings, never failures, so the summary always holds
-    when the sweep completes and every witness re-verifies.
-    """
+def stream_conjecture_gs(m_max: int, k_max: int, n_cap: int = 10, jobs: int = 1):
+    """The campaign stream of :func:`explore_conjecture_gs`."""
     m_max, k_max, n_cap = _int(m_max, "m_max"), _int(k_max, "k_max"), _int(n_cap, "n_cap")
     if not (1 <= n_cap <= 10):
         raise TooLargeError("conjecture exploration supports n_cap <= 10")
@@ -420,15 +442,26 @@ def explore_conjecture_gs(
             f"no generalized star with m <= {m_max}, k <= {k_max} and "
             f"m*k + 1 <= {n_cap}"
         )
-    records = _map_ordered(_gs_record, payloads, jobs)
+    yield "gs_minmax", {"m_max": m_max, "k_max": k_max, "n_cap": n_cap}
     keys = ("m", "k", "min_chi", "conjectured_min", "max_chi", "conjectured_max")
-    findings = [
-        {key: rec[key] for key in keys}
-        for rec in records
-        if not rec["min_agrees"] or not rec["max_agrees"]
-    ]
-    params = {"m_max": m_max, "k_max": k_max, "n_cap": n_cap}
-    return _report("gs_minmax", params, records, [], findings=findings)
+    findings = []
+    for rec in _map_ordered(_gs_record, payloads, jobs):
+        if not rec["min_agrees"] or not rec["max_agrees"]:
+            findings.append({key: rec[key] for key in keys})
+        yield rec
+    return _summary(len(payloads), [], findings=findings)
+
+
+def explore_conjecture_gs(
+    m_max: int, k_max: int, n_cap: int = 10, jobs: int = 1
+) -> ExperimentReport:
+    """Exact min/max over all orientations of each generalized star.
+
+    Agreement with the conjectured extremes is reported per (m, k);
+    disagreements are findings, never failures, so the summary always holds
+    when the sweep completes and every witness re-verifies.
+    """
+    return ExperimentReport.from_stream(stream_conjecture_gs(m_max, k_max, n_cap, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +488,30 @@ def _star_records(payload: int) -> list[dict]:
     return records
 
 
+def stream_star_values(m_max: int, jobs: int = 1):
+    """The campaign stream of :func:`check_star_values`."""
+    m_max = _int(m_max, "m_max")
+    if not (1 <= m_max <= 10):
+        raise TooLargeError("star sweep supports 1 <= m_max <= 10")
+    yield "star_values", {"m_max": m_max}
+    counterexamples = []
+    instances = 0
+    for group in _map_ordered(_star_records, list(range(1, m_max + 1)), jobs):
+        instances += len(group)
+        for rec in group:
+            if not rec["ok"]:
+                counterexamples.append(rec["instance"])
+            yield rec
+    return _summary(instances, counterexamples)
+
+
 def check_star_values(m_max: int, jobs: int = 1) -> ExperimentReport:
     """Solve all orientations of stars with up to ``m_max`` leaves.
 
     Expected: every value lies in {2, 3}, with 2 exactly on the two
     orientations whose arcs all agree.
     """
-    m_max = _int(m_max, "m_max")
-    if not (1 <= m_max <= 10):
-        raise TooLargeError("star sweep supports 1 <= m_max <= 10")
-    grouped = _map_ordered(_star_records, list(range(1, m_max + 1)), jobs)
-    records = [rec for group in grouped for rec in group]
-    counterexamples = [rec["instance"] for rec in records if not rec["ok"]]
-    return _report("star_values", {"m_max": m_max}, records, counterexamples)
+    return ExperimentReport.from_stream(stream_star_values(m_max, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +568,19 @@ def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
     only on 1..m-2, so the path 0..m-1 is a longest path (the
     lexicographically smallest); ``spine_mask`` orients it, and it is
     directed exactly when that mask is 0 or all ones.  Both constructions
-    take the spec and verify against their own ``caterpillar(spec)``."""
+    read their labels off the spec, and are verified on the record's own
+    tree, so the tree is built once."""
     index, spec = payload
     t = caterpillar(spec)
     m = spec.spine_len
     chi = _chi(t)
     chi_spine = _chi(orient(path(m), spec.spine_mask))
-    upper = caterpillar_upper_coloring(spec)
+    upper = _certified(t, _caterpillar_upper_labels(spec))
     directed = spec.spine_mask in (0, (1 << (m - 1)) - 1)
     directed_ok = None
     directed_cert = None
     if directed:
-        cert = directed_spine_coloring(spec)
+        cert = _certified(t, _directed_spine_labels(spec))
         directed_cert = certificate_to_obj(cert)
         directed_ok = chi == m and cert.coloring.k == m
     lower_ok = chi_spine <= chi
@@ -565,6 +610,33 @@ def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
     }
 
 
+def stream_caterpillar_bounds(
+    samples: int,
+    seed: int,
+    n_max: int = 12,
+    spine_min: int = 3,
+    spine_max: int = 8,
+    jobs: int = 1,
+):
+    """The campaign stream of :func:`check_caterpillar_bounds`."""
+    params = dict(
+        samples=_int(samples, "samples"), seed=seed, n_max=_int(n_max, "n_max"),
+        spine_min=_int(spine_min, "spine_min"), spine_max=_int(spine_max, "spine_max"),
+    )
+    specs, skipped = sample_caterpillar_specs(**params)
+    yield "caterpillar_bounds", params
+    counterexamples = []
+    directed_spines = 0
+    for rec in _map_ordered(_caterpillar_record, list(enumerate(specs)), jobs):
+        if not rec["ok"]:
+            counterexamples.append(rec["instance"])
+        directed_spines += rec["spine_directed"]
+        yield rec
+    return _summary(
+        len(specs), counterexamples, skipped=skipped, directed_spines=directed_spines
+    )
+
+
 def check_caterpillar_bounds(
     samples: int,
     seed: int,
@@ -575,17 +647,8 @@ def check_caterpillar_bounds(
 ) -> ExperimentReport:
     """Spine lower bound, 2m-1 upper bound, and directed-spine equality on a
     seeded random sample of oriented caterpillars."""
-    params = dict(
-        samples=_int(samples, "samples"), seed=seed, n_max=_int(n_max, "n_max"),
-        spine_min=_int(spine_min, "spine_min"), spine_max=_int(spine_max, "spine_max"),
-    )
-    specs, skipped = sample_caterpillar_specs(**params)
-    records = _map_ordered(_caterpillar_record, list(enumerate(specs)), jobs)
-    counterexamples = [rec["instance"] for rec in records if not rec["ok"]]
-    directed_cases = sum(1 for rec in records if rec["spine_directed"])
-    return _report(
-        "caterpillar_bounds", params, records, counterexamples,
-        skipped=skipped, directed_spines=directed_cases,
+    return ExperimentReport.from_stream(
+        stream_caterpillar_bounds(samples, seed, n_max, spine_min, spine_max, jobs)
     )
 
 
@@ -614,19 +677,27 @@ def _path_min_record(payload: int) -> dict:
     }
 
 
+def stream_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1):
+    """The campaign stream of :func:`check_path_minimum`."""
+    n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
+    if not (1 <= n_lo <= n_hi <= 13):
+        raise TooLargeError("path sweep supports 1 <= n_lo <= n_hi <= 13")
+    yield "path_minimum", {"n_lo": n_lo, "n_hi": n_hi}
+    counterexamples = []
+    for rec in _map_ordered(_path_min_record, list(range(n_lo, n_hi + 1)), jobs):
+        if not rec["equal"]:
+            counterexamples.append(rec["min_instance"])
+        yield rec
+    return _summary(n_hi - n_lo + 1, counterexamples)
+
+
 def check_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1) -> ExperimentReport:
     """Exact minimum over all orientations of paths versus the closed form.
 
     Rows with n <= 3 are labeled as extensions of the formula (they come from
     the stored brute-force table rather than the piecewise expression).
     """
-    n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
-    if not (1 <= n_lo <= n_hi <= 13):
-        raise TooLargeError("path sweep supports 1 <= n_lo <= n_hi <= 13")
-    records = _map_ordered(_path_min_record, list(range(n_lo, n_hi + 1)), jobs)
-    counterexamples = [rec["min_instance"] for rec in records if not rec["equal"]]
-    params = {"n_lo": n_lo, "n_hi": n_hi}
-    return _report("path_minimum", params, records, counterexamples)
+    return ExperimentReport.from_stream(stream_path_minimum(n_lo, n_hi, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +723,12 @@ def _rooted_record(payload: tuple[BaseTree, str, int, str]) -> dict:
     }
 
 
-def check_rooted_formula(max_n: int, jobs: int = 1) -> ExperimentReport:
-    """Out- and in-orientations from every root of every free tree, solved
-    exactly and compared against n - leaves + 1."""
+def stream_rooted_formula(max_n: int, jobs: int = 1):
+    """The campaign stream of :func:`check_rooted_formula`."""
     max_n = _int(max_n, "max_n")
     if not (1 <= max_n <= 10):
         raise TooLargeError("rooted sweep supports 1 <= max_n <= 10")
+    yield "rooted_formula", {"max_n": max_n}
     payloads = []
     for n in range(1, max_n + 1):
         for base in free_trees(n):
@@ -665,6 +736,15 @@ def check_rooted_formula(max_n: int, jobs: int = 1) -> ExperimentReport:
             for root in range(n):
                 for sense in ("out", "in"):
                     payloads.append((base, code, root, sense))
-    records = _map_ordered(_rooted_record, payloads, jobs)
-    counterexamples = [rec["instance"] for rec in records if not rec["equal"]]
-    return _report("rooted_formula", {"max_n": max_n}, records, counterexamples)
+    counterexamples = []
+    for rec in _map_ordered(_rooted_record, payloads, jobs):
+        if not rec["equal"]:
+            counterexamples.append(rec["instance"])
+        yield rec
+    return _summary(len(payloads), counterexamples)
+
+
+def check_rooted_formula(max_n: int, jobs: int = 1) -> ExperimentReport:
+    """Out- and in-orientations from every root of every free tree, solved
+    exactly and compared against n - leaves + 1."""
+    return ExperimentReport.from_stream(stream_rooted_formula(max_n, jobs))

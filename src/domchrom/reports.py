@@ -3,8 +3,13 @@
 A report is campaign metadata plus an ordered record stream and a summary
 footer.  Serialization is byte-stable: fixed top-level key order, one compact
 record per line, sorted keys inside every object, and no wall-clock content.
-The whole report is serialized and written once, after the campaign
-completes; an interrupted campaign leaves no report.
+
+A campaign is a stream: a generator that yields its name and params as one
+pair, then every record in order, and returns its summary.
+:func:`write_json` writes the JSON text of a stream piece by piece as the
+records arrive, so a writer holds neither the records nor the text;
+:meth:`ExperimentReport.to_json` joins the same pieces once.  CSV is built in
+memory, because its header is the union of every record's keys.
 """
 
 from __future__ import annotations
@@ -19,6 +24,33 @@ FORMAT_VERSION = 1
 #: One compact, key-sorted encoder for every record line; ``json.dumps`` with
 #: these options would build a new encoder per record.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _records(stream, summary: list):
+    """Yield the records of ``stream``, whose header is read, then append the
+    summary it returns to ``summary``."""
+    summary.append((yield from stream))
+
+
+def write_json(stream, write, version: int = FORMAT_VERSION) -> dict:
+    """Pass the JSON report of ``stream`` to ``write`` in pieces, each record
+    as it arrives, and return the stream's summary."""
+    campaign, params = next(stream)
+    write(
+        f'{{\n"campaign": {json.dumps(campaign)},\n'
+        f'"params": {json.dumps(params, sort_keys=True)},\n'
+        f'"version": {version},\n"records": [\n'
+    )
+    encode = _RECORD_ENCODER.encode
+    summary: list = []
+    sep = ""
+    for record in _records(stream, summary):
+        write(sep)
+        write(encode(record))
+        sep = ",\n"
+    # sep[1:] is the newline that ends the last record, if there is one
+    write(f'{sep[1:]}],\n"summary": {json.dumps(summary[0], sort_keys=True)}\n}}\n')
+    return summary[0]
 
 
 @dataclass
@@ -37,19 +69,23 @@ class ExperimentReport:
     def counterexamples(self) -> list:
         return list(self.summary.get("counterexamples", []))
 
+    @classmethod
+    def from_stream(cls, stream) -> "ExperimentReport":
+        """The report of a campaign stream, its records collected in order."""
+        campaign, params = next(stream)
+        summary: list = []
+        records = list(_records(stream, summary))
+        return cls(campaign, params, records, summary[0])
+
+    def _stream(self):
+        yield self.campaign, self.params
+        yield from self.records
+        return self.summary
+
     def to_json(self) -> str:
-        out = ["{"]
-        out.append(f'"campaign": {json.dumps(self.campaign)},')
-        out.append(f'"params": {json.dumps(self.params, sort_keys=True)},')
-        out.append(f'"version": {self.version},')
-        out.append('"records": [')
-        body = ",\n".join(map(_RECORD_ENCODER.encode, self.records))
-        if body:
-            out.append(body)
-        out.append("],")
-        out.append(f'"summary": {json.dumps(self.summary, sort_keys=True)}')
-        out.append("}")
-        return "\n".join(out) + "\n"
+        pieces: list[str] = []
+        write_json(self._stream(), pieces.append, self.version)
+        return "".join(pieces)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
@@ -83,4 +119,3 @@ def _cell(value) -> str:
     if isinstance(value, (dict, list, tuple, bool)):
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
     return str(value)
-

@@ -32,11 +32,18 @@ from .errors import (
 
 
 def _vertex_ids(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Each pair of vertex ids as two plain ints, else :class:`BadVertexIdError`."""
-    return [
-        (_int(u, "vertex id", BadVertexIdError), _int(v, "vertex id", BadVertexIdError))
-        for u, v in pairs
-    ]
+    """Each pair of vertex ids as two plain ints, else :class:`BadVertexIdError`
+    (also for an item that is no pair)."""
+    ids = []
+    for pair in pairs:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise BadVertexIdError(f"arc {pair!r} is not a pair of vertex ids") from None
+        ids.append(
+            (_int(u, "vertex id", BadVertexIdError), _int(v, "vertex id", BadVertexIdError))
+        )
+    return ids
 
 
 def _check_tree_shape(n: int, pairs: tuple[tuple[int, int], ...]) -> None:

@@ -29,19 +29,23 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch, tmp_path):
     out = tmp_path / "r.json"
     with tracing.Tracer() as tracer:
         assert cli.cli_main(["invariance", "--max-n", "3", "--output", str(out)]) == 0
+        text = harness.check_reversal_invariance(3).to_json()
     assert (cli.cli_main, harness.check_reversal_invariance, harness._map_ordered) == originals
     assert {"cli", "harness", "harness.map", "reports"} <= {s[0] for s in tracer.spans}
-    # the CLI reaches the campaign through the attribute the tracer wraps
-    report = ExperimentReport.from_json(out.read_text())
+    # the CLI streams the report that the wrapped campaign and serializer make
+    assert out.read_text() == text
+    report = ExperimentReport.from_json(text)
     assert tracer.counters["records"] == len(report.records) > 0
 
 
 def test_traced_leafdel_reads_chi_from_class_tables(monkeypatch, capsys):
     """A traced leaf-deletion pass makes one solve and one tree build per
     directed-isomorphism class (n <= 5: 1 + 1 + 3 + 8 + 27), and no
-    canonical code or ``delete_leaf`` call; every solve runs inside
-    ``_map_ordered`` and every build inside ``orient``, through the trusted
-    constructor: no tree is validated again (``trees.build`` reads 0)."""
+    canonical code or ``delete_leaf`` call; every solve runs while the CLI
+    reads the campaign stream, outside every record builder (``harness.map``
+    spans only the creation of the ordered map), and every build inside
+    ``orient``, through the trusted constructor: no tree is validated again
+    (``trees.build`` reads 0)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     trusted = OrientedTree._trusted
@@ -59,7 +63,7 @@ def test_traced_leafdel_reads_chi_from_class_tables(monkeypatch, capsys):
     assert "trees.delete_leaf" not in names
     parents = {(name, tracer.spans[parent][0]) for name, parent, *_ in tracer.spans
                if name in ("solver", "trees.trusted")}
-    assert parents == {("solver", "harness.map"), ("trees.trusted", "generators.orient")}
+    assert parents == {("solver", "cli"), ("trees.trusted", "generators.orient")}
 
 
 def test_traced_solve_verifies_once_and_relabels_once(monkeypatch):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import domchrom
+from domchrom import harness
 from domchrom.cli import cli_main
+from domchrom.errors import TooLargeError
 from domchrom.generators import orient, orientation_classes, random_tree
 from domchrom.io import format_tree, parse_tree
 from domchrom.reports import ExperimentReport
@@ -237,6 +241,102 @@ def test_campaign_with_an_empty_corpus_exits_two(argv, tmp_path, capsys):
     assert cli_main([*argv, "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+# each campaign subcommand at small parameters, and the library report of the
+# same parameters at the given job count
+STREAMED = [
+    pytest.param(
+        ["invariance", "--max-n", "5"],
+        lambda jobs: harness.check_reversal_invariance(5, jobs), id="invariance",
+    ),
+    pytest.param(
+        ["leafdel", "--max-n", "5"],
+        lambda jobs: harness.check_leaf_deletion(5, jobs), id="leafdel",
+    ),
+    pytest.param(
+        ["conjecture", "--m-max", "3", "--k-max", "3", "--n-cap", "9"],
+        lambda jobs: harness.explore_conjecture_gs(3, 3, 9, jobs), id="conjecture",
+    ),
+    pytest.param(
+        ["star", "--m-max", "4"], lambda jobs: harness.check_star_values(4, jobs), id="star"
+    ),
+    pytest.param(
+        ["caterpillar", "--samples", "30", "--seed", "4"],
+        lambda jobs: harness.check_caterpillar_bounds(30, 4, jobs=jobs), id="caterpillar",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("argv, check", STREAMED)
+def test_streamed_report_equals_the_collected_one(argv, check, jobs, fmt, tmp_path):
+    report = check(jobs)
+    out = tmp_path / "r.out"
+    code = cli_main([*argv, "--jobs", str(jobs), "--format", fmt, "--output", str(out)])
+    assert code == (0 if report.holds else 1)
+    assert out.read_text() == (report.to_json() if fmt == "json" else report.to_csv())
+    assert os.listdir(tmp_path) == ["r.out"]  # no temporary file is left
+
+
+# SHA-256 of CLI reports on stdout, recorded before the JSON report was
+# streamed; CSV is still built from the collected report
+STDOUT_DIGESTS = {
+    ("star", "csv"): "3f8080a81968f444166d0c9e7ae444546677ddab36862e6bbaca4cf27f370886",
+    ("star", "json"): "c7f511f3b9b99143789b5698102aa2a7b57e0285982eb61c824792660b584cae",
+    ("leafdel", "csv"): "a6c8eee054dd14a14f9497d62c80f2b8a019b2e1a1c5533abcda5ac3e3bc8c1c",
+    ("leafdel", "json"): "b51566ef5720117fb56023a0b30f3eb6bdfa4d84358b6e0c63c660ec5349bc03",
+    ("caterpillar", "csv"): "a90abb4e62aba6ec879ace0e68b6e756887d07d4ca999cf3f6b5dac0e35e31f7",
+    ("caterpillar", "json"): "518d81249e658059e639b99f880fc02093ee5dcc295dfc52f7025672adb906bd",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(STDOUT_DIGESTS))
+def test_campaign_stdout_pinned(name, fmt, capsys):
+    argv = {param.id: param.values[0] for param in STREAMED}[name]
+    cli_main([*argv, "--format", fmt])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[name, fmt]
+
+
+_STAR_RECORDS = harness._star_records
+
+
+def _failing_star_records(m: int) -> list[dict]:
+    """The star records, but the third star fails; module level, so that a
+    pool worker can unpickle it."""
+    if m == 3:
+        raise TooLargeError("third star refused")
+    return _STAR_RECORDS(m)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failing_record_leaves_no_report(jobs, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_star_records", _failing_star_records)
+    out = tmp_path / "r.json"
+    assert cli_main(["star", "--m-max", "4", "--jobs", jobs, "--output", str(out)]) == 2
+    assert "third star refused" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failing_record_keeps_the_previous_report(tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    out.write_text("previous\n")
+    monkeypatch.setattr(harness, "_star_records", _failing_star_records)
+    assert cli_main(["star", "--m-max", "4", "--output", str(out)]) == 2
+    assert out.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["r.json"]
+
+
+def test_a_device_output_is_written_directly(tmp_path):
+    # a link to the device resolves to the device, which is never replaced
+    link = tmp_path / "null"
+    link.symlink_to(os.devnull)
+    for output in (os.devnull, str(link)):
+        assert cli_main(["star", "--m-max", "2", "--output", output]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert link.is_symlink()
 
 
 def test_jobs_flag_and_env(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from domchrom import harness, io
+from domchrom import formulas, harness, io
 from domchrom.coloring import DominatorCertificate, recheck_certificate, verify_dominator
 from domchrom.errors import SpecInvalidError, SpineNotDirectedError, TooLargeError
 from domchrom.formulas import directed_spine_coloring
@@ -29,7 +29,7 @@ from domchrom.harness import (
     sample_caterpillar_specs,
 )
 from domchrom.io import certificate_from_obj, certificate_to_obj, decode_tree, encode_tree
-from domchrom.reports import ExperimentReport
+from domchrom.reports import ExperimentReport, write_json
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import OrientedTree, build_tree, delete_leaf, reverse
 
@@ -513,27 +513,22 @@ class TestCaterpillarCampaign:
 
     def test_one_validation_per_caterpillar(self, monkeypatch):
         # caterpillar(spec) trusts its validated spec, so the only validating
-        # builds are the 200 spine paths path(m); both constructions are
-        # handed the spec, the directed one for the 72 directed spines
+        # builds are the 200 spine paths path(m); each record builds its
+        # caterpillar once and verifies both constructions on it, the
+        # directed one for the 72 directed spines
         counts = count_validations(monkeypatch)
-        handed = Counter()
+        builds = Counter()
+        for module in (harness, formulas):
+            def counting(spec, build=module.caterpillar, name=module.__name__):
+                builds[name] += 1
+                return build(spec)
 
-        def counting(name, construct):
-            def wrapper(arg):
-                handed[name, type(arg).__name__] += 1
-                return construct(arg)
-
-            monkeypatch.setattr(harness, name, wrapper)
-
-        counting("caterpillar_upper_coloring", harness.caterpillar_upper_coloring)
-        counting("directed_spine_coloring", harness.directed_spine_coloring)
+            monkeypatch.setattr(module, "caterpillar", counting)
         rep = check_caterpillar_bounds(200, seed=1)
         assert rep.summary["directed_spines"] == 72
+        assert sum(rec["directed_certificate"] is not None for rec in rep.records) == 72
         assert counts == {"BaseTree": 200}
-        assert handed == {
-            ("caterpillar_upper_coloring", "CaterpillarSpec"): 200,
-            ("directed_spine_coloring", "CaterpillarSpec"): 72,
-        }
+        assert builds == {"domchrom.harness": 200}
 
     def test_sampler_accepts_spine_min_equal_to_n_max(self):
         specs, _ = sample_caterpillar_specs(5, 0, n_max=3, spine_min=3, spine_max=3)
@@ -593,28 +588,37 @@ class TestDeterminismAndJobs:
     @pytest.mark.parametrize("m_max, jobs", [(2, 64), (3, 2)])
     def test_pool_asks_for_no_more_workers_than_payloads(self, monkeypatch, m_max, jobs):
         # an in-process stand-in for the pool records what it is asked for;
-        # no process is started
+        # no process is started, and a payload its lazy map has not reached
+        # is a pending chunk
         asked = []
 
         class RecordingPool:
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, payloads, chunksize):
                 asked.append(chunksize)
                 return map(fn, payloads)
+
+            def shutdown(self, cancel_futures):
+                asked.append(("shutdown", cancel_futures))
 
         expected = check_star_values(m_max).to_json()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert check_star_values(m_max, jobs=jobs).to_json() == expected
         # one payload per star; the chunk is the one jobs alone gives
-        assert asked == [min(jobs, m_max), max(1, m_max // (jobs * 4))]
+        chunk = max(1, m_max // (jobs * 4))
+        assert asked == [min(jobs, m_max), chunk, ("shutdown", True)]
+
+        # a consumer that stops after the first result cancels the rest
+        asked.clear()
+        computed = []
+        ordered = harness._map_ordered(computed.append, list(range(m_max)), jobs)
+        next(ordered)
+        assert asked == [min(jobs, m_max), chunk]
+        ordered.close()
+        assert computed == [0]
+        assert asked[-1] == ("shutdown", True)
 
     def test_jobs_equivalence_invariance(self):
         seq = check_reversal_invariance(4, jobs=1)
@@ -646,6 +650,39 @@ class TestDeterminismAndJobs:
                 out = verify_dominator(t, cert.coloring)
                 assert isinstance(out, DominatorCertificate)
                 assert cert.coloring.k == rec[f"{side}_chi"]
+
+
+# every campaign stream at small parameters, with the check that collects it
+STREAMS = [
+    pytest.param(harness.stream_reversal_invariance, check_reversal_invariance, (5,),
+                 id="invariance"),
+    pytest.param(harness.stream_leaf_deletion, check_leaf_deletion, (5,), id="leafdel"),
+    pytest.param(harness.stream_conjecture_gs, explore_conjecture_gs, (3, 3, 9), id="gs"),
+    pytest.param(harness.stream_star_values, check_star_values, (4,), id="star"),
+    pytest.param(harness.stream_caterpillar_bounds, check_caterpillar_bounds, (30, 4),
+                 id="caterpillar"),
+    pytest.param(harness.stream_path_minimum, check_path_minimum, (4, 9), id="path"),
+    pytest.param(harness.stream_rooted_formula, check_rooted_formula, (5,), id="rooted"),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("stream, check, args", STREAMS)
+def test_written_stream_equals_the_collected_report(stream, check, args, jobs):
+    report = check(*args)
+    pieces = []
+    summary = write_json(stream(*args, jobs=jobs), pieces.append)
+    assert "".join(pieces) == report.to_json()
+    assert summary == report.summary
+
+
+def test_a_stream_reads_its_params_before_its_first_record():
+    stream = harness.stream_star_values(11)
+    with pytest.raises(TooLargeError):
+        next(stream)
+    stream = harness.stream_star_values(3)
+    assert next(stream) == ("star_values", {"m_max": 3})
+    assert next(stream)["m"] == 1
 
 
 # SHA-256 of each campaign's JSON report, most at a small size.  Reports are

@@ -125,3 +125,20 @@ def test_caterpillar_params_are_plain_ints():
     assert report.params == {"samples": 1, "seed": 0, "n_max": 12, "spine_min": 3, "spine_max": 4}
     assert all(type(v) is int for v in report.params.values())
     assert '"samples": 1' in report.to_json()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: build_tree(3, [5, 6]), BadVertexIdError, id="arc-int"),
+        pytest.param(lambda: BaseTree(2, [None]), BadVertexIdError, id="edge-none"),
+        pytest.param(lambda: build_tree(2, [(0, 1, 2)]), BadVertexIdError, id="arc-triple"),
+        pytest.param(lambda: Coloring(5), ValueError, id="colors-int"),
+    ],
+)
+def test_a_malformed_container_raises_the_typed_error(call, error):
+    # the shape is read before the integers, so no bare TypeError or
+    # unpacking ValueError escapes
+    with pytest.raises(error, match="is not a pair|must be a sequence") as info:
+        call()
+    assert info.type is error
