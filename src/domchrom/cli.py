@@ -60,6 +60,19 @@ def _jobs(raw: str) -> int:
     return jobs
 
 
+def _mask(raw: str) -> int:
+    """A mask flag's value: a decimal integer, or hexadecimal digits after
+    ``0x``.  Python reads hexadecimal at any length but refuses decimal past
+    4,300 digits, so a mask of more than about 14,000 edges needs ``0x``."""
+    try:
+        return int(raw, 16) if raw[:2].lower() == "0x" else int(raw)
+    except ValueError:
+        shown = repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
+        raise argparse.ArgumentTypeError(
+            f"expected a decimal or 0x-prefixed hexadecimal mask, got {shown}"
+        ) from None
+
+
 @contextmanager
 def _output(path: str | None):
     """The text stream that output for ``path`` goes to: stdout without a
@@ -242,15 +255,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance from a named family")
     families = gen.add_subparsers(dest="family", required=True)
-    mask_help = "orientation mask: bit i flips edge i"
+    mask_help = "orientation mask, decimal or 0x hexadecimal: bit i flips edge i"
 
     p = _add_family(families, "path", "oriented path", lambda a: orient(path(a.n), a.mask))
     p.add_argument("--n", type=int, required=True, help="vertex count")
-    p.add_argument("--mask", type=int, default=0, help=mask_help)
+    p.add_argument("--mask", type=_mask, default=0, help=mask_help)
 
     p = _add_family(families, "star", "oriented star", lambda a: orient(star(a.m), a.mask))
     p.add_argument("--m", type=int, required=True, help="leaf count")
-    p.add_argument("--mask", type=int, default=0, help=mask_help)
+    p.add_argument("--mask", type=_mask, default=0, help=mask_help)
 
     p = _add_family(
         families, "gs", "generalized star", lambda a: gs(GsSpec(a.m, a.k, a.scheme, a.mask))
@@ -258,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="path count")
     p.add_argument("--k", type=int, required=True, help="edges per path")
     p.add_argument("--scheme", choices=GS_SCHEMES, default="out")
-    p.add_argument("--mask", type=int, default=None, help="mask for --scheme mask")
+    p.add_argument("--mask", type=_mask, default=None, help="mask for --scheme mask")
 
     p = _add_family(
         families, "caterpillar", "oriented caterpillar",
@@ -271,8 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--spine", type=int, required=True, help="spine length")
     p.add_argument("--legs", default="", help="legs as idx:count,...")
-    p.add_argument("--spine-mask", type=int, default=0)
-    p.add_argument("--legs-mask", type=int, default=0)
+    p.add_argument("--spine-mask", type=_mask, default=0)
+    p.add_argument("--legs-mask", type=_mask, default=0)
 
     p = _add_family(
         families, "random", "seeded random oriented tree",
@@ -280,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mask", type=int, default=0, help=mask_help)
+    p.add_argument("--mask", type=_mask, default=0, help=mask_help)
 
     p = _command(
         sub, "orientations", "solve all orientations of a tree file", _cmd_orientations,

@@ -186,7 +186,10 @@ def orient(base: BaseTree, mask: int) -> OrientedTree:
     width = len(base.edges)
     mask = _int(mask, "mask")
     if not (0 <= mask < (1 << width)):
-        raise SpecInvalidError(f"mask {mask} out of range for {width} edges")
+        # no digits: a decimal str() of more than 4,300 digits would raise
+        raise SpecInvalidError(
+            f"mask out of range for {width} edges: need 0 <= mask < 2**{width}"
+        )
     return OrientedTree._trusted(base.n, tuple(orientation_arcs(base.edges, mask)))
 
 

@@ -28,21 +28,24 @@ change under directed isomorphism.  :func:`class_table` is the only place
 that orients and solves them: it returns one value per mask, its caller's
 ``fact`` applied to the orientation of the first mask of that mask's class
 (``orientation_classes``), so only one orientation per class is built.  A
-record reads its instance code off the base edges and the mask
-(``orientation_arcs``) and its values from the table by mask, and builds
-nothing.  The reversal-invariance, generalized-star, star and path-minimum
-campaigns make one table per base tree in the worker that writes its
-records.  Solves per orientations named: 7,600 of 15,944 at n <= 9, 935 of
-3,210 for generalized stars with n <= 10, 64 of 2,046 for stars with
-m <= 10, and 4,154 of 8,184 for paths with n = 4..13.
+record reads its values from that table by mask and builds nothing.  The
+reversal-invariance, leaf-deletion and star records, one per mask, read
+their instance codes from a second table per base tree, :func:`_arc_table`:
+every arc that either direction of an edge gives, sorted once and with its
+code item formatted once, so a mask's code is one filter and one join.  The
+reversal-invariance, generalized-star, star and path-minimum campaigns make
+their tables per base tree in the worker that writes its records.  Solves
+per orientations named: 7,600 of 15,944 at n <= 9, 935 of 3,210 for
+generalized stars with n <= 10, 64 of 2,046 for stars with m <= 10, and
+4,154 of 8,184 for paths with n = 4..13.
 
 The leaf-deletion campaign first makes the table of every free tree with
 n <= ``max_n`` (1,857 solves at n <= 8, one per class).  A subtree
 ``delete_leaf(orient(base, mask), v)`` is an orientation of the free tree R
 isomorphic to base - v; :func:`_leaf_maps` finds, once per base tree and
-leaf, a canonical labelling of base - v onto R and with it the mask of R that
-each mask of base leaves, so every chi a record names is one table lookup,
-with no canonical code and no subtree built.  The predicates come from the
+leaf, a canonical labelling of base - v onto R and with it a table of the
+mask of R that each mask of base leaves, so every chi a record names is two
+table lookups, with no canonical code and no subtree built.  The predicates come from the
 in- and out-degrees of the arcs.  The tables live for one call, so no memo
 outlives a campaign.  The caterpillar and rooted-formula campaigns solve
 each tree they meet once; a caterpillar record and both constructions it
@@ -74,6 +77,7 @@ from .generators import (
     caterpillar,
     free_trees,
     gs_base,
+    mask_bits,
     orient,
     orientation_arcs,
     orientation_classes,
@@ -81,7 +85,7 @@ from .generators import (
     rooted_orientation,
     star,
 )
-from .io import certificate_to_obj, encode_arcs, encode_base, encode_tree
+from .io import _arc_texts, _code, certificate_to_obj, encode_arcs, encode_base, encode_tree
 from .io import decode_tree  # unused here; perfbench/tracing.py wraps this name
 from .reports import ExperimentReport
 from .solver import solve_exact
@@ -143,6 +147,22 @@ def class_table(base: BaseTree, fact) -> list:
     return table
 
 
+def _arc_table(base: BaseTree) -> list[tuple[int, str, int, str]]:
+    """Every arc that an orientation of ``base`` can have, in sorted order
+    (tail, then head), from both directions of each edge.  Entry
+    ``(i, bit, tail, text)`` is the arc that edge i gives where bit i of the
+    mask reads ``bit`` ("1" exactly when the tail is the larger end), and
+    ``text`` its code item.  The arcs of a mask are the entries that its
+    :func:`generators.mask_bits` select, in this order, so a record reads its
+    instance code with one filter and one join and sorts nothing."""
+    index = {edge: i for i, edge in enumerate(base.edges)}
+    arcs = [(t, w) for t, nbrs in enumerate(base.adjacency) for w in nbrs]
+    return [
+        (index[(t, w) if t < w else (w, t)], "1" if t > w else "0", t, text)
+        for (t, w), text in zip(arcs, _arc_texts(arcs))
+    ]
+
+
 def extreme_masks(values: list) -> tuple[int, int]:
     """The first mask with the least value of a per-mask table, and the first
     with the greatest.  Masks of one class share one value, so neither has an
@@ -164,20 +184,26 @@ def _chi_and_rooted(t: OrientedTree) -> tuple[int, int | None]:
 # reversal invariance
 
 
-def _invariance_record(base: BaseTree, base_code: str, mask: int, table: list) -> dict:
-    """The record of ``mask`` and its complement, read from the table of
-    ``base`` (see :func:`class_table`); nothing is built."""
+def _invariance_record(
+    base: BaseTree, base_code: str, mask: int, table: list, arc_table: list
+) -> dict:
+    """The record of ``mask`` and its complement, read from the tables of
+    ``base`` (see :func:`class_table` and :func:`_arc_table`); nothing is
+    built."""
     n = base.n
-    mask_rev = mask ^ ((1 << len(base.edges)) - 1)
+    width = len(base.edges)
+    mask_rev = mask ^ ((1 << width) - 1)
     chi, formula = table[mask]
     chi_rev = table[mask_rev][0]
+    # the complement selects exactly the arcs that the mask leaves
+    bits = mask_bits(mask, width)
     record = {
         "n": n,
         "base": base_code,
         "mask": mask,
         "mask_rev": mask_rev,
-        "instance": encode_arcs(n, orientation_arcs(base.edges, mask)),
-        "instance_rev": encode_arcs(n, orientation_arcs(base.edges, mask_rev)),
+        "instance": _code(n, [text for i, bit, _, text in arc_table if bits[i] == bit]),
+        "instance_rev": _code(n, [text for i, bit, _, text in arc_table if bits[i] != bit]),
         "chi": chi,
         "chi_rev": chi_rev,
         "equal": chi == chi_rev,
@@ -192,8 +218,9 @@ def _invariance_records(payload: tuple[BaseTree, str]) -> list[dict]:
     """The records of one base tree, one per mask below its complement."""
     base, base_code = payload
     table = class_table(base, _chi_and_rooted)
+    arc_table = _arc_table(base)
     return [
-        _invariance_record(base, base_code, mask, table)
+        _invariance_record(base, base_code, mask, table, arc_table)
         for mask in range((len(table) + 1) // 2)
     ]
 
@@ -253,9 +280,10 @@ def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
     A canonical labelling maps base - v (relabelled as :func:`delete_leaf`
     does) onto its representative R, so each remaining edge i of ``base``
     lands on edge p of R, reversed when the labelling swaps its ends.  The
-    entry is ``(v, neighbor, table, flips, moves)``, ``table`` being R's: the
-    subtree is ``orient(R, m)`` with ``m = flips`` xor bit i of the mask moved
-    to bit p, for every ``(i, p)`` in ``moves`` (:func:`_sub_mask`).
+    entry is ``(v, neighbor, table, subs)``, ``table`` being R's: the subtree
+    of mask m is ``orient(R, subs[m])``, where ``subs[m]`` is the flips of
+    the swapped edges xor bit i of m moved to bit p for every such (i, p).
+    ``subs`` is filled one bit of m at a time, each bit doubling it.
     """
     n = base.n
     maps = []
@@ -273,21 +301,17 @@ def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
         rep = _relabeled(sub, label)
         position = {edge: p for p, edge in enumerate(rep.edges)}
         flips = 0
-        moves = []
+        image = [0] * len(base.edges)  # the leaf's own edge moves to no bit
         for i, (a, b) in kept:
             a, b = label[a], label[b]
             p = position[(a, b) if a < b else (b, a)]
             flips |= (a > b) << p
-            moves.append((i, p))
-        maps.append((v, nbrs[0], tables[rep], flips, moves))
+            image[i] = 1 << p
+        subs = [flips]
+        for moved in image:
+            subs += [sub ^ moved for sub in subs]
+        maps.append((v, nbrs[0], tables[rep], subs))
     return maps
-
-
-def _sub_mask(mask: int, flips: int, moves: list[tuple[int, int]]) -> int:
-    """The mask of R that one entry of :func:`_leaf_maps` gives ``mask``."""
-    for i, p in moves:
-        flips ^= (mask >> i & 1) << p
-    return flips
 
 
 def _leafdel_records(payload: tuple[BaseTree, list, list]) -> list[dict]:
@@ -296,18 +320,23 @@ def _leafdel_records(payload: tuple[BaseTree, list, list]) -> list[dict]:
     tables, and the predicates from the in- and out-degrees."""
     base, table, leaf_maps = payload
     n = base.n
+    width = len(base.edges)
     degree = [len(nbrs) for nbrs in base.adjacency]
+    arc_table = _arc_table(base)
     records = []
     for mask, chi in enumerate(table):
-        arcs = orientation_arcs(base.edges, mask)
-        instance = encode_arcs(n, arcs)
+        bits = mask_bits(mask, width)
+        texts = []
         outdeg = [0] * n
-        for a, _ in arcs:
-            outdeg[a] += 1
+        for i, bit, tail, text in arc_table:
+            if bits[i] == bit:
+                texts.append(text)
+                outdeg[tail] += 1
+        instance = _code(n, texts)
         indeg = [d - o for d, o in zip(degree, outdeg)]
         lone_source = indeg.index(0) if indeg.count(0) == 1 else -1
-        for v, u, sub_table, flips, moves in leaf_maps:
-            chi_sub = sub_table[_sub_mask(mask, flips, moves)]
+        for v, u, sub_table, subs in leaf_maps:
+            chi_sub = sub_table[subs[mask]]
             delta = chi - chi_sub
             # outs[u] == (v,): v's one arc comes from u, and u has no other
             unique_out_target = indeg[v] == 1 and outdeg[u] == 1
@@ -471,15 +500,18 @@ def explore_conjecture_gs(
 def _star_records(payload: int) -> list[dict]:
     m = payload
     base = star(m)
+    arc_table = _arc_table(base)
     records = []
     uniform_masks = {0, (1 << m) - 1}
     for mask, chi in enumerate(class_table(base, _chi)):
         uniform = mask in uniform_masks
+        bits = mask_bits(mask, m)
+        texts = [text for i, bit, _, text in arc_table if bits[i] == bit]
         records.append(
             {
                 "m": m,
                 "mask": mask,
-                "instance": encode_arcs(m + 1, orientation_arcs(base.edges, mask)),
+                "instance": _code(m + 1, texts),
                 "chi": chi,
                 "uniform": uniform,
                 "ok": chi == chi_star(mask, m),

@@ -134,7 +134,17 @@ def encode_tree(t: OrientedTree) -> str:
 def encode_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> str:
     """The code of the oriented tree on 0..n-1 whose arcs, in sorted order as
     :class:`OrientedTree` stores them, are ``arcs``; nothing is validated."""
-    return f"{n}:" + ",".join([f"{u}>{v}" for u, v in arcs])
+    return _code(n, _arc_texts(arcs))
+
+
+def _arc_texts(arcs: Iterable[tuple[int, int]]) -> list[str]:
+    """The code item ``u>v`` of each arc (u, v), in order."""
+    return [f"{u}>{v}" for u, v in arcs]
+
+
+def _code(n: int, items: Iterable[str]) -> str:
+    """The compact code ``n:item,...`` of a tree on 0..n-1 from its items."""
+    return f"{n}:" + ",".join(items)
 
 
 def _decode(code: str, sep: str, what: str) -> tuple[int, list[tuple[int, int]]]:
@@ -153,7 +163,7 @@ def decode_tree(code: str) -> OrientedTree:
 
 
 def encode_base(base: BaseTree) -> str:
-    return f"{base.n}:" + ",".join([f"{u}-{v}" for u, v in base.edges])
+    return _code(base.n, [f"{u}-{v}" for u, v in base.edges])
 
 
 def decode_base(code: str) -> BaseTree:

@@ -8,8 +8,12 @@ A campaign is a stream: a generator that yields its name and params as one
 pair, then every record in order, and returns its summary.
 :func:`write_json` writes the JSON text of a stream piece by piece as the
 records arrive, so a writer holds neither the records nor the text;
-:meth:`ExperimentReport.to_json` joins the same pieces once.  CSV is built in
-memory, because its header is the union of every record's keys.
+:meth:`ExperimentReport.to_json` joins the same pieces once.  Every record
+line comes from one encoder, built once when the module loads: the C encoder
+of :mod:`json` with the options of ``json.dumps(record, sort_keys=True,
+separators=(",", ":"))``, or that call's own Python path where the
+accelerator is missing or refuses those options.  CSV is built in memory,
+because its header is the union of every record's keys.
 """
 
 from __future__ import annotations
@@ -21,9 +25,43 @@ from dataclasses import dataclass
 
 FORMAT_VERSION = 1
 
-#: One compact, key-sorted encoder for every record line; ``json.dumps`` with
-#: these options would build a new encoder per record.
+#: The options of every record line: compact, key-sorted, ASCII-escaped.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _record_encoder():
+    """A function that encodes one record as ``_RECORD_ENCODER.encode`` does.
+
+    ``JSONEncoder.encode`` builds a new C encoder for every call; this one is
+    built once.  It keeps circular-reference detection through one markers
+    dict, which a finished encode leaves empty.  An encode that raises leaves
+    the markers of the containers it was inside, so it empties the dict, or
+    the next record holding one of them would read as a cycle."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _RECORD_ENCODER.encode
+    markers: dict = {}
+    enc = _RECORD_ENCODER
+    try:
+        iterencode = make(
+            markers, enc.default, json.encoder.encode_basestring_ascii, enc.indent,
+            enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys,
+            enc.allow_nan,
+        )
+    except TypeError:  # an accelerator whose constructor takes other arguments
+        return _RECORD_ENCODER.encode
+
+    def encode(record) -> str:
+        try:
+            return "".join(iterencode(record, 0))
+        except BaseException:
+            markers.clear()
+            raise
+
+    return encode
+
+
+_encode_record = _record_encoder()
 
 
 def _records(stream, summary: list):
@@ -41,7 +79,7 @@ def write_json(stream, write, version: int = FORMAT_VERSION) -> dict:
         f'"params": {json.dumps(params, sort_keys=True)},\n'
         f'"version": {version},\n"records": [\n'
     )
-    encode = _RECORD_ENCODER.encode
+    encode = _encode_record
     summary: list = []
     sep = ""
     for record in _records(stream, summary):

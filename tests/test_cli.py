@@ -14,8 +14,8 @@ import domchrom
 from domchrom import harness
 from domchrom.cli import cli_main
 from domchrom.errors import TooLargeError
-from domchrom.generators import orient, orientation_classes, random_tree
-from domchrom.io import format_tree, parse_tree
+from domchrom.generators import orient, orientation_classes, path, random_tree
+from domchrom.io import encode_tree, format_tree, parse_tree, read_tree
 from domchrom.reports import ExperimentReport
 from domchrom.solver import solve_exact
 from domchrom.trees import build_tree
@@ -364,6 +364,57 @@ def test_bad_jobs_env_fails_only_campaigns(value, p5_file, monkeypatch, capsys):
     assert cli_main(["gen", "path", "--n", "3"]) == 0
     assert cli_main(["orientations", p5_file, "--min"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "decimal, hexadecimal",
+    [
+        (["gen", "path", "--n", "5", "--mask", "9"],
+         ["gen", "path", "--n", "5", "--mask", "0x9"]),
+        (["gen", "star", "--m", "6", "--mask", "45"],
+         ["gen", "star", "--m", "6", "--mask", "0X2d"]),
+        (["gen", "gs", "--m", "2", "--k", "3", "--scheme", "mask", "--mask", "21"],
+         ["gen", "gs", "--m", "2", "--k", "3", "--scheme", "mask", "--mask", "0x15"]),
+        (["gen", "random", "--n", "9", "--seed", "4", "--mask", "171"],
+         ["gen", "random", "--n", "9", "--seed", "4", "--mask", "0xAB"]),
+        (["gen", "caterpillar", "--spine", "5", "--legs", "1:2,3:1",
+          "--spine-mask", "5", "--legs-mask", "6"],
+         ["gen", "caterpillar", "--spine", "5", "--legs", "1:2,3:1",
+          "--spine-mask", "0x5", "--legs-mask", "0x6"]),
+    ],
+)
+def test_gen_masks_read_hexadecimal(decimal, hexadecimal, capsys):
+    assert cli_main(decimal) == 0
+    expected = capsys.readouterr().out
+    assert cli_main(hexadecimal) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_gen_path_takes_a_hex_mask_past_the_decimal_digit_limit(tmp_path, capsys):
+    n = 20000
+    mask = (1 << (n - 1)) // 3
+    digits = f"{mask:x}"
+    assert len(digits) == 5000
+    out = tmp_path / "p.tree"
+    assert cli_main(["gen", "path", "--n", str(n), "--mask", "0x" + digits,
+                     "--output", str(out)]) == 0
+    assert encode_tree(read_tree(out)) == encode_tree(orient(path(n), mask))
+    # Python refuses a decimal int past 4,300 digits, and the error does not
+    # echo the digits
+    assert cli_main(["gen", "path", "--n", str(n), "--mask", "1" + "0" * 6020]) == 2
+    err = capsys.readouterr().err
+    assert "6021 characters" in err and len(err) < 1000
+    # a mask one bit too wide is refused by range, without its digits either
+    too_wide = "0x" + "f" * 5000
+    assert cli_main(["gen", "path", "--n", str(n), "--mask", too_wide]) == 2
+    err = capsys.readouterr().err
+    assert "out of range for 19999 edges" in err and len(err) < 1000
+
+
+@pytest.mark.parametrize("raw", ["0x", "0xg", "12a", ""])
+def test_gen_rejects_a_malformed_mask(raw, capsys):
+    assert cli_main(["gen", "path", "--n", "5", "--mask", raw]) == 2
+    assert "hexadecimal mask" in capsys.readouterr().err
 
 
 def test_gen_caterpillar_rejects_mask_without_edges(capsys):

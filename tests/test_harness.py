@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import json
 from collections import Counter
 
 import pytest
 
-from domchrom import formulas, harness, io
+from domchrom import formulas, harness, io, reports
 from domchrom.coloring import DominatorCertificate, recheck_certificate, verify_dominator
 from domchrom.errors import SpecInvalidError, SpineNotDirectedError, TooLargeError
 from domchrom.formulas import directed_spine_coloring
@@ -15,8 +16,11 @@ from domchrom.generators import (
     caterpillar,
     free_trees,
     gs_base,
+    mask_bits,
     orient,
+    orientation_arcs,
     oriented_canonical_code,
+    star,
 )
 from domchrom.harness import (
     check_caterpillar_bounds,
@@ -28,7 +32,13 @@ from domchrom.harness import (
     explore_conjecture_gs,
     sample_caterpillar_specs,
 )
-from domchrom.io import certificate_from_obj, certificate_to_obj, decode_tree, encode_tree
+from domchrom.io import (
+    certificate_from_obj,
+    certificate_to_obj,
+    decode_tree,
+    encode_arcs,
+    encode_tree,
+)
 from domchrom.reports import ExperimentReport, write_json
 from domchrom.solver import brute_force_chi, solve_exact
 from domchrom.trees import OrientedTree, build_tree, delete_leaf, reverse
@@ -167,6 +177,24 @@ class TestReversalInvariance:
             base = io.decode_base(rec["base"])
             assert rec["instance"] == encode_tree(orient(base, rec["mask"]))
             assert rec["instance_rev"] == encode_tree(orient(base, rec["mask_rev"]))
+
+
+def test_arc_table_gives_every_mask_its_sorted_arcs_and_code():
+    # the table stands in for orientation_arcs and encode_arcs in every loop
+    # over the masks of one base tree
+    bases = [base for n in range(1, 10) for base in free_trees(n)]
+    bases += [star(m) for m in range(1, 11)]
+    for base in bases:
+        table = harness._arc_table(base)
+        width = len(base.edges)
+        assert len(table) == 2 * width
+        for mask in range(1 << width):
+            bits = mask_bits(mask, width)
+            chosen = [(tail, text) for i, bit, tail, text in table if bits[i] == bit]
+            arcs = orientation_arcs(base.edges, mask)
+            assert [tail for tail, _ in chosen] == [u for u, _ in arcs]
+            code = io._code(base.n, [text for _, text in chosen])
+            assert code == encode_arcs(base.n, arcs), (base, mask)
 
 
 class TestLeafDeletion:
@@ -364,11 +392,10 @@ class TestLeafDeletionMemo:
                         v for v, nbrs in enumerate(base.adjacency) if len(nbrs) == 1
                     ]
                     for mask, t in enumerate(orientations(base)):
-                        for v, u, codes, flips, moves in leaf_maps:
+                        for v, u, codes, subs in leaf_maps:
                             assert t.out_neighbors[v] + t.in_neighbors[v] == (u,)
-                            sub = harness._sub_mask(mask, flips, moves)
                             sub_code = oriented_canonical_code(delete_leaf(t, v)[0])
-                            assert sub_code == codes[sub], (base, mask, v)
+                            assert sub_code == codes[subs[mask]], (base, mask, v)
                 if n < 9:
                     # codes[m] is oriented_canonical_code(orient(base, m))
                     tables[base] = [oriented_canonical_code(t) for t in orientations(base)]
@@ -740,10 +767,64 @@ REPORT_DIGESTS = {
 }
 
 
+def _dumps(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
 def test_report_bytes_pinned(name):
     run, digest = REPORT_DIGESTS[name]
-    assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest
+    report = run()
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    # every record line comes from the one encoder that reports builds once
+    for rec in report.records:
+        assert reports._encode_record(rec) == _dumps(rec)
+
+
+CRAFTED_RECORDS = [
+    {"big": 1e16, "neg_zero": -0.0, "tiny": 5e-324, "third": 1 / 3, "nan": float("nan"),
+     "inf": float("-inf"), "int": -(10**30)},
+    {"b": {"d": [1, {"z": None, "a": True}], "c": False}, "a": (), "t": (1, (2, "x"))},
+    {"text": "é ☃ \u2028 \x00 \" \\ 𝄞 /", "ключ": "значение"},
+    {"none": None, "yes": True, "no": False, "empty": {}, "list": []},
+    {3: "three", 1: "one", 2: [None]},
+]
+
+
+@pytest.mark.parametrize("record", CRAFTED_RECORDS)
+def test_record_encoder_equals_json_dumps(record):
+    assert reports._encode_record(record) == _dumps(record)
+
+
+def test_record_encoder_detects_a_cycle_and_recovers_after_any_failure():
+    loop = {"a": 1}
+    loop["self"] = loop
+    with pytest.raises(ValueError, match="Circular reference"):
+        reports._encode_record(loop)
+    assert reports._encode_record({"a": 1}) == '{"a":1}'
+    # a failure deep inside a record leaves the markers of the objects around
+    # it; encoding the same objects again must not find a cycle
+    inner = {"bad": object()}
+    record = {"inner": inner, "again": [inner]}
+    with pytest.raises(TypeError):
+        reports._encode_record(record)
+    inner["bad"] = 1
+    assert reports._encode_record(record) == _dumps(record)
+
+
+def test_record_encoder_falls_back_to_the_python_encoder(monkeypatch):
+    records = CRAFTED_RECORDS + check_star_values(4).records
+    expected = [_dumps(rec) for rec in records]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    encode = reports._record_encoder()
+    assert encode == reports._RECORD_ENCODER.encode
+    assert [encode(rec) for rec in records] == expected
+
+    def other_arguments(*args):
+        raise TypeError("an accelerator that takes other arguments")
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", other_arguments)
+    assert reports._record_encoder() == reports._RECORD_ENCODER.encode
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
