@@ -65,10 +65,16 @@ def chi_rooted(t: OrientedTree) -> int:
     """
     rc = classify_rooted(t)
     if rc.out_root is not None:
-        return t.n - len(t.sinks) + 1
+        return _rooted_chi(t.n, len(t.sinks))
     if rc.in_root is not None:
-        return t.n - len(t.sources) + 1
+        return _rooted_chi(t.n, len(t.sources))
     raise NotRootedError("tree is neither an out-tree nor an in-tree")
+
+
+def _rooted_chi(n: int, leaves: int) -> int:
+    """:func:`chi_rooted` of an out- or in-tree on ``n`` vertices with
+    ``leaves`` directed leaves."""
+    return n - leaves + 1
 
 
 def chi_star(mask: int, m: int) -> int:

@@ -27,8 +27,11 @@ Five campaigns name every orientation of a base tree, and chi does not
 change under directed isomorphism.  :func:`class_table` is the only place
 that orients and solves them: it returns one value per mask, its caller's
 ``fact`` applied to the orientation of the first mask of that mask's class
-(``orientation_classes``), so only one orientation per class is built.  A
-record reads its values from that table by mask and builds nothing.  The
+(``orientation_classes``, the orbits of the base tree's automorphisms), so
+only one orientation per class is built.  A record reads its values from
+that table by mask and builds nothing; a reversal-invariance record reads
+its rooted formula from a dict over the at most 2n rooted masks of its base
+tree (:func:`_rooted_formulas`), so no class pays for a rooted check.  The
 reversal-invariance, leaf-deletion and star records, one per mask, read
 their instance codes from a second table per base tree, :func:`_arc_table`:
 every arc that either direction of an edge gives, sorted once and with its
@@ -60,11 +63,12 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from .errors import NotRootedError, SpecInvalidError, TooLargeError, _int
+from .errors import SpecInvalidError, TooLargeError, _int
 from .formulas import (
     _caterpillar_upper_labels,
     _certified,
     _directed_spine_labels,
+    _rooted_chi,
     chi_path_orientation_min,
     chi_rooted,
     chi_star,
@@ -72,6 +76,7 @@ from .formulas import (
 )
 from .generators import (
     CaterpillarSpec,
+    _mask_table,
     _relabeled,
     canonical_labels,
     caterpillar,
@@ -89,7 +94,7 @@ from .io import _arc_texts, _code, certificate_to_obj, encode_arcs, encode_base,
 from .io import decode_tree  # unused here; perfbench/tracing.py wraps this name
 from .reports import ExperimentReport
 from .solver import solve_exact
-from .trees import BaseTree, OrientedTree
+from .trees import BaseTree, OrientedTree, _walk
 from .trees import delete_leaf  # unused here; perfbench/tracing.py wraps this name
 
 
@@ -171,43 +176,58 @@ def extreme_masks(values: list) -> tuple[int, int]:
     return values.index(min(values)), values.index(max(values))
 
 
-def _chi_and_rooted(t: OrientedTree) -> tuple[int, int | None]:
-    """chi of ``t`` and the rooted formula (None unless an out- or in-tree)."""
-    try:
-        formula = chi_rooted(t)
-    except NotRootedError:
-        formula = None
-    return _chi(t), formula
-
-
 # ---------------------------------------------------------------------------
 # reversal invariance
 
 
+def _rooted_formulas(base: BaseTree) -> dict[int, int]:
+    """The rooted formula of every out- and in-tree orientation of ``base``,
+    by mask, from one walk per root and no tree built.  The walk's parent
+    arcs give the out-tree's mask, the in-tree's is its complement, and both
+    have as directed leaves the vertices with no child in the walk."""
+    adj = base.adjacency
+    bit = {edge: i for i, edge in enumerate(base.edges)}
+    full = (1 << len(base.edges)) - 1
+    formulas = {}
+    for root in range(base.n):
+        order, parent, _ = _walk(root, adj)
+        mask = 0
+        for v in order[1:]:
+            if parent[v] > v:  # the arc parent -> v flips edge (v, parent)
+                mask |= 1 << bit[(v, parent[v])]
+        leaves = sum(len(nbrs) == (v != root) for v, nbrs in enumerate(adj))
+        formulas[mask] = formulas[mask ^ full] = _rooted_chi(base.n, leaves)
+    return formulas
+
+
 def _invariance_record(
-    base: BaseTree, base_code: str, mask: int, table: list, arc_table: list
+    base: BaseTree, base_code: str, mask: int, table: list, arc_table: list, rooted: dict
 ) -> dict:
     """The record of ``mask`` and its complement, read from the tables of
-    ``base`` (see :func:`class_table` and :func:`_arc_table`); nothing is
-    built."""
+    ``base`` (see :func:`class_table`, :func:`_arc_table` and
+    :func:`_rooted_formulas`); nothing is built."""
     n = base.n
     width = len(base.edges)
     mask_rev = mask ^ ((1 << width) - 1)
-    chi, formula = table[mask]
-    chi_rev = table[mask_rev][0]
+    chi = table[mask]
+    chi_rev = table[mask_rev]
     # the complement selects exactly the arcs that the mask leaves
     bits = mask_bits(mask, width)
+    texts, texts_rev = [], []
+    for i, bit, _, text in arc_table:
+        (texts if bits[i] == bit else texts_rev).append(text)
     record = {
         "n": n,
         "base": base_code,
         "mask": mask,
         "mask_rev": mask_rev,
-        "instance": _code(n, [text for i, bit, _, text in arc_table if bits[i] == bit]),
-        "instance_rev": _code(n, [text for i, bit, _, text in arc_table if bits[i] != bit]),
+        "instance": _code(n, texts),
+        "instance_rev": _code(n, texts_rev),
         "chi": chi,
         "chi_rev": chi_rev,
         "equal": chi == chi_rev,
     }
+    formula = rooted.get(mask)
     if formula is not None:
         record["rooted_formula"] = formula
         record["rooted_ok"] = formula == chi
@@ -217,10 +237,11 @@ def _invariance_record(
 def _invariance_records(payload: tuple[BaseTree, str]) -> list[dict]:
     """The records of one base tree, one per mask below its complement."""
     base, base_code = payload
-    table = class_table(base, _chi_and_rooted)
+    table = class_table(base, _chi)
     arc_table = _arc_table(base)
+    rooted = _rooted_formulas(base)
     return [
-        _invariance_record(base, base_code, mask, table, arc_table)
+        _invariance_record(base, base_code, mask, table, arc_table, rooted)
         for mask in range((len(table) + 1) // 2)
     ]
 
@@ -261,9 +282,11 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
     mask/complement pair, and every orientation is named by exactly one
     record.  Only one orientation per directed-isomorphism class is built
     and solved: :func:`generators.orientation_classes` gives each mask of a
-    base tree its class, and the other members of the class take that chi.
-    At n <= 9 that is 7,600 solves for the 15,944 orientations the records
-    name.
+    base tree its class, an orbit of the tree's automorphisms, and the other
+    members of the class take that chi.  At n <= 9 that is 7,600 solves for
+    the 15,944 orientations the records name.  The out- and in-trees among
+    them also carry the rooted formula n - leaves + 1, which
+    :func:`_rooted_formulas` reads off one walk per root of the base tree.
     """
     return ExperimentReport.from_stream(stream_reversal_invariance(max_n, jobs))
 
@@ -282,8 +305,8 @@ def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
     lands on edge p of R, reversed when the labelling swaps its ends.  The
     entry is ``(v, neighbor, table, subs)``, ``table`` being R's: the subtree
     of mask m is ``orient(R, subs[m])``, where ``subs[m]`` is the flips of
-    the swapped edges xor bit i of m moved to bit p for every such (i, p).
-    ``subs`` is filled one bit of m at a time, each bit doubling it.
+    the swapped edges xor bit i of m moved to bit p for every such (i, p)
+    (:func:`generators._mask_table`).
     """
     n = base.n
     maps = []
@@ -307,10 +330,7 @@ def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
             p = position[(a, b) if a < b else (b, a)]
             flips |= (a > b) << p
             image[i] = 1 << p
-        subs = [flips]
-        for moved in image:
-            subs += [sub ^ moved for sub in subs]
-        maps.append((v, nbrs[0], tables[rep], subs))
+        maps.append((v, nbrs[0], tables[rep], _mask_table(flips, image)))
     return maps
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from domchrom import harness
 from domchrom.errors import TooLargeError
 from domchrom.generators import (
+    _automorphism_swaps,
     _centers,
     canonical_code,
     canonical_form,
@@ -28,6 +30,7 @@ from domchrom.generators import (
     path,
     random_tree,
     rooted_orientation,
+    star,
 )
 from domchrom.harness import check_leaf_deletion
 from domchrom.solver import solve_exact
@@ -204,6 +207,74 @@ def test_orientation_classes_of_relabelled_bases(n):
     ]
     for base in bases:
         assert orientation_classes(base) == _code_classes(base)
+
+
+def test_automorphism_swaps_map_edges_onto_edges():
+    for n in range(1, 11):
+        for base in free_trees(n):
+            edges = set(base.edges)
+            for image in _automorphism_swaps(base):
+                assert sorted(image) == list(range(n))
+                assert all(image[image[v]] == v for v in range(n))
+                mapped = {(image[u], image[v]) for u, v in base.edges}
+                assert {(a, b) if a < b else (b, a) for a, b in mapped} == edges
+
+
+def test_orientation_class_counts_are_oeis_a000238():
+    counts = [
+        sum(max(orientation_classes(base)) + 1 for base in free_trees(n))
+        for n in range(1, 12)
+    ]
+    assert counts == [*ORIENTED_TREE_COUNTS, 5743, 24635, 108968]
+
+
+def test_path_classes_by_burnside():
+    # the one non-trivial automorphism mirrors the path: edge i onto edge
+    # w - 1 - i, reversed, so it fixes a mask only when every mirrored pair
+    # of bits differs, which the middle edge of an odd w never does
+    for n in range(1, 21):
+        w = n - 1
+        fixed = 0 if w % 2 else 2 ** (w // 2)
+        assert max(orientation_classes(path(n))) + 1 == (2**w + fixed) // 2
+
+
+def test_star_classes_count_in_leaves():
+    assert max(orientation_classes(star(16))) + 1 == 17
+
+
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_orientation_classes_match_oriented_codes_at_larger_n(n):
+    # the first seeded tree with a symmetry; half the masks are drawn at
+    # random, the other half from the classes of the first half, so that
+    # shared classes occur as well as distinct ones
+    rng = random.Random(n)
+    while True:
+        base = random_tree(n, rng.getrandbits(32))
+        table = orientation_classes(base)
+        if max(table) + 1 < len(table):
+            break
+    members: dict[int, list[int]] = {}
+    for mask, cls in enumerate(table):
+        members.setdefault(cls, []).append(mask)
+    masks = [rng.randrange(len(table)) for _ in range(1000)]
+    masks += [rng.choice(members[table[mask]]) for mask in masks]
+    pairs = {(table[mask], oriented_canonical_code(orient(base, mask))) for mask in masks}
+    classes = {cls for cls, _ in pairs}
+    assert len(classes) == len({code for _, code in pairs}) == len(pairs)
+    assert len(classes) < len(set(masks))
+
+
+@pytest.mark.parametrize("base, limit_mb", [(star(16), 2.0), (path(19), 18.7)], ids=["star16", "path19"])
+def test_orientation_classes_memory(base, limit_mb):
+    # a generator keeps two half-mask tables of about 2^(w/2) entries each;
+    # one full table of 2^w entries per generator would not fit the star's bound
+    tracemalloc.start()
+    try:
+        orientation_classes(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
 
 
 def test_orientation_classes_guard():

@@ -41,7 +41,7 @@ from domchrom.io import (
 )
 from domchrom.reports import ExperimentReport, write_json
 from domchrom.solver import brute_force_chi, solve_exact
-from domchrom.trees import OrientedTree, build_tree, delete_leaf, reverse
+from domchrom.trees import OrientedTree, build_tree, classify_rooted, delete_leaf, reverse
 
 from conftest import caterpillar_layouts, count_validations, orientations, reference_longest_path
 
@@ -141,6 +141,19 @@ class TestReversalInvariance:
         builds = record_builds(monkeypatch)
         check_reversal_invariance(7)
         assert len(builds) == len(set(builds)) == 481
+
+    def test_rooted_formulas_name_the_rooted_masks(self):
+        # the masks with a formula are exactly the out- and in-trees, each
+        # with the value that chi_rooted reads off the built tree
+        for n in range(1, 10):
+            for base in free_trees(n):
+                expected = {}
+                for mask in range(1 << len(base.edges)):
+                    t = orient(base, mask)
+                    rc = classify_rooted(t)
+                    if rc.out_root is not None or rc.in_root is not None:
+                        expected[mask] = formulas.chi_rooted(t)
+                assert harness._rooted_formulas(base) == expected
 
     def test_reversal_gaps_pinned(self):
         # the gap grows with n: at most 2 up to n = 9, 3 at n = 10
