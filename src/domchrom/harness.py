@@ -5,7 +5,7 @@ emits one record per instance that carries the instance's compact code, so
 each record replays on its own.  A counterexample never aborts a sweep; it
 lands in the summary and flips the ``holds`` flag.  Instances are
 independent, so campaigns parallelize over processes; :func:`_map_ordered`
-yields the workers' records in enumeration order while the pool runs, which
+yields the workers' results in enumeration order while the pool runs, which
 makes reports byte-identical for any job count.
 
 Each campaign is a stream (``stream_*``, see :mod:`reports`): it checks its
@@ -16,12 +16,11 @@ arrive; each ``check_*`` function collects its stream into an
 :class:`ExperimentReport`.
 
 Workers receive tree values that the parent has already built and validated,
-never codes to parse: a base tree (with its code or its orientation tables
-where the records need them), alone or with a root, or a caterpillar spec.
-Unpickling a frozen dataclass skips ``__post_init__``, so a worker does not
-re-validate its payload; that is safe because every payload tree comes from
-this package's own validating constructors (``free_trees``,
-``CaterpillarSpec``).
+never codes to parse: a base tree, alone or with its code and a root, or a
+caterpillar spec.  Unpickling a frozen dataclass skips ``__post_init__``, so
+a worker does not re-validate its payload; that is safe because every payload
+tree comes from this package's own validating constructors (``free_trees``,
+``gs_base``, ``star``, ``path``, ``CaterpillarSpec``).
 
 Five campaigns name every orientation of a base tree, and chi does not
 change under directed isomorphism.  :func:`class_table` is the only place
@@ -35,22 +34,22 @@ tree (:func:`_rooted_formulas`), so no class pays for a rooted check.  The
 reversal-invariance, leaf-deletion and star records, one per mask, read
 their instance codes from a second table per base tree, :func:`_arc_table`:
 every arc that either direction of an edge gives, sorted once and with its
-code item formatted once, so a mask's code is one filter and one join.  The
-reversal-invariance, generalized-star, star and path-minimum campaigns make
-their tables per base tree in the worker that writes its records.  Solves
-per orientations named: 7,600 of 15,944 at n <= 9, 935 of 3,210 for
+code item formatted once, so a mask's code is one filter and one join.  A
+pool worker computes only class tables, in one pass per campaign, and the
+parent builds each record from its base tree and table.  Solves per
+orientations named: 7,600 of 15,944 at n <= 9, 935 of 3,210 for
 generalized stars with n <= 10, 64 of 2,046 for stars with m <= 10, and
 4,154 of 8,184 for paths with n = 4..13.
 
 The leaf-deletion campaign first makes the table of every free tree with
-n <= ``max_n`` (1,857 solves at n <= 8, one per class).  A subtree
-``delete_leaf(orient(base, mask), v)`` is an orientation of the free tree R
-isomorphic to base - v; :func:`_leaf_maps` finds, once per base tree and
-leaf, a canonical labelling of base - v onto R and with it a table of the
-mask of R that each mask of base leaves, so every chi a record names is two
-table lookups, with no canonical code and no subtree built.  The predicates come from the
-in- and out-degrees of the arcs.  The tables live for one call, so no memo
-outlives a campaign.  The caterpillar and rooted-formula campaigns solve
+n <= ``max_n`` (1,857 solves at n <= 8, one per class), then the records of
+one base tree at a time.  A subtree ``delete_leaf(orient(base, mask), v)``
+is an orientation of the free tree R isomorphic to base - v; before a base
+tree's records, :func:`_leaf_maps` finds for each leaf a canonical labelling
+of base - v onto R and with it a table of the mask of R that each mask of
+base leaves, so every chi a record names is two table lookups, with no
+canonical code and no subtree built.  The tables live for one call, so no
+memo outlives a campaign.  The caterpillar and rooted-formula campaigns solve
 each tree they meet once; a caterpillar record and both constructions it
 checks read the spine and the legs off the spec, so nothing searches for a
 longest path, and both constructions are verified on the one tree the record
@@ -152,6 +151,11 @@ def class_table(base: BaseTree, fact) -> list:
     return table
 
 
+def _from_tables(build, bases: list[BaseTree], fact, jobs: int):
+    """Each ``build(base, class_table(base, fact))``; only the tables cross the pool."""
+    return map(build, bases, _map_ordered(partial(class_table, fact=fact), bases, jobs))
+
+
 def _arc_table(base: BaseTree) -> list[tuple[int, str, int, str]]:
     """Every arc that an orientation of ``base`` can have, in sorted order
     (tail, then head), from both directions of each edge.  Entry
@@ -234,10 +238,9 @@ def _invariance_record(
     return record
 
 
-def _invariance_records(payload: tuple[BaseTree, str]) -> list[dict]:
+def _invariance_records(base: BaseTree, table: list) -> list[dict]:
     """The records of one base tree, one per mask below its complement."""
-    base, base_code = payload
-    table = class_table(base, _chi)
+    base_code = encode_base(base)
     arc_table = _arc_table(base)
     rooted = _rooted_formulas(base)
     return [
@@ -252,14 +255,12 @@ def stream_reversal_invariance(max_n: int, jobs: int = 1):
     if not (1 <= max_n <= 10):
         raise TooLargeError("reversal sweep supports 1 <= max_n <= 10")
     yield "reversal_invariance", {"max_n": max_n}
-    payloads = [
-        (base, encode_base(base)) for n in range(1, max_n + 1) for base in free_trees(n)
-    ]
+    bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
     counterexamples = []
     max_chi = -1
     max_instance = ""
     instances = 0
-    for group in _map_ordered(_invariance_records, payloads, jobs):
+    for group in _from_tables(_invariance_records, bases, _chi, jobs):
         instances += len(group)
         for rec in group:
             if not rec["equal"] or not rec.get("rooted_ok", True):
@@ -334,17 +335,17 @@ def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
     return maps
 
 
-def _leafdel_records(payload: tuple[BaseTree, list, list]) -> list[dict]:
-    """The records of every orientation of one base tree, in mask order and
-    then leaf order; chi of the instance and of each subtree comes from the
-    tables, and the predicates from the in- and out-degrees."""
-    base, table, leaf_maps = payload
+def _leafdel_records(base: BaseTree, tables: dict) -> list[dict]:
+    """The records of every orientation of one base tree (n >= 2), in mask
+    order and then leaf order; chi of the instance and of each subtree comes
+    from ``tables``, and the predicates from the in- and out-degrees."""
+    leaf_maps = _leaf_maps(base, tables)
     n = base.n
     width = len(base.edges)
     degree = [len(nbrs) for nbrs in base.adjacency]
     arc_table = _arc_table(base)
     records = []
-    for mask, chi in enumerate(table):
+    for mask, chi in enumerate(tables[base]):
         bits = mask_bits(mask, width)
         texts = []
         outdeg = [0] * n
@@ -398,13 +399,12 @@ def stream_leaf_deletion(max_n: int, jobs: int = 1):
         raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
     yield "leaf_deletion", {"max_n": max_n}
     bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
+    # every table first: a base tree's leaf maps read those of size n - 1
     tables = dict(zip(bases, _map_ordered(partial(class_table, fact=_chi), bases, jobs)))
-    payloads = [
-        (base, tables[base], _leaf_maps(base, tables)) for base in bases if base.n > 1
-    ]
     counterexamples = []
     instances = 0
-    for group in _map_ordered(_leafdel_records, payloads, jobs):
+    for base in bases[1:]:  # the first, n = 1, has no leaf to delete
+        group = _leafdel_records(base, tables)
         instances += len(group)
         for rec in group:
             if rec["violations"]:
@@ -435,10 +435,9 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
 # generalized-star conjecture exploration
 
 
-def _gs_record(payload: tuple[int, int]) -> dict:
-    m, k = payload
-    base = gs_base(m, k)
-    results = class_table(base, solve_exact)
+def _gs_record(base: BaseTree, results: list) -> dict:
+    m = len(base.adjacency[0])  # gs_base puts the center at 0
+    k = (base.n - 1) // m
     chis = [result.chi for result in results]
     min_mask, max_mask = extreme_masks(chis)
     min_chi, max_chi = chis[min_mask], chis[max_mask]
@@ -480,13 +479,13 @@ def stream_conjecture_gs(m_max: int, k_max: int, n_cap: int = 10, jobs: int = 1)
     m_max, k_max, n_cap = _int(m_max, "m_max"), _int(k_max, "k_max"), _int(n_cap, "n_cap")
     if not (1 <= n_cap <= 10):
         raise TooLargeError("conjecture exploration supports n_cap <= 10")
-    payloads = [
-        (m, k)
+    bases = [
+        gs_base(m, k)
         for m in range(1, m_max + 1)
         for k in range(1, k_max + 1)
         if m * k + 1 <= n_cap
     ]
-    if not payloads:
+    if not bases:
         raise SpecInvalidError(
             f"no generalized star with m <= {m_max}, k <= {k_max} and "
             f"m*k + 1 <= {n_cap}"
@@ -494,11 +493,11 @@ def stream_conjecture_gs(m_max: int, k_max: int, n_cap: int = 10, jobs: int = 1)
     yield "gs_minmax", {"m_max": m_max, "k_max": k_max, "n_cap": n_cap}
     keys = ("m", "k", "min_chi", "conjectured_min", "max_chi", "conjectured_max")
     findings = []
-    for rec in _map_ordered(_gs_record, payloads, jobs):
+    for rec in _from_tables(_gs_record, bases, solve_exact, jobs):
         if not rec["min_agrees"] or not rec["max_agrees"]:
             findings.append({key: rec[key] for key in keys})
         yield rec
-    return _summary(len(payloads), [], findings=findings)
+    return _summary(len(bases), [], findings=findings)
 
 
 def explore_conjecture_gs(
@@ -517,13 +516,12 @@ def explore_conjecture_gs(
 # stars
 
 
-def _star_records(payload: int) -> list[dict]:
-    m = payload
-    base = star(m)
+def _star_records(base: BaseTree, table: list) -> list[dict]:
+    m = base.n - 1
     arc_table = _arc_table(base)
     records = []
     uniform_masks = {0, (1 << m) - 1}
-    for mask, chi in enumerate(class_table(base, _chi)):
+    for mask, chi in enumerate(table):
         uniform = mask in uniform_masks
         bits = mask_bits(mask, m)
         texts = [text for i, bit, _, text in arc_table if bits[i] == bit]
@@ -548,7 +546,8 @@ def stream_star_values(m_max: int, jobs: int = 1):
     yield "star_values", {"m_max": m_max}
     counterexamples = []
     instances = 0
-    for group in _map_ordered(_star_records, list(range(1, m_max + 1)), jobs):
+    bases = [star(m) for m in range(1, m_max + 1)]
+    for group in _from_tables(_star_records, bases, _chi, jobs):
         instances += len(group)
         for rec in group:
             if not rec["ok"]:
@@ -581,14 +580,16 @@ def sample_caterpillar_specs(
 
     Oversized draws are skipped (and counted); every fifth accepted sample
     forces an all-forward spine so the directed-spine case stays covered.
-    Raises :class:`SpecInvalidError` when ``samples`` is below 1, or when the
-    spine range is empty or every spine it allows exceeds ``n_max``, since no
-    draw could then be accepted.
+    Raises :class:`SpecInvalidError`, before any draw, when ``samples`` or
+    ``spine_min`` is below 1, or when the spine range is empty or every spine
+    it allows exceeds ``n_max``, since no draw could then be accepted.
     """
     samples, n_max = _int(samples, "samples"), _int(n_max, "n_max")
     spine_min, spine_max = _int(spine_min, "spine_min"), _int(spine_max, "spine_max")
     if samples < 1:
         raise SpecInvalidError(f"samples must be >= 1, got {samples}")
+    if spine_min < 1:
+        raise SpecInvalidError(f"spine_min must be >= 1, got {spine_min}")
     if spine_min > spine_max:
         raise SpecInvalidError(f"spine_min {spine_min} exceeds spine_max {spine_max}")
     if spine_min > n_max:
@@ -708,10 +709,8 @@ def check_caterpillar_bounds(
 # path orientation minimum
 
 
-def _path_min_record(payload: int) -> dict:
-    n = payload
-    base = path(n)
-    chis = class_table(base, _chi)
+def _path_min_record(base: BaseTree, chis: list) -> dict:
+    n = base.n
     min_mask, max_mask = extreme_masks(chis)
     min_chi, max_chi = chis[min_mask], chis[max_mask]
     formula = chi_path_orientation_min(n)
@@ -736,7 +735,8 @@ def stream_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1):
         raise TooLargeError("path sweep supports 1 <= n_lo <= n_hi <= 13")
     yield "path_minimum", {"n_lo": n_lo, "n_hi": n_hi}
     counterexamples = []
-    for rec in _map_ordered(_path_min_record, list(range(n_lo, n_hi + 1)), jobs):
+    bases = [path(n) for n in range(n_lo, n_hi + 1)]
+    for rec in _from_tables(_path_min_record, bases, _chi, jobs):
         if not rec["equal"]:
             counterexamples.append(rec["min_instance"])
         yield rec

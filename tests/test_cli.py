@@ -301,14 +301,23 @@ def test_campaign_stdout_pinned(name, fmt, capsys):
 
 
 _STAR_RECORDS = harness._star_records
+_CHI = harness._chi
 
 
-def _failing_star_records(m: int) -> list[dict]:
-    """The star records, but the third star fails; module level, so that a
-    pool worker can unpickle it."""
-    if m == 3:
+def _failing_star_records(base, table) -> list[dict]:
+    """The star records, but those of the third star fail; the parent builds
+    them from the class table that the pool computed."""
+    if base.n == 4:
         raise TooLargeError("third star refused")
-    return _STAR_RECORDS(m)
+    return _STAR_RECORDS(base, table)
+
+
+def _failing_chi(t) -> int:
+    """chi, but every orientation of the third star fails; module level, so
+    that a pool worker computing a class table can unpickle it."""
+    if t.n == 4:
+        raise TooLargeError("third star refused")
+    return _CHI(t)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -327,6 +336,21 @@ def test_a_failing_record_keeps_the_previous_report(tmp_path, monkeypatch):
     assert cli_main(["star", "--m-max", "4", "--output", str(out)]) == 2
     assert out.read_text() == "previous\n"
     assert os.listdir(tmp_path) == ["r.json"]
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_a_failing_worker_table_leaves_no_report(previous, tmp_path, monkeypatch, capsys):
+    # the failure is raised in a pool worker, inside its class table, and
+    # reaches the parent when the ordered map yields that table
+    out = tmp_path / "r.json"
+    if previous:
+        out.write_text("previous\n")
+    monkeypatch.setattr(harness, "_chi", _failing_chi)
+    assert cli_main(["star", "--m-max", "4", "--jobs", "2", "--output", str(out)]) == 2
+    assert "third star refused" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == (["r.json"] if previous else [])
+    if previous:
+        assert out.read_text() == "previous\n"
 
 
 def test_a_device_output_is_written_directly(tmp_path):

@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import json
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -41,7 +42,14 @@ from domchrom.io import (
 )
 from domchrom.reports import ExperimentReport, write_json
 from domchrom.solver import brute_force_chi, solve_exact
-from domchrom.trees import OrientedTree, build_tree, classify_rooted, delete_leaf, reverse
+from domchrom.trees import (
+    BaseTree,
+    OrientedTree,
+    build_tree,
+    classify_rooted,
+    delete_leaf,
+    reverse,
+)
 
 from conftest import caterpillar_layouts, count_validations, orientations, reference_longest_path
 
@@ -514,7 +522,7 @@ class TestCaterpillarCampaign:
                 assert rec["chi"] == rec["m"]
 
     @pytest.mark.parametrize(
-        "n_max, spine_min, spine_max", [(2, 3, 8), (12, 5, 4), (4, 5, 5)]
+        "n_max, spine_min, spine_max", [(2, 3, 8), (12, 5, 4), (4, 5, 5), (12, 0, 8)]
     )
     def test_sampler_rejects_ranges_no_draw_fits(self, n_max, spine_min, spine_max):
         with pytest.raises(SpecInvalidError):
@@ -723,6 +731,35 @@ def test_a_stream_reads_its_params_before_its_first_record():
     stream = harness.stream_star_values(3)
     assert next(stream) == ("star_values", {"m_max": 3})
     assert next(stream)["m"] == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        pytest.param(check_reversal_invariance, (4,), id="invariance"),
+        pytest.param(check_leaf_deletion, (4,), id="leafdel"),
+        pytest.param(explore_conjecture_gs, (3, 3, 7), id="gs"),
+        pytest.param(check_star_values, (4,), id="star"),
+        pytest.param(check_path_minimum, (4, 7), id="path"),
+    ],
+)
+def test_an_orientation_sweep_maps_only_class_tables(check, args, jobs, monkeypatch):
+    # the pool computes class tables alone, in one pass per campaign, and the
+    # parent builds every record from them
+    calls = []
+    original = harness._map_ordered
+
+    def spy(fn, payloads, jobs):
+        calls.append((fn, payloads))
+        return original(fn, payloads, jobs)
+
+    monkeypatch.setattr(harness, "_map_ordered", spy)
+    assert check(*args, jobs=jobs).records
+    assert len(calls) == 1
+    (fn, payloads), = calls
+    assert isinstance(fn, partial) and fn.func is harness.class_table
+    assert payloads and all(isinstance(base, BaseTree) for base in payloads)
 
 
 # SHA-256 of each campaign's JSON report, most at a small size.  Reports are
