@@ -159,12 +159,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_orientations(args) -> int:
     base = read_tree(args.tree).underlying()
-    chis = harness.class_table(base, harness._chi)
+    chis = harness.chi_table(base)
     extremes = {
         key: (mask, chis[mask]) for key, mask in zip(("min", "max"), harness.extreme_masks(chis))
     }
     # --min or --max makes its extreme the one row; otherwise every mask is one
     picked = [key for key in extremes if getattr(args, key)]
+    for mask, chi in extremes.values():  # the named witnesses are solved and verified
+        harness._certify(orient(base, mask), chi)
     rows = [extremes[key] for key in picked] or list(enumerate(chis))
     if args.format == "json":
         obj = {"n": base.n, "orientations": len(chis)}

@@ -2,10 +2,9 @@
 
 Provides the tree topologies the harness sweeps over: paths, generalized
 stars, caterpillars, uniformly random labeled trees, the orientations of a
-base tree (bitmask per edge) and their directed-isomorphism classes, and one
-representative per isomorphism class of free trees up to a size cap.  Bit i
-of a mask flips edge i in every family, and each mask is read in one pass
-(:func:`mask_bits`).  A tree
+base tree (bitmask per edge), and one representative per isomorphism class
+of free trees up to a size cap.  Bit i of a mask flips edge i in every
+family, and each mask is read in one pass (:func:`mask_bits`).  A tree
 derived from a validated base tree (an orientation, every generalized-star
 scheme among them, a canonical form, a one-leaf extension) or from a
 validated caterpillar spec is built by the trees' private ``_trusted``
@@ -22,7 +21,6 @@ from .errors import SpecInvalidError, TooLargeError, _int
 from .trees import BaseTree, OrientedTree, _walk
 
 _FREE_TREE_CAP = 12
-_MASK_WIDTH_CAP = 26
 
 GS_SCHEMES = ("out", "in", "layered", "mask")
 
@@ -331,49 +329,6 @@ def oriented_canonical_code(t: OrientedTree) -> str:
     return min(_ahu(c, ("<(", ">("), *adjs)[0] for c in _centers(*adjs))
 
 
-def _automorphism_swaps(base: BaseTree) -> list[list[int]]:
-    """Involutions that generate the automorphism group of ``base``, each as
-    the image of every vertex.
-
-    Every automorphism fixes the center, or maps the central edge onto
-    itself, so the group is that of the tree rooted at its first center,
-    the second center's half (if any) hanging off no vertex of the first's.
-    Each rooted subtree is hash-consed to an integer id and each vertex's
-    children are sorted by id.  One involution per adjacent pair of equal-id
-    children of a vertex swaps their subtrees, pairing vertices by walking
-    both in id order, and a bicentral tree whose halves have equal ids adds
-    the swap of the halves.  These generate the group: the swaps at a vertex
-    generate every permutation of its isomorphic children, and an
-    automorphism is such a permutation at the root (and possibly the swap of
-    the halves) followed by automorphisms of the children's subtrees.
-    """
-    root, *other = _centers(base.adjacency)
-    order, parent, _ = _walk(root, base.adjacency)
-    if other:  # the second center roots a half of its own
-        parent[other[0]] = -1
-    children: list[list[int]] = [[] for _ in order]
-    for v in order[1:]:
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
-    ids: dict[tuple[int, ...], int] = {}
-    sub = [0] * len(order)
-    for v in order[::-1]:  # children before parents
-        children[v].sort(key=sub.__getitem__)
-        sub[v] = ids.setdefault(tuple(sub[c] for c in children[v]), len(ids))
-    pairs = [(a, b) for kids in children for a, b in zip(kids, kids[1:]) if sub[a] == sub[b]]
-    if other and sub[root] == sub[other[0]]:
-        pairs.append((root, other[0]))
-    swaps = []
-    for a, b in pairs:
-        image = list(range(len(order)))
-        matched = [(a, b)]
-        for x, y in matched:  # grows while read
-            image[x], image[y] = y, x
-            matched += zip(children[x], children[y])
-        swaps.append(image)
-    return swaps
-
-
 def _mask_table(flips: int, images: Sequence[int]) -> list[int]:
     """Entry m is ``flips`` xor ``images[i]`` for every bit i set in m, for
     every m below 2^len(images): filled one bit at a time, each bit doubling
@@ -381,59 +336,6 @@ def _mask_table(flips: int, images: Sequence[int]) -> list[int]:
     table = [flips]
     for moved in images:
         table += [m ^ moved for m in table]
-    return table
-
-
-def orientation_classes(base: BaseTree) -> list[int]:
-    """The directed-isomorphism class of every orientation of ``base``.
-
-    Entry ``mask`` is the class index of ``orient(base, mask)``, classes
-    numbered in order of their first mask; two masks share an index exactly
-    when their :func:`oriented_canonical_code` values are equal.  Two
-    orientations of one labelled tree are directed-isomorphic exactly when an
-    automorphism of the tree maps one onto the other, so the classes are the
-    orbits of the masks under the generators of :func:`_automorphism_swaps`.
-
-    A vertex map sends edge i = (a, b) onto edge j, and bit j of the image
-    mask is bit i of the mask, flipped when a maps to the larger end of j.
-    Each generator keeps that map as two tables, one per half of the mask,
-    so a mask's image is two lookups and a generator holds 2^(width/2) or so
-    entries, where one full table would hold 2^width.  Masks are scanned in
-    increasing order: an unlabelled one opens the next class, and a stack
-    over generator images labels the rest of its orbit.
-    """
-    if base.n > _MASK_WIDTH_CAP:
-        raise TooLargeError(f"orientation masks capped at n <= {_MASK_WIDTH_CAP}")
-    width = len(base.edges)
-    half = width // 2
-    bit = {edge: i for i, edge in enumerate(base.edges)}
-    maps = []
-    for image in _automorphism_swaps(base):
-        flips = 0
-        moved = []
-        for u, v in base.edges:
-            a, b = image[u], image[v]
-            j = bit[(a, b) if a < b else (b, a)]
-            flips |= (a > b) << j
-            moved.append(1 << j)
-        maps.append((_mask_table(flips, moved[:half]), _mask_table(0, moved[half:])))
-    low = (1 << half) - 1
-    table = [-1] * (1 << width)
-    count = 0
-    for mask, cls in enumerate(table):  # reads the labels as they are set
-        if cls >= 0:
-            continue
-        table[mask] = count
-        stack = [mask]
-        while stack:
-            m = stack.pop()
-            lo, hi = m & low, m >> half
-            for lo_map, hi_map in maps:
-                g = lo_map[lo] ^ hi_map[hi]
-                if table[g] < 0:
-                    table[g] = count
-                    stack.append(g)
-        count += 1
     return table
 
 

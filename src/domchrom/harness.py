@@ -22,45 +22,41 @@ a worker does not re-validate its payload; that is safe because every payload
 tree comes from this package's own validating constructors (``free_trees``,
 ``gs_base``, ``star``, ``path``, ``CaterpillarSpec``).
 
-Five campaigns name every orientation of a base tree, and chi does not
-change under directed isomorphism.  :func:`class_table` is the only place
-that orients and solves them: it returns one value per mask, its caller's
-``fact`` applied to the orientation of the first mask of that mask's class
-(``orientation_classes``, the orbits of the base tree's automorphisms), so
-only one orientation per class is built.  A record reads its values from
-that table by mask and builds nothing; a reversal-invariance record reads
-its rooted formula from a dict over the at most 2n rooted masks of its base
-tree (:func:`_rooted_formulas`), so no class pays for a rooted check.  The
-reversal-invariance, leaf-deletion and star records, one per mask, read
+Five campaigns name every orientation of a base tree.  Each reads chi
+from :func:`solver.chi_table`, which gives chi of every mask of a base tree
+from one bottom-up pass over subtree states, with no tree built and no
+solve.  A record reads its values from that table by mask and builds
+nothing; a reversal-invariance record reads its rooted formula from a dict
+over the at most 2n rooted masks of its base tree (:func:`_rooted_formulas`).
+The reversal-invariance, leaf-deletion and star records, one per mask, read
 their instance codes from a second table per base tree, :func:`_arc_table`:
 every arc that either direction of an edge gives, sorted once and with its
 code item formatted once, so a mask's code is one filter and one join.  A
-pool worker computes only class tables, in one pass per campaign, and the
-parent builds each record from its base tree and table.  Solves per
-orientations named: 7,600 of 15,944 at n <= 9, 935 of 3,210 for
-generalized stars with n <= 10, 64 of 2,046 for stars with m <= 10, and
-4,154 of 8,184 for paths with n = 4..13.
+pool worker computes only chi tables, in one pass per campaign, and the
+parent builds each record from its base tree and table.  An entry carries
+no coloring, so :func:`_certify` solves each witness a report names: the
+summary's ``max_chi_instance``, each sweep's first counterexample (both
+ways, or with its subtree) and each generalized star's two extremes.
 
 The leaf-deletion campaign first makes the table of every free tree with
-n <= ``max_n`` (1,857 solves at n <= 8, one per class), then the records of
-one base tree at a time.  A subtree ``delete_leaf(orient(base, mask), v)``
-is an orientation of the free tree R isomorphic to base - v; before a base
-tree's records, :func:`_leaf_maps` finds for each leaf a canonical labelling
-of base - v onto R and with it a table of the mask of R that each mask of
-base leaves, so every chi a record names is two table lookups, with no
-canonical code and no subtree built.  The tables live for one call, so no
-memo outlives a campaign.  The caterpillar and rooted-formula campaigns solve
-each tree they meet once; a caterpillar record and both constructions it
-checks read the spine and the legs off the spec, so nothing searches for a
-longest path, and both constructions are verified on the one tree the record
-builds.  Star and rooted-tree values come from :mod:`formulas` alone.  Every
-solve is re-verified by its certificate check.
+n <= ``max_n``, then the records of one base tree at a time.  A subtree
+``delete_leaf(orient(base, mask), v)`` is an orientation of the free tree R
+isomorphic to base - v; before a base tree's records, :func:`_leaf_maps`
+finds for each leaf a canonical labelling of base - v onto R and with it a
+table of the mask of R that each mask of base leaves, so every chi a record
+names is two table lookups, with no canonical code and no subtree built.
+The tables live for one call, so no memo outlives a campaign.  The
+caterpillar and rooted-formula campaigns solve each tree they meet once; a
+caterpillar record and both constructions it checks read the spine and the
+legs off the spec, so nothing searches for a longest path, and both
+constructions are verified on the one tree the record builds.  Star and
+rooted-tree values come from :mod:`formulas` alone.  Every solve is
+re-verified by its certificate check.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
 
 from .errors import SpecInvalidError, TooLargeError, _int
 from .formulas import (
@@ -84,7 +80,6 @@ from .generators import (
     mask_bits,
     orient,
     orientation_arcs,
-    orientation_classes,
     path,
     rooted_orientation,
     star,
@@ -92,9 +87,8 @@ from .generators import (
 from .io import _arc_texts, _code, certificate_to_obj, encode_arcs, encode_base, encode_tree
 from .io import decode_tree  # unused here; perfbench/tracing.py wraps this name
 from .reports import ExperimentReport
-from .solver import solve_exact
-from .trees import BaseTree, OrientedTree, _walk
-from .trees import delete_leaf  # unused here; perfbench/tracing.py wraps this name
+from .solver import chi_table, solve_exact
+from .trees import BaseTree, OrientedTree, _walk, delete_leaf
 
 
 def _map_ordered(fn, payloads: list, jobs: int):
@@ -131,29 +125,18 @@ def _summary(instances: int, counterexamples: list, **extra) -> dict:
     }
 
 
-def _chi(t: OrientedTree) -> int:
-    return solve_exact(t).chi
+def _certify(t: OrientedTree, chi: int):
+    """The solve of ``t``, which a report names with ``chi`` from a chi
+    table; it re-verifies its coloring, and raises on a chi that differs."""
+    result = solve_exact(t)
+    if result.chi != chi:
+        raise RuntimeError(f"chi table gives {chi}, solve_exact {result.chi}: {encode_tree(t)}")
+    return result
 
 
-def class_table(base: BaseTree, fact) -> list:
-    """``fact`` of every orientation of ``base``, by mask; ``fact`` must be
-    invariant under directed isomorphism.  Only the first mask of each class
-    of :func:`generators.orientation_classes` is oriented and solved, so the
-    entry of the first mask of a class, such as the first mask with a given
-    value, is ``fact`` of its own orientation, and every mask of the class
-    shares that object."""
-    facts = []
-    table = []
-    for mask, cls in enumerate(orientation_classes(base)):
-        if cls == len(facts):  # classes are numbered by first mask
-            facts.append(fact(orient(base, mask)))
-        table.append(facts[cls])
-    return table
-
-
-def _from_tables(build, bases: list[BaseTree], fact, jobs: int):
-    """Each ``build(base, class_table(base, fact))``; only the tables cross the pool."""
-    return map(build, bases, _map_ordered(partial(class_table, fact=fact), bases, jobs))
+def _from_tables(build, bases: list[BaseTree], jobs: int):
+    """Each ``build(base, chi_table(base))``; only the tables cross the pool."""
+    return map(build, bases, _map_ordered(chi_table, bases, jobs))
 
 
 def _arc_table(base: BaseTree) -> list[tuple[int, str, int, str]]:
@@ -174,9 +157,7 @@ def _arc_table(base: BaseTree) -> list[tuple[int, str, int, str]]:
 
 def extreme_masks(values: list) -> tuple[int, int]:
     """The first mask with the least value of a per-mask table, and the first
-    with the greatest.  Masks of one class share one value, so neither has an
-    earlier mask in its class: each is the first mask of its class, and its
-    :func:`class_table` entry is ``fact`` of its own orientation."""
+    with the greatest."""
     return values.index(min(values)), values.index(max(values))
 
 
@@ -208,7 +189,7 @@ def _invariance_record(
     base: BaseTree, base_code: str, mask: int, table: list, arc_table: list, rooted: dict
 ) -> dict:
     """The record of ``mask`` and its complement, read from the tables of
-    ``base`` (see :func:`class_table`, :func:`_arc_table` and
+    ``base`` (see :func:`solver.chi_table`, :func:`_arc_table` and
     :func:`_rooted_formulas`); nothing is built."""
     n = base.n
     width = len(base.edges)
@@ -258,21 +239,22 @@ def stream_reversal_invariance(max_n: int, jobs: int = 1):
     bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
     counterexamples = []
     max_chi = -1
-    max_instance = ""
     instances = 0
-    for group in _from_tables(_invariance_records, bases, _chi, jobs):
+    for base, group in zip(bases, _from_tables(_invariance_records, bases, jobs)):
         instances += len(group)
         for rec in group:
             if not rec["equal"] or not rec.get("rooted_ok", True):
+                if not counterexamples:  # the first one is certified both ways
+                    _certify(orient(base, rec["mask"]), rec["chi"])
+                    _certify(orient(base, rec["mask_rev"]), rec["chi_rev"])
                 counterexamples.append(rec["instance"])
-            for key, inst in (("chi", "instance"), ("chi_rev", "instance_rev")):
-                if rec[key] > max_chi:
-                    max_chi = rec[key]
-                    max_instance = rec[inst]
+            for chi, mask in ((rec["chi"], rec["mask"]), (rec["chi_rev"], rec["mask_rev"])):
+                if chi > max_chi:
+                    max_chi, max_at = chi, (base, mask)
             yield rec
-    return _summary(
-        instances, counterexamples, max_chi=max_chi, max_chi_instance=max_instance
-    )
+    t = orient(*max_at)
+    _certify(t, max_chi)
+    return _summary(instances, counterexamples, max_chi=max_chi, max_chi_instance=encode_tree(t))
 
 
 def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
@@ -281,11 +263,9 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
 
     Complementary masks are mutual reversals, so each record covers one
     mask/complement pair, and every orientation is named by exactly one
-    record.  Only one orientation per directed-isomorphism class is built
-    and solved: :func:`generators.orientation_classes` gives each mask of a
-    base tree its class, an orbit of the tree's automorphisms, and the other
-    members of the class take that chi.  At n <= 9 that is 7,600 solves for
-    the 15,944 orientations the records name.  The out- and in-trees among
+    record.  Every chi comes from the :func:`solver.chi_table` of its base
+    tree; only the first counterexample, both ways, and the summary's
+    ``max_chi_instance`` are built and solved.  The out- and in-trees among
     them also carry the rooted formula n - leaves + 1, which
     :func:`_rooted_formulas` reads off one walk per root of the base tree.
     """
@@ -300,7 +280,7 @@ def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
     """How each underlying leaf v of ``base`` (n >= 2), in vertex order,
     reads chi of ``delete_leaf(orient(base, mask), v)`` from ``tables``.
 
-    ``tables`` maps every free tree of size n - 1 to its :func:`class_table`.
+    ``tables`` maps every free tree of size n - 1 to its :func:`solver.chi_table`.
     A canonical labelling maps base - v (relabelled as :func:`delete_leaf`
     does) onto its representative R, so each remaining edge i of ``base``
     lands on edge p of R, reversed when the labelling swaps its ends.  The
@@ -400,14 +380,19 @@ def stream_leaf_deletion(max_n: int, jobs: int = 1):
     yield "leaf_deletion", {"max_n": max_n}
     bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
     # every table first: a base tree's leaf maps read those of size n - 1
-    tables = dict(zip(bases, _map_ordered(partial(class_table, fact=_chi), bases, jobs)))
+    tables = dict(zip(bases, _map_ordered(chi_table, bases, jobs)))
     counterexamples = []
     instances = 0
     for base in bases[1:]:  # the first, n = 1, has no leaf to delete
         group = _leafdel_records(base, tables)
         instances += len(group)
-        for rec in group:
+        leaves = len(group) >> len(base.edges)  # records run by mask, then by leaf
+        for i, rec in enumerate(group):
             if rec["violations"]:
+                if not counterexamples:  # the first one is certified, subtree too
+                    t = orient(base, i // leaves)
+                    _certify(t, rec["chi"])
+                    _certify(delete_leaf(t, rec["leaf"])[0], rec["chi_sub"])
                 counterexamples.append(
                     {"instance": rec["instance"], "leaf": rec["leaf"],
                      "violations": rec["violations"]}
@@ -424,9 +409,10 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     its neighbor's only out-neighbor, or is the unique source) and the
     source-leaf rule (a dropped source leaf's neighbor has in-degree 1).
     Violations are findings; they carry a replayable instance encoding.
-    Every free tree with n <= ``max_n`` gets its :func:`class_table` first,
-    one solve per directed-isomorphism class; every chi a record names, its
-    subtree's included, is then read from those tables by mask.
+    Every free tree with n <= ``max_n`` gets its :func:`solver.chi_table`
+    first; every chi a record names, its subtree's included, is then read
+    from those tables by mask.  Only the first counterexample and its
+    subtree are built and solved.
     """
     return ExperimentReport.from_stream(stream_leaf_deletion(max_n, jobs))
 
@@ -435,13 +421,13 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
 # generalized-star conjecture exploration
 
 
-def _gs_record(base: BaseTree, results: list) -> dict:
+def _gs_record(base: BaseTree, chis: list) -> dict:
     m = len(base.adjacency[0])  # gs_base puts the center at 0
     k = (base.n - 1) // m
-    chis = [result.chi for result in results]
     min_mask, max_mask = extreme_masks(chis)
     min_chi, max_chi = chis[min_mask], chis[max_mask]
-    min_result, max_result = results[min_mask], results[max_mask]
+    min_result = _certify(orient(base, min_mask), min_chi)
+    max_result = min_result if max_mask == min_mask else _certify(orient(base, max_mask), max_chi)
     conjectured_min = 3 + m * (k // 2 - 1)
     conjectured_max = gs_uniform_chi(m, k)
     if m <= 2:
@@ -455,7 +441,7 @@ def _gs_record(base: BaseTree, results: list) -> dict:
         "k": k,
         "n": m * k + 1,
         "regime": regime,
-        "orientations": len(results),
+        "orientations": len(chis),
         "min_chi": min_chi,
         "min_mask": min_mask,
         "min_instance": encode_arcs(base.n, orientation_arcs(base.edges, min_mask)),
@@ -493,7 +479,7 @@ def stream_conjecture_gs(m_max: int, k_max: int, n_cap: int = 10, jobs: int = 1)
     yield "gs_minmax", {"m_max": m_max, "k_max": k_max, "n_cap": n_cap}
     keys = ("m", "k", "min_chi", "conjectured_min", "max_chi", "conjectured_max")
     findings = []
-    for rec in _from_tables(_gs_record, bases, solve_exact, jobs):
+    for rec in _from_tables(_gs_record, bases, jobs):
         if not rec["min_agrees"] or not rec["max_agrees"]:
             findings.append({key: rec[key] for key in keys})
         yield rec
@@ -547,10 +533,12 @@ def stream_star_values(m_max: int, jobs: int = 1):
     counterexamples = []
     instances = 0
     bases = [star(m) for m in range(1, m_max + 1)]
-    for group in _from_tables(_star_records, bases, _chi, jobs):
+    for base, group in zip(bases, _from_tables(_star_records, bases, jobs)):
         instances += len(group)
         for rec in group:
             if not rec["ok"]:
+                if not counterexamples:
+                    _certify(orient(base, rec["mask"]), rec["chi"])
                 counterexamples.append(rec["instance"])
             yield rec
     return _summary(instances, counterexamples)
@@ -626,8 +614,8 @@ def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
     index, spec = payload
     t = caterpillar(spec)
     m = spec.spine_len
-    chi = _chi(t)
-    chi_spine = _chi(orient(path(m), spec.spine_mask))
+    chi = solve_exact(t).chi
+    chi_spine = solve_exact(orient(path(m), spec.spine_mask)).chi
     upper = _certified(t, _caterpillar_upper_labels(spec))
     directed = spec.spine_mask in (0, (1 << (m - 1)) - 1)
     directed_ok = None
@@ -736,8 +724,10 @@ def stream_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1):
     yield "path_minimum", {"n_lo": n_lo, "n_hi": n_hi}
     counterexamples = []
     bases = [path(n) for n in range(n_lo, n_hi + 1)]
-    for rec in _from_tables(_path_min_record, bases, _chi, jobs):
+    for base, rec in zip(bases, _from_tables(_path_min_record, bases, jobs)):
         if not rec["equal"]:
+            if not counterexamples:
+                _certify(orient(base, rec["min_mask"]), rec["min_chi"])
             counterexamples.append(rec["min_instance"])
         yield rec
     return _summary(n_hi - n_lo + 1, counterexamples)
@@ -759,7 +749,7 @@ def check_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1) -> Experime
 def _rooted_record(payload: tuple[BaseTree, str, int, str]) -> dict:
     base, base_code, root, sense = payload
     t = rooted_orientation(base, root, sense)
-    chi = _chi(t)
+    chi = solve_exact(t).chi
     formula = chi_rooted(t)
     leaves = len(t.sinks) if sense == "out" else len(t.sources)
     return {

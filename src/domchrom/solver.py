@@ -38,14 +38,17 @@ cross-validation oracle for small instances.  The backtracking kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import compress
 from typing import Iterable
 
 from .coloring import Coloring, DominatorCertificate, _check_colors, verify_dominator
 from .errors import TooLargeError
-from .trees import OrientedTree, _walk
+from .generators import _centers
+from .trees import BaseTree, OrientedTree, _walk
 
 _BRUTE_CAP = 10
+_MASK_WIDTH_CAP = 26
 
 # Roles of a vertex in a one-free-class family: in U, a singleton class, in
 # the class its parent owns, in the class one of its children owns.  A set of
@@ -337,6 +340,108 @@ def solve_exact(t: OrientedTree, opts: SolveOptions | None = None) -> SolveResul
     if not isinstance(cert, DominatorCertificate):  # pragma: no cover
         raise RuntimeError("solver result failed re-verification")
     return SolveResult(chi=k, certificate=cert, tau=tau)
+
+
+_ROOT, _DOWN, _UP = range(3)  # the arc from a vertex to its parent in chi_table
+
+
+def _empty(inf: int) -> tuple:
+    """A vertex's accumulator before any child is folded in (see :func:`_fold`)."""
+    return (0, 0, 0, 0, inf, inf, inf, inf, 0, 0, 0, 0, 0, inf, 0, 0, 0)
+
+
+def _fold(acc: tuple, child: tuple) -> tuple:
+    """``acc`` with one more child, as :func:`_finish` gives it, folded in: one
+    turn of the child loops of :func:`_least_family`, on its names.  ``in_w``
+    is 1 when an in-child puts v into W; ``tau`` counts W in the subtrees."""
+    b0, b1, b2, b3, d0, d1, d2, d3, hit, out, in_u, in_s, in_other, odelta, ins, in_w, tau = acc
+    up, h0, h1, h2, h3, flag, t = child
+    if up:  # c -> v: the hand is (nonu, any0, any1, any2), the flag puts v into W
+        h3 -= h2
+        return (b0, b1, b2, b3, d0, d1, d2, d3, hit, out, in_u + h0, in_s + h1, in_other + h2,
+                h3 if h3 < odelta else odelta, 1, in_w | flag, tau + t)
+    # v -> c: the hand is (u, s, pm, o), the flag says c is in W
+    a2 = h1 if h1 < h3 else h3
+    a0 = h0 if h0 < a2 else a2
+    a3 = h2 if h2 < a2 else a2
+    a1 = h2 if h2 < a0 else a0
+    sp = h2 if h2 < h1 else h1
+    return (b0 + a0, b1 + a1, b2 + a2, b3 + a3, min(d0, h1 - a0), min(d1, sp - a1),
+            min(d2, h1 - a2), min(d3, sp - a3), hit | flag, 1, in_u, in_s, in_other, odelta,
+            ins, in_w, tau + t)
+
+
+def _finish(acc: tuple, direction: int, inf: int) -> tuple:
+    """What v hands its parent across an arc in ``direction``, from all its
+    children: (up, ``hand`` of :func:`_least_family`, the flag "v puts its
+    parent into W" (up) or "v is in W" (down), τ of v's subtree); at the
+    root, (m, τ) of the tree."""
+    b0, b1, b2, b3, d0, d1, d2, d3, hit, out, in_u, in_s, in_other, odelta, ins, in_w, tau = acc
+    up = direction == _UP
+    n2, u2 = b1 + 1, b3 + 1
+    n0 = n1 = u0 = u1 = 0  # a sink is satisfied, and owns nothing below level 2
+    if out or up:
+        n0, n1 = min(n2, b0), min(b0 + d0, n2 + d1)
+        u0, u1 = min(u2, b2), min(b2 + d2, u2 + d3)
+        tau += not hit and not up  # v puts its first out-child into W
+    tau += in_w
+    xs = 1 + in_s if ins or direction == _DOWN else inf
+    xc = in_other + odelta
+    if direction == _DOWN:
+        return (0, in_u + u1, xs + n1, in_other + n1, xc + n1, in_w, tau)
+    if up:
+        x = min(xs, xc)
+        return (1, x + n1, min(in_u + u0, x + n0), min(in_u + u1, x + n1),
+                min(in_u + u2, x + n2), int(not hit), tau)
+    return min(in_u + u1, xs + n1, inf + n1, xc + n1), tau
+
+
+def chi_table(base: BaseTree) -> list[int]:
+    """χ of every orientation of ``base``, by mask, from one bottom-up pass.
+
+    :func:`_fold` and :func:`_finish` restate the step of :func:`_least_family`
+    on states, memoized per base tree.  Rooted at a center, each vertex maps
+    each state it can hand its parent to the partial masks that reach it,
+    folded into its parent's and reused where nothing reads them again.  No
+    tree is built and no coloring made, so an entry carries no certificate.
+    Capped at n <= 26.
+    """
+    n = base.n
+    if n > _MASK_WIDTH_CAP:
+        raise TooLargeError(f"orientation masks capped at n <= {_MASK_WIDTH_CAP}")
+    inf = n + 1
+    start = _empty(inf)
+    fold = lru_cache(maxsize=None)(_fold)
+    finish = lru_cache(maxsize=None)(partial(_finish, inf=inf))
+    order, parent, _ = _walk(_centers(base.adjacency)[0], base.adjacency)
+    bit = {edge: i for i, edge in enumerate(base.edges)}
+    accs: list[dict | None] = [None] * n
+    for v in reversed(order[1:]):  # children before parents
+        p = parent[v]
+        flip = 1 << bit[(v, p) if v < p else (p, v)]
+        # bit 1: the larger end is the tail; adding 0 goes last, reusing lists
+        sides = ((_UP, flip), (_DOWN, 0)) if v > p else ((_DOWN, flip), (_UP, 0))
+        acc, into = accs[v] or {start: [0]}, accs[p]
+        accs[v] = None
+        merged: dict = {}
+        for before, prefixes in (into or {start: [0]}).items():
+            for direction, add in sides:
+                for state, masks in acc.items():
+                    if into is not None:
+                        masks = [a | b | add for a in prefixes for b in masks]
+                    elif add:
+                        masks = [m | add for m in masks]
+                    lists = merged.setdefault(fold(before, finish(state, direction)), masks)
+                    if lists is not masks:
+                        lists += masks
+        accs[p] = merged
+    table = [0] * (1 << len(base.edges))
+    for state, masks in (accs[order[0]] or {start: [0]}).items():
+        m, tau = finish(state, _ROOT)
+        chi = m + 1 if m == tau else tau + 2
+        for mask in masks:
+            table[mask] = chi
+    return table
 
 
 def _growth_sequences(n: int, k: int):

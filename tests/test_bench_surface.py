@@ -38,14 +38,14 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch, tmp_path):
     assert tracer.counters["records"] == len(report.records) > 0
 
 
-def test_traced_leafdel_reads_chi_from_class_tables(monkeypatch, capsys):
-    """A traced leaf-deletion pass makes one solve and one tree build per
-    directed-isomorphism class (n <= 5: 1 + 1 + 3 + 8 + 27), and no
-    canonical code or ``delete_leaf`` call; every solve runs while the CLI
-    reads the campaign stream, outside every record builder (``harness.map``
-    spans only the creation of the ordered map), and every build inside
-    ``orient``, through the trusted constructor: no tree is validated again
-    (``trees.build`` reads 0)."""
+def test_traced_leafdel_reads_chi_from_state_tables(monkeypatch, capsys):
+    """A traced leaf-deletion pass reads every chi from the tables of
+    ``solver.chi_table``: its only solves certify the first counterexample
+    and the subtree its leaf leaves, so it makes two solves, one ``orient``,
+    one ``delete_leaf`` and two tree builds, and no canonical code.  Both
+    solves run while the CLI reads the campaign stream, outside every record
+    builder, and both builds go through the trusted constructor: no tree is
+    validated again (``trees.build`` reads 0)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     trusted = OrientedTree._trusted
@@ -55,15 +55,17 @@ def test_traced_leafdel_reads_chi_from_class_tables(monkeypatch, capsys):
         # exit 1: the sweep meets counterexamples to the refuted claim
         assert cli.cli_main(["leafdel", "--max-n", "5"]) == 1
     capsys.readouterr()
-    names = [s[0] for s in tracer.spans]
-    assert names.count("solver") == names.count("trees.trusted") == 40
-    assert names.count("generators.orient") == 40
+    names = Counter(s[0] for s in tracer.spans)
+    assert names["solver"] == names["trees.trusted"] == 2
+    assert names["generators.orient"] == names["trees.delete_leaf"] == 1
     assert "trees.build" not in names
     assert "generators.canon_code" not in names
-    assert "trees.delete_leaf" not in names
     parents = {(name, tracer.spans[parent][0]) for name, parent, *_ in tracer.spans
                if name in ("solver", "trees.trusted")}
-    assert parents == {("solver", "cli"), ("trees.trusted", "generators.orient")}
+    assert parents == {
+        ("solver", "cli"), ("trees.trusted", "generators.orient"),
+        ("trees.trusted", "trees.delete_leaf"),
+    }
 
 
 def test_traced_solve_verifies_once_and_relabels_once(monkeypatch):

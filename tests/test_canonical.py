@@ -14,10 +14,8 @@ import tracemalloc
 import networkx as nx
 import pytest
 
-from domchrom import harness
 from domchrom.errors import TooLargeError
 from domchrom.generators import (
-    _automorphism_swaps,
     _centers,
     canonical_code,
     canonical_form,
@@ -25,18 +23,18 @@ from domchrom.generators import (
     free_trees,
     orient,
     orientation_arcs,
-    orientation_classes,
     oriented_canonical_code,
     path,
     random_tree,
     rooted_orientation,
     star,
 )
-from domchrom.harness import check_leaf_deletion
-from domchrom.solver import solve_exact
+from domchrom.solver import chi_table
 from domchrom.trees import BaseTree, OrientedTree
 
+import orbits
 from conftest import orientations, reference_longest_path
+from orbits import automorphism_swaps, orientation_classes
 
 FREE_TREES_DIGEST = "70f80da3e895e585339ca9dfaca917dac4c3c76a14c004fdc982932926d978d5"
 CODES_AND_FORMS_DIGEST = "cdffee8f6852527fe30bdf40b82a61018d4cfc645f316e3557f11a770563881b"
@@ -166,15 +164,20 @@ def test_equal_oriented_codes_are_directed_isomorphic():
 
 
 def test_leaf_deletion_solves_each_class_it_meets_once(monkeypatch):
-    # n <= 8 instances and their subtrees meet every class with n <= 8
+    # n <= 8 instances and their subtrees meet every class with n <= 8: the
+    # per-class oracle solves each of them once, and the chi tables that the
+    # sweep reads, those of every free tree with n <= 8, equal the oracle's
     solved = []
+    solve = orbits.solve_exact
 
-    def counting_chi(t):
+    def counting_solve(t):
         solved.append(oriented_canonical_code(t))
-        return solve_exact(t).chi
+        return solve(t)
 
-    monkeypatch.setattr(harness, "_chi", counting_chi)
-    check_leaf_deletion(8)
+    monkeypatch.setattr(orbits, "solve_exact", counting_solve)
+    for n in range(1, 9):
+        for base in free_trees(n):
+            assert chi_table(base) == orbits.class_chis(base)
     assert len(solved) == len(set(solved)) == sum(ORIENTED_TREE_COUNTS) == 1857
 
 
@@ -213,7 +216,7 @@ def test_automorphism_swaps_map_edges_onto_edges():
     for n in range(1, 11):
         for base in free_trees(n):
             edges = set(base.edges)
-            for image in _automorphism_swaps(base):
+            for image in automorphism_swaps(base):
                 assert sorted(image) == list(range(n))
                 assert all(image[image[v]] == v for v in range(n))
                 mapped = {(image[u], image[v]) for u, v in base.edges}

@@ -14,13 +14,14 @@ import domchrom
 from domchrom import harness
 from domchrom.cli import cli_main
 from domchrom.errors import TooLargeError
-from domchrom.generators import orient, orientation_classes, path, random_tree
+from domchrom.generators import orient, path, random_tree
 from domchrom.io import encode_tree, format_tree, parse_tree, read_tree
 from domchrom.reports import ExperimentReport
 from domchrom.solver import solve_exact
 from domchrom.trees import build_tree
 
 from conftest import count_validations
+from orbits import orientation_classes
 
 
 @pytest.fixture()
@@ -97,6 +98,28 @@ def test_orientations_json_all(p5_file, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["orientations"] == 16
     assert obj["min"]["chi"] == 3 and obj["max"]["chi"] == 5
+
+
+def test_orientations_solve_the_extremes_they_print(p5_file, monkeypatch, capsys):
+    # every chi comes from the state table; only the two extremes named in
+    # the output are solved (and their colorings verified)
+    solved = []
+
+    def counting_solve(t):
+        solved.append(t)
+        return solve_exact(t)
+
+    monkeypatch.setattr(harness, "solve_exact", counting_solve)
+    assert cli_main(["orientations", p5_file, "--format", "json", "--min"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    base = read_tree(p5_file).underlying()
+    assert solved == [orient(base, obj["min"]["mask"]), orient(base, obj["max"]["mask"])]
+
+
+def test_orientations_refuse_a_table_that_a_solve_contradicts(p5_file, monkeypatch):
+    monkeypatch.setattr(harness, "chi_table", lambda base: [c + 1 for c in _CHI_TABLE(base)])
+    with pytest.raises(RuntimeError, match="chi table gives 4, solve_exact 3"):
+        cli_main(["orientations", p5_file, "--max"])
 
 
 def test_orientations_validates_only_the_file(p5_file, monkeypatch):
@@ -301,23 +324,23 @@ def test_campaign_stdout_pinned(name, fmt, capsys):
 
 
 _STAR_RECORDS = harness._star_records
-_CHI = harness._chi
+_CHI_TABLE = harness.chi_table
 
 
 def _failing_star_records(base, table) -> list[dict]:
     """The star records, but those of the third star fail; the parent builds
-    them from the class table that the pool computed."""
+    them from the chi table that the pool computed."""
     if base.n == 4:
         raise TooLargeError("third star refused")
     return _STAR_RECORDS(base, table)
 
 
-def _failing_chi(t) -> int:
-    """chi, but every orientation of the third star fails; module level, so
-    that a pool worker computing a class table can unpickle it."""
-    if t.n == 4:
+def _failing_chi_table(base) -> list[int]:
+    """The chi table, but that of the third star fails; module level, so
+    that a pool worker can unpickle it."""
+    if base.n == 4:
         raise TooLargeError("third star refused")
-    return _CHI(t)
+    return _CHI_TABLE(base)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -340,12 +363,12 @@ def test_a_failing_record_keeps_the_previous_report(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("previous", [False, True])
 def test_a_failing_worker_table_leaves_no_report(previous, tmp_path, monkeypatch, capsys):
-    # the failure is raised in a pool worker, inside its class table, and
+    # the failure is raised in a pool worker, inside its chi table, and
     # reaches the parent when the ordered map yields that table
     out = tmp_path / "r.json"
     if previous:
         out.write_text("previous\n")
-    monkeypatch.setattr(harness, "_chi", _failing_chi)
+    monkeypatch.setattr(harness, "chi_table", _failing_chi_table)
     assert cli_main(["star", "--m-max", "4", "--jobs", "2", "--output", str(out)]) == 2
     assert "third star refused" in capsys.readouterr().err
     assert os.listdir(tmp_path) == (["r.json"] if previous else [])

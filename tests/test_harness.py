@@ -8,7 +8,7 @@ from functools import partial
 
 import pytest
 
-from domchrom import formulas, harness, io, reports
+from domchrom import formulas, harness, io, reports, solver
 from domchrom.coloring import DominatorCertificate, recheck_certificate, verify_dominator
 from domchrom.errors import SpecInvalidError, SpineNotDirectedError, TooLargeError
 from domchrom.formulas import directed_spine_coloring
@@ -21,6 +21,7 @@ from domchrom.generators import (
     orient,
     orientation_arcs,
     oriented_canonical_code,
+    path,
     star,
 )
 from domchrom.harness import (
@@ -51,7 +52,9 @@ from domchrom.trees import (
     reverse,
 )
 
+import orbits
 from conftest import caterpillar_layouts, count_validations, orientations, reference_longest_path
+from orbits import class_chis
 
 def record_builds(monkeypatch) -> list[str]:
     """The oriented canonical code of every tree built from here on, by the
@@ -78,9 +81,25 @@ def reversal_gaps(base) -> list[int]:
     """|chi(T) - chi(T reversed)| for each orientation T of ``base`` whose
     mask is below its complement (the mask of T reversed), read from the
     per-mask table; with no edge, mask 0 pairs with itself."""
-    table = harness.class_table(base, harness._chi)
+    table = harness.chi_table(base)
     full = len(table) - 1
     return [abs(table[m] - table[m ^ full]) for m in range((len(table) + 1) // 2)]
+
+
+def oracle_tables(monkeypatch, bases) -> tuple[list[list[int]], list[str]]:
+    """The per-class oracle's chi table of each base tree, and the class of
+    every tree it solved, in order."""
+    solved = []
+    solve = orbits.solve_exact
+
+    def counting_solve(t):
+        solved.append(oriented_canonical_code(t))
+        return solve(t)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(orbits, "solve_exact", counting_solve)
+        tables = [orbits.class_chis(base) for base in bases]
+    return tables, solved
 
 
 def spider(k: int) -> OrientedTree:
@@ -129,9 +148,17 @@ class TestReversalInvariance:
         with pytest.raises(TooLargeError):
             check_reversal_invariance(11)
 
+    @staticmethod
+    def named_classes(rep) -> list[str]:
+        """The classes of the orientations the report names with a chi: its
+        first counterexample both ways, then its ``max_chi_instance``."""
+        first = next(r for r in rep.records if not r["equal"])
+        codes = first["instance"], first["instance_rev"], rep.summary["max_chi_instance"]
+        return [oriented_canonical_code(decode_tree(code)) for code in codes]
+
     def test_each_class_solved_once(self, monkeypatch):
-        # one solve per directed-isomorphism class with n <= 7 (OEIS A000238:
-        # 1 + 1 + 3 + 8 + 27 + 91 + 350), not one per orientation named (968)
+        # chi comes from the state tables, so of the 968 orientations named at
+        # n <= 7 only the certified ones are solved, each class once
         solved = []
 
         def counting_solve(t, *args):
@@ -140,15 +167,18 @@ class TestReversalInvariance:
 
         monkeypatch.setattr(harness, "solve_exact", counting_solve)
         rep = check_reversal_invariance(7)
-        assert len(solved) == len(set(solved)) == 481
         assert 2 * len(rep.records) == 968
+        assert len(solved) == len(set(solved)) == 3
+        assert solved == self.named_classes(rep)
 
     def test_each_class_built_once(self, monkeypatch):
         # records read their instance codes off the base edges and the mask,
-        # so the only trees built are the 481 that the class tables solve
+        # so the only trees built are the three certified orientations
         builds = record_builds(monkeypatch)
-        check_reversal_invariance(7)
-        assert len(builds) == len(set(builds)) == 481
+        rep = check_reversal_invariance(7)
+        built = builds[:]
+        assert len(built) == len(set(built)) == 3
+        assert built == self.named_classes(rep)
 
     def test_rooted_formulas_name_the_rooted_masks(self):
         # the masks with a formula are exactly the out- and in-trees, each
@@ -309,39 +339,35 @@ class TestLeafDeletionMemo:
                 solve_exact(sub).chi,
             ), rec
 
+    @staticmethod
+    def first_counterexample_classes(rep) -> list[str]:
+        """The classes of the first counterexample and of its subtree."""
+        first = rep.summary["counterexamples"][0]
+        t = decode_tree(first["instance"])
+        return [oriented_canonical_code(t), oriented_canonical_code(delete_leaf(t, first["leaf"])[0])]
+
     def test_each_class_solved_once(self, monkeypatch):
-        # chi is shared across directed-isomorphic trees, so each class met
-        # (instance or subtree) is solved exactly once, and only there
+        # chi comes from the state tables: the only solves certify the first
+        # counterexample and the subtree its leaf leaves, two classes
         solved = []
 
-        def counting_chi(t):
+        def counting_solve(t, *args):
             solved.append(oriented_canonical_code(t))
-            return solve_exact(t).chi
+            return solve_exact(t, *args)
 
-        monkeypatch.setattr(harness, "_chi", counting_chi)
+        monkeypatch.setattr(harness, "solve_exact", counting_solve)
         rep = check_leaf_deletion(6)
-        met = set()
-        for inst in {rec["instance"] for rec in rep.records}:
-            t = decode_tree(inst)
-            met.add(oriented_canonical_code(t))
-            for v in t.underlying_leaves:
-                met.add(oriented_canonical_code(delete_leaf(t, v)[0]))
-        assert len(solved) == len(set(solved)) == len(met)
-        assert set(solved) == met
-        for rec in rep.records:
-            t = decode_tree(rec["instance"])
-            sub, _ = delete_leaf(t, rec["leaf"])
-            assert (rec["chi"], rec["chi_sub"]) == (
-                solve_exact(t).chi,
-                solve_exact(sub).chi,
-            ), rec
+        assert len(solved) == len(set(solved)) == 2
+        assert solved == self.first_counterexample_classes(rep)
 
     def test_each_class_built_once(self, monkeypatch):
-        # one build per directed-isomorphism class with n <= 6, the tree its
-        # table solves; records and subtrees are read off masks, not built
+        # records and subtrees are read off masks; only the two certified
+        # trees are built
         builds = record_builds(monkeypatch)
-        check_leaf_deletion(6)
-        assert len(builds) == len(set(builds)) == 1 + 1 + 3 + 8 + 27 + 91
+        rep = check_leaf_deletion(6)
+        built = builds[:]
+        assert len(built) == len(set(built)) == 2
+        assert built == self.first_counterexample_classes(rep)
 
     def test_each_base_tree_validated_once(self, monkeypatch):
         # the only validations are the one-vertex seeds of free_trees(1..8);
@@ -367,19 +393,19 @@ class TestLeafDeletionMemo:
         assert self._module_state() == before
 
     def test_memo_empty_after_campaign_that_raises(self, monkeypatch):
-        solves = []
+        tables = []
 
-        def failing_chi(t):
-            solves.append(t)
-            if len(solves) == 10:
+        def failing_table(base):
+            tables.append(base)
+            if len(tables) == 5:
                 raise RuntimeError("solver failed")
-            return solve_exact(t).chi
+            return solver.chi_table(base)
 
-        monkeypatch.setattr(harness, "_chi", failing_chi)
+        monkeypatch.setattr(harness, "chi_table", failing_table)
         before = self._module_state()
         with pytest.raises(RuntimeError, match="solver failed"):
             check_leaf_deletion(5)
-        assert len(solves) == 10
+        assert len(tables) == 5
         assert self._module_state() == before
 
     def test_delete_leaf_equals_fresh_build(self):
@@ -458,8 +484,9 @@ class TestGsExplorer:
         assert (rec["min_chi"], rec["max_chi"]) == (2, 3)
 
     def test_each_class_solved_once(self, monkeypatch):
-        # one solve per directed-isomorphism class of each cell's orientations,
-        # and the extremes' certificates are those solves, not re-solves
+        # chi comes from the state tables; each cell solves its two extreme
+        # masks, or one where they coincide, and prints those solves'
+        # certificates; the extremes equal those of the per-class oracle
         solved = []
 
         def counting_solve(t):
@@ -469,17 +496,17 @@ class TestGsExplorer:
         monkeypatch.setattr(harness, "solve_exact", counting_solve)
         rep = explore_conjecture_gs(3, 3, 10)
         monkeypatch.undo()
-        start = 0
+        expected = []
         for rec in rep.records:
             base = gs_base(rec["m"], rec["k"])
-            codes = {oriented_canonical_code(t) for t in orientations(base)}
-            cell = solved[start : start + len(codes)]
-            start += len(codes)
-            assert len(cell) == len(set(cell)) and set(cell) == codes, rec
-            for side in ("min", "max"):
-                fresh = solve_exact(orient(base, rec[f"{side}_mask"]))
-                assert rec[f"{side}_certificate"] == certificate_to_obj(fresh.certificate)
-        assert start == len(solved) == 201  # of 682 orientations
+            chis = class_chis(base)
+            assert (rec["min_mask"], rec["max_mask"]) == harness.extreme_masks(chis)
+            assert (rec["min_chi"], rec["max_chi"]) == (min(chis), max(chis))
+            for side in ("min", "max")[: 1 + (rec["min_mask"] != rec["max_mask"])]:
+                t = orient(base, rec[f"{side}_mask"])
+                expected.append(oriented_canonical_code(t))
+                assert rec[f"{side}_certificate"] == certificate_to_obj(solve_exact(t).certificate)
+        assert solved == expected and len(solved) == 17  # of 682 orientations
 
 
 class TestStarCampaign:
@@ -494,18 +521,19 @@ class TestStarCampaign:
 
     def test_each_class_solved_once(self, monkeypatch):
         # a star orientation's class is its number of arcs out of the center:
-        # m + 1 classes for m >= 2 leaves, and one (a single arc) for m = 1
-        solved = []
-
-        def counting_chi(t):
-            solved.append(oriented_canonical_code(t))
-            return solve_exact(t).chi
-
-        monkeypatch.setattr(harness, "_chi", counting_chi)
-        check_star_values(6)
+        # m + 1 classes for m >= 2 leaves, and one (a single arc) for m = 1;
+        # the per-class oracle solves each once and agrees with every record,
+        # and the sweep, which meets no counterexample, solves none
+        bases = [star(m) for m in range(1, 7)]
+        tables, solved = oracle_tables(monkeypatch, bases)
         assert len(solved) == len(set(solved))
         sizes = Counter(code.count("(") - 1 for code in solved)
         assert sizes == {m: 1 if m == 1 else m + 1 for m in range(1, 7)}
+        count = len(solved)
+        monkeypatch.setattr(harness, "solve_exact", solved.append)
+        rep = check_star_values(6)
+        assert len(solved) == count
+        assert [r["chi"] for r in rep.records] == [chi for table in tables for chi in table]
 
 
 class TestCaterpillarCampaign:
@@ -592,19 +620,22 @@ class TestPathMinimum:
     def test_each_class_solved_once(self, monkeypatch):
         # reversing the vertex order maps a path orientation onto another one;
         # the orientations it fixes are the 2^((n-1)/2) masks of odd n whose
-        # bit i is the complement of bit n-2-i, so (2^(n-1) + those) / 2 classes
-        solved = []
-
-        def counting_chi(t):
-            solved.append(oriented_canonical_code(t))
-            return solve_exact(t).chi
-
-        monkeypatch.setattr(harness, "_chi", counting_chi)
-        check_path_minimum(1, 10)
+        # bit i is the complement of bit n-2-i, so (2^(n-1) + those) / 2
+        # classes, which the per-class oracle solves once each; every row
+        # agrees with the oracle, and the sweep, which holds, solves none
+        bases = [path(n) for n in range(1, 11)]
+        tables, solved = oracle_tables(monkeypatch, bases)
         assert len(solved) == len(set(solved))
         sizes = Counter(code.count("(") for code in solved)
         fixed = {n: (1 << (n - 1) // 2) if n % 2 else 0 for n in range(1, 11)}
         assert sizes == {n: ((1 << (n - 1)) + fixed[n]) // 2 for n in range(1, 11)}
+        count = len(solved)
+        monkeypatch.setattr(harness, "solve_exact", solved.append)
+        rep = check_path_minimum(1, 10)
+        assert len(solved) == count
+        for rec, chis in zip(rep.records, tables):
+            assert (rec["min_chi"], rec["max_chi"]) == (min(chis), max(chis))
+            assert (rec["min_mask"], rec["max_mask"]) == harness.extreme_masks(chis)
 
 
 class TestRootedFormula:
@@ -745,8 +776,9 @@ def test_a_stream_reads_its_params_before_its_first_record():
     ],
 )
 def test_an_orientation_sweep_maps_only_class_tables(check, args, jobs, monkeypatch):
-    # the pool computes class tables alone, in one pass per campaign, and the
-    # parent builds every record from them
+    # the pool computes the chi table of each base tree alone (the state
+    # tables of solver.chi_table, which replaced the per-class tables), in one
+    # pass per campaign, and the parent builds every record from them
     calls = []
     original = harness._map_ordered
 
@@ -758,8 +790,30 @@ def test_an_orientation_sweep_maps_only_class_tables(check, args, jobs, monkeypa
     assert check(*args, jobs=jobs).records
     assert len(calls) == 1
     (fn, payloads), = calls
-    assert isinstance(fn, partial) and fn.func is harness.class_table
+    assert fn is solver.chi_table
     assert payloads and all(isinstance(base, BaseTree) for base in payloads)
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        pytest.param(check_reversal_invariance, (5,), id="invariance"),
+        pytest.param(check_leaf_deletion, (5,), id="leafdel"),
+        pytest.param(explore_conjecture_gs, (3, 3, 7), id="gs"),
+        pytest.param(check_star_values, (3,), id="star"),
+        pytest.param(check_path_minimum, (4, 6), id="path"),
+    ],
+)
+def test_a_sweep_refuses_a_table_that_a_solve_contradicts(check, args, monkeypatch):
+    # a table one too high everywhere: each sweep then names a counterexample
+    # (or, in the explorer, an extreme) whose solve disagrees with it
+    monkeypatch.setattr(harness, "chi_table", partial(wrong_table, solver.chi_table))
+    with pytest.raises(RuntimeError, match="chi table gives"):
+        check(*args)
+
+
+def wrong_table(table, base) -> list[int]:
+    return [chi + 1 for chi in table(base)]
 
 
 # SHA-256 of each campaign's JSON report, most at a small size.  Reports are

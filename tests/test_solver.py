@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,23 +13,33 @@ from domchrom.coloring import DominatorCertificate, recheck_certificate, verify_
 from domchrom.errors import TooLargeError
 from domchrom.generators import (
     free_trees,
+    gs_base,
     orient,
     oriented_canonical_code,
     path,
     random_tree,
     rooted_orientation,
+    star,
 )
 from domchrom.io import encode_tree
 from domchrom.solver import (
+    _DOWN,
+    _ROOT,
+    _UP,
     SolveOptions,
+    _empty,
+    _finish,
+    _fold,
     brute_force_chi,
+    chi_table,
     hitting_set,
     hitting_set_coloring,
     solve_exact,
 )
-from domchrom.trees import build_tree, delete_leaf
+from domchrom.trees import _walk, build_tree, delete_leaf
 
 from conftest import orientations, oriented_trees
+from orbits import class_chis
 
 SOLVE_DIGEST = "ef31f7f68409381cf6d506e7ceb07dfeea8a5572a969d52cf669e0e019a4acce"
 
@@ -289,3 +300,82 @@ def test_solve_exact_output_pinned():
         count += 1
     assert count == 3911 + 303
     assert h.hexdigest() == SOLVE_DIGEST
+
+
+def steps_chi_tau(t, root: int) -> tuple[int, int]:
+    """chi and tau of one orientation from the steps of ``chi_table`` alone,
+    rooted at ``root``: each vertex's children folded in walk order, then its
+    state handed across the arc to its parent."""
+    inf = t.n + 1
+    order, parent, down = _walk(root, t.in_neighbors, t.out_neighbors)
+    accs = [_empty(inf)] * t.n
+    for v in reversed(order[1:]):
+        hand = _finish(accs[v], _DOWN if down[v] else _UP, inf)
+        accs[parent[v]] = _fold(accs[parent[v]], hand)
+    m, tau = _finish(accs[root], _ROOT, inf)
+    return (m + 1 if m == tau else tau + 2), tau
+
+
+def relabelled(t, rng: random.Random):
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return build_tree(t.n, sorted((perm[u], perm[v]) for u, v in t.arcs))
+
+
+class TestChiTable:
+    """``chi_table`` restates the step of ``_least_family`` on states; these
+    tests hold the two copies of the rule to each other."""
+
+    def test_equals_one_solve_per_class_up_to_n10(self):
+        # 201 free trees, 70,215 orientations
+        masks = 0
+        for n in range(1, 11):
+            for base in free_trees(n):
+                table = chi_table(base)
+                assert table == class_chis(base), base
+                masks += len(table)
+        assert masks == 70_215
+
+    @pytest.mark.parametrize(
+        "base",
+        [path(19), star(16), gs_base(4, 4), random_tree(18, 3), random_tree(21, 5)],
+        ids=["path19", "star16", "gs44", "random18", "random21"],
+    )
+    def test_sampled_masks_equal_solves(self, base):
+        # a mask list shared between two states would put wrong entries here
+        rng = random.Random(base.n)
+        table = chi_table(base)
+        assert len(table) == 1 << len(base.edges)
+        for mask in [0, len(table) - 1, *(rng.randrange(len(table)) for _ in range(200))]:
+            assert table[mask] == solve_exact(orient(base, mask)).chi, mask
+
+    def test_steps_on_one_orientation_equal_solve_exact(self):
+        rng = random.Random(31)
+        for n in [50] * 40 + [200] * 10 + [2_000] * 4:
+            t = orient(random_tree(n, rng.getrandbits(32)), rng.getrandbits(n - 1))
+            res = solve_exact(t)
+            assert steps_chi_tau(t, rng.randrange(n)) == (res.chi, res.tau), t
+
+    def test_path19_memory(self):
+        # the bound that the per-class orbits of path(19) were held to
+        tracemalloc.start()
+        try:
+            chi_table(path(19))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18.7e6
+
+    def test_guard(self):
+        with pytest.raises(TooLargeError):
+            chi_table(path(27))
+
+
+def test_relabelling_keeps_chi_and_tau():
+    # a random vertex permutation moves the walk's root and reorders every
+    # child list; chi and tau are invariants of the tree
+    rng = random.Random(55)
+    for n in [50] * 40 + [500] * 8 + [2_000] * 4:
+        t = orient(random_tree(n, rng.getrandbits(32)), rng.getrandbits(n - 1))
+        res, moved = solve_exact(t), solve_exact(relabelled(t, rng))
+        assert (moved.chi, moved.tau) == (res.chi, res.tau), t
