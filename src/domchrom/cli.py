@@ -1,16 +1,17 @@
 """Command-line surface.
 
 Exit codes: 0 = completed and checked properties hold, 1 = counterexample or
-verification failure, 2 = usage or input error.
+verification failure, 2 = usage or input error, 3 = internal error (a chi
+table or a solve that its own check contradicts).
 Each subcommand declares its handler and only the flags it reads: any other
 flag, or a missing required one, is a usage error.  Every subcommand takes
 ``--output``.  ``gen`` has one subcommand per family, each with its own flags.
-A campaign passes its flags to the ``harness`` stream it runs and takes
-``--jobs``, an integer >= 1 that defaults to the ``DOMCHROM_JOBS``
-environment variable (unset or empty: 1).  A JSON report is written record
-by record as the campaign yields them.  An ``--output`` regular file is
-written beside its path and moved into place only once complete, so a run
-that fails leaves no file; stdout and devices are written directly.
+A campaign passes its flags to the ``harness`` stream it runs, in this
+process; it takes ``--jobs``, an integer >= 1 (default 1) that is checked
+and selects nothing.  A JSON report is written record by record as the
+campaign yields them.  An ``--output`` regular file is written beside its
+path and moved into place only once complete, so a run that fails leaves no
+file; stdout and devices are written directly.
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ def _jobs(raw: str) -> int:
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1 from --jobs or DOMCHROM_JOBS, got {raw!r}"
-        )
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
     return jobs
 
 
@@ -230,10 +229,7 @@ def _add_campaign(sub, name: str, summary: str, stream) -> argparse.ArgumentPars
         return 0 if holds else 1
 
     p = _command(sub, name, summary, run, "json", "csv")
-    # argparse passes a string default through ``type`` only when this
-    # subcommand runs without --jobs: a bad DOMCHROM_JOBS fails campaigns alone
-    jobs = os.environ.get("DOMCHROM_JOBS") or "1"
-    p.add_argument("--jobs", type=_jobs, default=jobs, help="parallel worker processes")
+    p.add_argument("--jobs", type=_jobs, default=1, help="accepted and checked; has no effect")
     return p
 
 
@@ -349,6 +345,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (DomchromError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -424,7 +424,7 @@ def random_tree(n: int, seed: int) -> BaseTree:
     """Uniform random labeled tree; fixed seed gives a fixed tree.  The
     sequence is drawn in range, so it is decoded unchecked, and the decoded
     sequence is a tree by construction, so it is not validated."""
-    n = _int(n, "n")
+    n, seed = _int(n, "n"), _int(seed, "seed")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)

@@ -3,24 +3,17 @@
 Each campaign enumerates a finite corpus, solves every instance exactly, and
 emits one record per instance that carries the instance's compact code, so
 each record replays on its own.  A counterexample never aborts a sweep; it
-lands in the summary and flips the ``holds`` flag.  Instances are
-independent, so campaigns parallelize over processes; :func:`_map_ordered`
-yields the workers' results in enumeration order while the pool runs, which
-makes reports byte-identical for any job count.
+lands in the summary and flips the ``holds`` flag.  Every campaign runs in
+the calling process, in enumeration order, so reports are byte-identical
+across reruns.  Each still takes ``jobs``, an integer >= 1 that it checks
+and that selects nothing.
 
 Each campaign is a stream (``stream_*``, see :mod:`reports`): it checks its
-parameters, yields its name and params, then each record as the ordered map
-yields it, and returns its summary, whose counterexamples and other findings
-it folds as the records pass.  The CLI writes a stream's records as they
-arrive; each ``check_*`` function collects its stream into an
+parameters, yields its name and params, then each record as it is built,
+and returns its summary, whose counterexamples and other findings it folds
+as the records pass.  The CLI writes a stream's records as they arrive;
+each ``check_*`` function collects its stream into an
 :class:`ExperimentReport`.
-
-Workers receive tree values that the parent has already built and validated,
-never codes to parse: a base tree, alone or with its code and a root, or a
-caterpillar spec.  Unpickling a frozen dataclass skips ``__post_init__``, so
-a worker does not re-validate its payload; that is safe because every payload
-tree comes from this package's own validating constructors (``free_trees``,
-``gs_base``, ``star``, ``path``, ``CaterpillarSpec``).
 
 Five campaigns name every orientation of a base tree.  Each reads chi
 from :func:`solver.chi_table`, which gives chi of every mask of a base tree
@@ -31,12 +24,12 @@ over the at most 2n rooted masks of its base tree (:func:`_rooted_formulas`).
 The reversal-invariance, leaf-deletion and star records, one per mask, read
 their instance codes from a second table per base tree, :func:`_arc_table`:
 every arc that either direction of an edge gives, sorted once and with its
-code item formatted once, so a mask's code is one filter and one join.  A
-pool worker computes only chi tables, in one pass per campaign, and the
-parent builds each record from its base tree and table.  An entry carries
-no coloring, so :func:`_certify` solves each witness a report names: the
-summary's ``max_chi_instance``, each sweep's first counterexample (both
-ways, or with its subtree) and each generalized star's two extremes.
+code item formatted once, so a mask's code is one filter and one join.
+Each sweep computes its chi tables in one pass, and builds each record from
+its base tree and table.  An entry carries no coloring, so :func:`_certify`
+solves each witness a report names: the summary's ``max_chi_instance``,
+each sweep's first counterexample (both ways, or with its subtree) and each
+generalized star's two extremes.
 
 The leaf-deletion campaign first makes the table of every free tree with
 n <= ``max_n``, then the records of one base tree at a time.  A subtree
@@ -92,26 +85,12 @@ from .trees import BaseTree, OrientedTree, _walk, delete_leaf
 
 
 def _map_ordered(fn, payloads: list, jobs: int):
-    """Yield ``fn`` of each payload in payload order.  Above one job, a
-    process pool computes them in chunks and stays open while the consumer
-    reads; a consumer that stops early cancels the chunks not yet started."""
+    """Yield ``fn`` of each payload in payload order.  ``jobs`` must be an
+    integer >= 1, and selects nothing: every campaign runs in this process."""
     jobs = _int(jobs, "jobs", ValueError)
     if jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    if jobs == 1 or len(payloads) <= 1:
-        yield from map(fn, payloads)
-        return
-    # imported here, so that importing the package loads no process pool
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(payloads) // (jobs * 4))
-    # a forking pool starts every worker at its first submit, so it asks for
-    # no more workers than there are payloads
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)))
-    try:
-        yield from pool.map(fn, payloads, chunksize=chunk)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    yield from map(fn, payloads)
 
 
 def _summary(instances: int, counterexamples: list, **extra) -> dict:
@@ -135,7 +114,7 @@ def _certify(t: OrientedTree, chi: int):
 
 
 def _from_tables(build, bases: list[BaseTree], jobs: int):
-    """Each ``build(base, chi_table(base))``; only the tables cross the pool."""
+    """Each ``build(base, chi_table(base))``, the tables made in one pass."""
     return map(build, bases, _map_ordered(chi_table, bases, jobs))
 
 
@@ -572,7 +551,7 @@ def sample_caterpillar_specs(
     ``spine_min`` is below 1, or when the spine range is empty or every spine
     it allows exceeds ``n_max``, since no draw could then be accepted.
     """
-    samples, n_max = _int(samples, "samples"), _int(n_max, "n_max")
+    samples, seed, n_max = _int(samples, "samples"), _int(seed, "seed"), _int(n_max, "n_max")
     spine_min, spine_max = _int(spine_min, "spine_min"), _int(spine_max, "spine_max")
     if samples < 1:
         raise SpecInvalidError(f"samples must be >= 1, got {samples}")
@@ -661,7 +640,7 @@ def stream_caterpillar_bounds(
 ):
     """The campaign stream of :func:`check_caterpillar_bounds`."""
     params = dict(
-        samples=_int(samples, "samples"), seed=seed, n_max=_int(n_max, "n_max"),
+        samples=_int(samples, "samples"), seed=_int(seed, "seed"), n_max=_int(n_max, "n_max"),
         spine_min=_int(spine_min, "spine_min"), spine_max=_int(spine_max, "spine_max"),
     )
     specs, skipped = sample_caterpillar_specs(**params)

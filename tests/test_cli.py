@@ -116,10 +116,12 @@ def test_orientations_solve_the_extremes_they_print(p5_file, monkeypatch, capsys
     assert solved == [orient(base, obj["min"]["mask"]), orient(base, obj["max"]["mask"])]
 
 
-def test_orientations_refuse_a_table_that_a_solve_contradicts(p5_file, monkeypatch):
-    monkeypatch.setattr(harness, "chi_table", lambda base: [c + 1 for c in _CHI_TABLE(base)])
-    with pytest.raises(RuntimeError, match="chi table gives 4, solve_exact 3"):
-        cli_main(["orientations", p5_file, "--max"])
+def test_orientations_refuse_a_table_that_a_solve_contradicts(p5_file, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "chi_table", _chi_table_one_high)
+    assert cli_main(["orientations", p5_file, "--max"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: chi table gives 4, solve_exact 3: ")
+    assert err.count("\n") == 1
 
 
 def test_orientations_validates_only_the_file(p5_file, monkeypatch):
@@ -328,16 +330,14 @@ _CHI_TABLE = harness.chi_table
 
 
 def _failing_star_records(base, table) -> list[dict]:
-    """The star records, but those of the third star fail; the parent builds
-    them from the chi table that the pool computed."""
+    """The star records, but those of the third star fail."""
     if base.n == 4:
         raise TooLargeError("third star refused")
     return _STAR_RECORDS(base, table)
 
 
 def _failing_chi_table(base) -> list[int]:
-    """The chi table, but that of the third star fails; module level, so
-    that a pool worker can unpickle it."""
+    """The chi table, but that of the third star fails."""
     if base.n == 4:
         raise TooLargeError("third star refused")
     return _CHI_TABLE(base)
@@ -363,14 +363,37 @@ def test_a_failing_record_keeps_the_previous_report(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("previous", [False, True])
 def test_a_failing_worker_table_leaves_no_report(previous, tmp_path, monkeypatch, capsys):
-    # the failure is raised in a pool worker, inside its chi table, and
-    # reaches the parent when the ordered map yields that table
+    # the failure is raised inside a chi table, and reaches the CLI when the
+    # ordered map yields that table
     out = tmp_path / "r.json"
     if previous:
         out.write_text("previous\n")
     monkeypatch.setattr(harness, "chi_table", _failing_chi_table)
     assert cli_main(["star", "--m-max", "4", "--jobs", "2", "--output", str(out)]) == 2
     assert "third star refused" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == (["r.json"] if previous else [])
+    if previous:
+        assert out.read_text() == "previous\n"
+
+
+def _chi_table_one_high(base) -> list[int]:
+    """The chi table, but every entry one too high, so that the solve of
+    any witness contradicts it."""
+    return [chi + 1 for chi in _CHI_TABLE(base)]
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_an_internal_error_exits_three(previous, tmp_path, monkeypatch, capsys):
+    # a chi table that its witness's solve contradicts is no finding (exit 1)
+    # and no usage error (exit 2); the CLI says so on one line, and the
+    # report file is left as it was
+    monkeypatch.setattr(harness, "chi_table", _chi_table_one_high)
+    out = tmp_path / "r.json"
+    if previous:
+        out.write_text("previous\n")
+    assert cli_main(["star", "--m-max", "3", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: chi table gives") and err.count("\n") == 1
     assert os.listdir(tmp_path) == (["r.json"] if previous else [])
     if previous:
         assert out.read_text() == "previous\n"
@@ -390,7 +413,8 @@ def test_jobs_flag_and_env(tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     assert cli_main(["star", "--m-max", "3", "--jobs", "2", "--output", str(a)]) == 0
-    monkeypatch.setenv("DOMCHROM_JOBS", "3")
+    # the environment no longer sets a default, so no value there fails a run
+    monkeypatch.setenv("DOMCHROM_JOBS", "two")
     assert cli_main(["star", "--m-max", "3", "--output", str(b)]) == 0
     assert a.read_text() == b.read_text()
 
@@ -399,18 +423,6 @@ def test_jobs_flag_and_env(tmp_path, monkeypatch):
 def test_bad_jobs_flag_exits_two(jobs, capsys):
     assert cli_main(["star", "--m-max", "2", "--jobs", jobs]) == 2
     assert "--jobs" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["two", "0", "-1"])
-def test_bad_jobs_env_fails_only_campaigns(value, p5_file, monkeypatch, capsys):
-    monkeypatch.setenv("DOMCHROM_JOBS", value)
-    assert cli_main(["star", "--m-max", "2"]) == 2
-    assert "DOMCHROM_JOBS" in capsys.readouterr().err
-    assert cli_main(["star", "--m-max", "2", "--jobs", "1"]) == 0
-    assert cli_main(["solve", p5_file]) == 0
-    assert cli_main(["gen", "path", "--n", "3"]) == 0
-    assert cli_main(["orientations", p5_file, "--min"]) == 0
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -571,14 +583,21 @@ def test_gen_outputs_pinned(capsys):
     )
 
 
-def test_import_loads_no_process_pool():
-    # the pool is imported only where a campaign forks (jobs > 1)
+def test_import_loads_no_process_pool(tmp_path):
+    # every campaign runs in the calling process, whatever jobs it is given,
+    # so neither importing the package nor running a campaign loads a pool
     code = (
         "import sys, domchrom, domchrom.cli, domchrom.harness; "
+        "out = sys.argv[1]; "
+        "code = domchrom.cli.cli_main("
+        "['invariance', '--max-n', '5', '--jobs', '2', '--output', out]); "
+        "assert code == 1, code; "
+        "assert domchrom.harness.check_caterpillar_bounds(30, 4, jobs=2).holds; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )
     src = str(Path(domchrom.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")], cwd=src,
+                         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    assert (tmp_path / "r.json").read_text().startswith("{")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 from collections import Counter
@@ -664,41 +663,6 @@ class TestDeterminismAndJobs:
         with pytest.raises(ValueError, match="jobs"):
             check_leaf_deletion(3, jobs=0)
 
-    @pytest.mark.parametrize("m_max, jobs", [(2, 64), (3, 2)])
-    def test_pool_asks_for_no_more_workers_than_payloads(self, monkeypatch, m_max, jobs):
-        # an in-process stand-in for the pool records what it is asked for;
-        # no process is started, and a payload its lazy map has not reached
-        # is a pending chunk
-        asked = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def map(self, fn, payloads, chunksize):
-                asked.append(chunksize)
-                return map(fn, payloads)
-
-            def shutdown(self, cancel_futures):
-                asked.append(("shutdown", cancel_futures))
-
-        expected = check_star_values(m_max).to_json()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        assert check_star_values(m_max, jobs=jobs).to_json() == expected
-        # one payload per star; the chunk is the one jobs alone gives
-        chunk = max(1, m_max // (jobs * 4))
-        assert asked == [min(jobs, m_max), chunk, ("shutdown", True)]
-
-        # a consumer that stops after the first result cancels the rest
-        asked.clear()
-        computed = []
-        ordered = harness._map_ordered(computed.append, list(range(m_max)), jobs)
-        next(ordered)
-        assert asked == [min(jobs, m_max), chunk]
-        ordered.close()
-        assert computed == [0]
-        assert asked[-1] == ("shutdown", True)
-
     def test_jobs_equivalence_invariance(self):
         seq = check_reversal_invariance(4, jobs=1)
         par = check_reversal_invariance(4, jobs=3)
@@ -776,9 +740,9 @@ def test_a_stream_reads_its_params_before_its_first_record():
     ],
 )
 def test_an_orientation_sweep_maps_only_class_tables(check, args, jobs, monkeypatch):
-    # the pool computes the chi table of each base tree alone (the state
-    # tables of solver.chi_table, which replaced the per-class tables), in one
-    # pass per campaign, and the parent builds every record from them
+    # the chi table of each base tree (the state tables of solver.chi_table,
+    # which replaced the per-class tables) is made in one pass per campaign,
+    # and every record is built from them
     calls = []
     original = harness._map_ordered
 

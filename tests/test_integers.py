@@ -66,6 +66,7 @@ READERS = [
     # tree generators
     pytest.param(lambda x: free_trees(x), SpecInvalidError, id="free_trees"),
     pytest.param(lambda x: random_tree(x, 0), SpecInvalidError, id="random_tree"),
+    pytest.param(lambda x: random_tree(8, x), SpecInvalidError, id="random_tree-seed"),
     pytest.param(lambda x: sequence_to_edges([x], 3), SpecInvalidError, id="sequence-entry"),
     pytest.param(lambda x: sequence_to_edges([], x), SpecInvalidError, id="sequence-n"),
     pytest.param(lambda x: orient(path(3), x), SpecInvalidError, id="orient-mask"),
@@ -92,7 +93,11 @@ READERS = [
     pytest.param(
         lambda x: sample_caterpillar_specs(2, 0, spine_max=x), SpecInvalidError, id="cat-spine_max"
     ),
+    pytest.param(lambda x: sample_caterpillar_specs(2, x), SpecInvalidError, id="cat-seed"),
     pytest.param(lambda x: check_caterpillar_bounds(x, 0), SpecInvalidError, id="cat-bounds"),
+    pytest.param(
+        lambda x: check_caterpillar_bounds(3, x), SpecInvalidError, id="cat-bounds-seed"
+    ),
     pytest.param(lambda x: check_star_values(2, jobs=x), ValueError, id="jobs"),
     # trees and colorings
     pytest.param(lambda x: build_tree(x, [(0, 1)]), NotATreeError, id="vertex-count"),
