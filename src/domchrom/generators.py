@@ -329,16 +329,6 @@ def oriented_canonical_code(t: OrientedTree) -> str:
     return min(_ahu(c, ("<(", ">("), *adjs)[0] for c in _centers(*adjs))
 
 
-def _mask_table(flips: int, images: Sequence[int]) -> list[int]:
-    """Entry m is ``flips`` xor ``images[i]`` for every bit i set in m, for
-    every m below 2^len(images): filled one bit at a time, each bit doubling
-    the table."""
-    table = [flips]
-    for moved in images:
-        table += [m ^ moved for m in table]
-    return table
-
-
 # ---------------------------------------------------------------------------
 # free trees
 

@@ -31,20 +31,20 @@ solves each witness a report names: the summary's ``max_chi_instance``,
 each sweep's first counterexample (both ways, or with its subtree) and each
 generalized star's two extremes.
 
-The leaf-deletion campaign first makes the table of every free tree with
-n <= ``max_n``, then the records of one base tree at a time.  A subtree
-``delete_leaf(orient(base, mask), v)`` is an orientation of the free tree R
-isomorphic to base - v; before a base tree's records, :func:`_leaf_maps`
-finds for each leaf a canonical labelling of base - v onto R and with it a
-table of the mask of R that each mask of base leaves, so every chi a record
-names is two table lookups, with no canonical code and no subtree built.
-The tables live for one call, so no memo outlives a campaign.  The
-caterpillar and rooted-formula campaigns solve each tree they meet once; a
-caterpillar record and both constructions it checks read the spine and the
-legs off the spec, so nothing searches for a longest path, and both
-constructions are verified on the one tree the record builds.  Star and
-rooted-tree values come from :mod:`formulas` alone.  Every solve is
-re-verified by its certificate check.
+The leaf-deletion campaign goes one size at a time.  Deleting leaf v
+renames x to x - (x > v), which keeps the vertex order, so the subtree
+``delete_leaf(orient(base, mask), v)`` is an orientation of the labelled
+tree base - v, and its mask is ``mask`` with the bit of v's edge taken out.
+:func:`_leaf_maps` spreads that tree's chi table over the base tree's
+masks, one list per leaf, so every chi a record names is one lookup; no
+subtree is built and no canonical labelling made.  While size n runs, the
+campaign keeps the tables it has made of sizes n - 1 and n, and no memo
+outlives a call.  The caterpillar and rooted-formula campaigns solve each
+tree they meet once; a caterpillar record and both constructions it checks
+read the spine and the legs off the spec, so nothing searches for a longest
+path, and both constructions are verified on the one tree the record
+builds.  Star and rooted-tree values come from :mod:`formulas` alone.
+Every solve is re-verified by its certificate check.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ from .formulas import (
 )
 from .generators import (
     CaterpillarSpec,
-    _mask_table,
-    _relabeled,
-    canonical_labels,
     caterpillar,
     free_trees,
     gs_base,
@@ -256,48 +253,43 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
 
 
 def _leaf_maps(base: BaseTree, tables: dict) -> list[tuple]:
-    """How each underlying leaf v of ``base`` (n >= 2), in vertex order,
-    reads chi of ``delete_leaf(orient(base, mask), v)`` from ``tables``.
+    """How each underlying leaf v of ``base``, in vertex order, reads chi of
+    ``delete_leaf(orient(base, mask), v)``: the entry is ``(v, neighbor,
+    chis)``, and ``chis[mask]`` is that chi.
 
-    ``tables`` maps every free tree of size n - 1 to its :func:`solver.chi_table`.
-    A canonical labelling maps base - v (relabelled as :func:`delete_leaf`
-    does) onto its representative R, so each remaining edge i of ``base``
-    lands on edge p of R, reversed when the labelling swaps its ends.  The
-    entry is ``(v, neighbor, table, subs)``, ``table`` being R's: the subtree
-    of mask m is ``orient(R, subs[m])``, where ``subs[m]`` is the flips of
-    the swapped edges xor bit i of m moved to bit p for every such (i, p)
-    (:func:`generators._mask_table`).
+    Deleting v renames x to x - (x > v), which keeps the vertex order, so
+    the kept edges of ``base`` stay sorted, their bits in the same order.
+    The subtree of mask m is then ``orient(sub, m')``, where ``sub`` is
+    base - v so relabelled and m' is m with bit i, that of v's edge, taken
+    out; each block of 2^i entries of sub's :func:`solver.chi_table` is
+    written twice.  ``tables`` maps labelled trees to their chi tables; a
+    missing one is made and kept there.
     """
     n = base.n
     maps = []
     for v, nbrs in enumerate(base.adjacency):
         if len(nbrs) != 1:
             continue
-        kept = [
-            (i, (a - (a > v), b - (b > v)))
-            for i, (a, b) in enumerate(base.edges)
-            if v != a and v != b
-        ]
-        # the relabelling keeps the vertex order, so the kept edges stay sorted
-        sub = BaseTree._trusted(n - 1, tuple(edge for _, edge in kept))
-        label = canonical_labels(sub)
-        rep = _relabeled(sub, label)
-        position = {edge: p for p, edge in enumerate(rep.edges)}
-        flips = 0
-        image = [0] * len(base.edges)  # the leaf's own edge moves to no bit
-        for i, (a, b) in kept:
-            a, b = label[a], label[b]
-            p = position[(a, b) if a < b else (b, a)]
-            flips |= (a > b) << p
-            image[i] = 1 << p
-        maps.append((v, nbrs[0], tables[rep], _mask_table(flips, image)))
+        u = nbrs[0]
+        block = 1 << base.edges.index((v, u) if v < u else (u, v))
+        kept = (
+            (a - (a > v), b - (b > v)) for a, b in base.edges if v != a and v != b
+        )
+        sub = BaseTree._trusted(n - 1, tuple(kept))
+        table = tables.get(sub)
+        if table is None:
+            table = tables[sub] = chi_table(sub)
+        chis = []
+        for start in range(0, len(table), block):
+            chis += table[start : start + block] * 2
+        maps.append((v, u, chis))
     return maps
 
 
 def _leafdel_records(base: BaseTree, tables: dict) -> list[dict]:
-    """The records of every orientation of one base tree (n >= 2), in mask
-    order and then leaf order; chi of the instance and of each subtree comes
-    from ``tables``, and the predicates from the in- and out-degrees."""
+    """The records of every orientation of one base tree, in mask order and
+    then leaf order; chi of the instance and of each subtree comes from
+    ``tables``, and the predicates from the in- and out-degrees."""
     leaf_maps = _leaf_maps(base, tables)
     n = base.n
     width = len(base.edges)
@@ -315,8 +307,8 @@ def _leafdel_records(base: BaseTree, tables: dict) -> list[dict]:
         instance = _code(n, texts)
         indeg = [d - o for d, o in zip(degree, outdeg)]
         lone_source = indeg.index(0) if indeg.count(0) == 1 else -1
-        for v, u, sub_table, subs in leaf_maps:
-            chi_sub = sub_table[subs[mask]]
+        for v, u, chis in leaf_maps:
+            chi_sub = chis[mask]
             delta = chi - chi_sub
             # outs[u] == (v,): v's one arc comes from u, and u has no other
             unique_out_target = indeg[v] == 1 and outdeg[u] == 1
@@ -358,11 +350,15 @@ def stream_leaf_deletion(max_n: int, jobs: int = 1):
         raise TooLargeError("leaf-deletion sweep supports 2 <= max_n <= 9")
     yield "leaf_deletion", {"max_n": max_n}
     bases = [base for n in range(1, max_n + 1) for base in free_trees(n)]
-    # every table first: a base tree's leaf maps read those of size n - 1
-    tables = dict(zip(bases, _map_ordered(chi_table, bases, jobs)))
+    tables: dict = {}  # chi tables by labelled tree, of sizes n - 1 and n
+    n = 1
     counterexamples = []
     instances = 0
-    for base in bases[1:]:  # the first, n = 1, has no leaf to delete
+    for base, table in zip(bases, _map_ordered(chi_table, bases, jobs)):
+        if base.n > n:  # a new size n: no size from n on reads one below n - 1
+            n = base.n
+            tables = {tree: chis for tree, chis in tables.items() if tree.n == n - 1}
+        tables[base] = table
         group = _leafdel_records(base, tables)
         instances += len(group)
         leaves = len(group) >> len(base.edges)  # records run by mask, then by leaf
@@ -388,9 +384,9 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     its neighbor's only out-neighbor, or is the unique source) and the
     source-leaf rule (a dropped source leaf's neighbor has in-degree 1).
     Violations are findings; they carry a replayable instance encoding.
-    Every free tree with n <= ``max_n`` gets its :func:`solver.chi_table`
-    first; every chi a record names, its subtree's included, is then read
-    from those tables by mask.  Only the first counterexample and its
+    Each free tree gets its :func:`solver.chi_table` as its size comes up,
+    and each leaf's subtree reads the table of the labelled tree base - v
+    (see :func:`_leaf_maps`).  Only the first counterexample and its
     subtree are built and solved.
     """
     return ExperimentReport.from_stream(stream_leaf_deletion(max_n, jobs))

@@ -239,6 +239,12 @@ def _least_family(
             dom_child[v] = (k0, k1, k2, k3)
         else:  # a sink is satisfied, and owns nothing below level 2
             n0 = n1 = u0 = u1 = 0
+        # A singleton needs an in-neighbor.  When p -> v is the only one, S
+        # never lowers m: {v} lies in p's out-neighborhood, so it is a class
+        # p can own, with v in role P at the same count, and if p owns a
+        # class already, v joins it and one class goes.  v has no in-child,
+        # and S and P add the same out-part, so nothing else changes.  S
+        # stays, because the labels it picks make the certificates.
         xs = 1 + in_s if ins[v] else inf
         xp = in_other if down[v] else inf
         xc = in_other + odelta
@@ -385,6 +391,10 @@ def _finish(acc: tuple, direction: int, inf: int) -> tuple:
         u0, u1 = min(u2, b2), min(b2 + d2, u2 + d3)
         tau += not hit and not up  # v puts its first out-child into W
     tau += in_w
+    # {v} with p -> v as its only in-arc is a class p can own, v in role P at
+    # the same count (one fewer if p owns a class already), so the
+    # ``direction == _DOWN`` case never lowers m; it stays so that this step
+    # is _least_family's, whose labels make the certificates
     xs = 1 + in_s if ins or direction == _DOWN else inf
     xc = in_other + odelta
     if direction == _DOWN:

@@ -2,16 +2,18 @@
 per-class oracle that the tests hold :func:`domchrom.solver.chi_table` to.
 
 :func:`class_chis` orients and solves one tree per class, the first mask of
-the class, and gives that chi to every mask of the class.  It shares only
-:func:`domchrom.solver.solve_exact` with the package, and no state with the
-table's bottom-up pass.  Run from the repository root with
+the class, and gives that chi to every mask of the class.  Of the package's
+solving code it shares only :func:`domchrom.solver.solve_exact`, and no
+state with the table's bottom-up pass; the mask tables that move masks
+under an automorphism (:func:`_mask_table`) live here, and nothing in the
+package uses them.  Run from the repository root with
 ``PYTHONPATH=src:tests``, or import it in a test.
 """
 
 from __future__ import annotations
 
 from domchrom.errors import TooLargeError
-from domchrom.generators import _centers, _mask_table, orient
+from domchrom.generators import _centers, orient
 from domchrom.solver import _MASK_WIDTH_CAP, solve_exact
 from domchrom.trees import BaseTree, _walk
 
@@ -59,6 +61,14 @@ def automorphism_swaps(base: BaseTree) -> list[list[int]]:
     return swaps
 
 
+def _mask_table(flips: int, images: list[int]) -> list[int]:
+    """Entry m is ``flips`` xor ``images[i]`` for every bit i set in m, for
+    every m below 2^len(images): filled one bit at a time, each bit doubling
+    the table."""
+    table = [flips]
+    for moved in images:
+        table += [m ^ moved for m in table]
+    return table
 
 
 def orientation_classes(base: BaseTree) -> list[int]:

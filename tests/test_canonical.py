@@ -147,8 +147,9 @@ def _digraph(t: OrientedTree) -> nx.DiGraph:
 
 
 def test_equal_oriented_codes_are_directed_isomorphic():
-    # the converse of the relabelling check above; the leaf-deletion campaign
-    # reuses chi across trees with equal codes, which relies on this direction
+    # the converse of the relabelling check above; the tests that count
+    # solves and builds per class name a class by its code, which relies on
+    # this direction
     total = 0
     for n, classes in enumerate(ORIENTED_TREE_COUNTS, start=1):
         groups: dict[str, list[nx.DiGraph]] = {}

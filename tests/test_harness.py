@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
 from functools import partial
 
@@ -370,8 +372,8 @@ class TestLeafDeletionMemo:
 
     def test_each_base_tree_validated_once(self, monkeypatch):
         # the only validations are the one-vertex seeds of free_trees(1..8);
-        # base - v and its representative, for each of the 183 (base, leaf)
-        # pairs, are derived from an already validated tree
+        # base - v, for each of the 183 (base, leaf) pairs, is derived from an
+        # already validated tree
         counts = count_validations(monkeypatch)
         check_leaf_deletion(8)
         assert counts == {"BaseTree": 8}
@@ -424,27 +426,58 @@ class TestLeafDeletionMemo:
                         assert sub == fresh and hash(sub) == hash(fresh)
                         assert encode_tree(sub) == encode_tree(fresh)
 
-    def test_leaf_maps_name_the_subtree_class(self):
-        # _leaf_maps passes each representative's table through untouched, so
-        # a per-mask table of oriented codes stands in for the chi table: the
-        # mask it gives must orient R into the deleted subtree's class, for
-        # every leaf of every orientation with n <= 9
-        tables = {}
-        for n in range(1, 10):
+    def test_leaf_maps_name_each_labelled_subtree(self, monkeypatch):
+        # _leaf_maps spreads each table over the base tree's masks untouched,
+        # so a table of the labelled code of every orientation of base - v
+        # stands in for its chi table: entry mask must be the code of the very
+        # subtree that delete_leaf leaves, for every leaf of every orientation
+        # with n <= 9; every table is given, so none may be made
+        def no_table(sub):
+            raise AssertionError(f"no table given for {sub}")
+
+        monkeypatch.setattr(harness, "chi_table", no_table)
+        for n in range(2, 10):
             for base in free_trees(n):
-                if n > 1:
-                    leaf_maps = harness._leaf_maps(base, tables)
-                    assert [m[0] for m in leaf_maps] == [
-                        v for v, nbrs in enumerate(base.adjacency) if len(nbrs) == 1
-                    ]
-                    for mask, t in enumerate(orientations(base)):
-                        for v, u, codes, subs in leaf_maps:
-                            assert t.out_neighbors[v] + t.in_neighbors[v] == (u,)
-                            sub_code = oriented_canonical_code(delete_leaf(t, v)[0])
-                            assert sub_code == codes[subs[mask]], (base, mask, v)
-                if n < 9:
-                    # codes[m] is oriented_canonical_code(orient(base, m))
-                    tables[base] = [oriented_canonical_code(t) for t in orientations(base)]
+                leaves = [v for v, nbrs in enumerate(base.adjacency) if len(nbrs) == 1]
+                tables = {}
+                for v in leaves:
+                    kept = [(a - (a > v), b - (b > v)) for a, b in base.edges if v not in (a, b)]
+                    sub = BaseTree(n - 1, kept)
+                    tables[sub] = [encode_tree(t) for t in orientations(sub)]
+                leaf_maps = harness._leaf_maps(base, tables)
+                assert [v for v, _, _ in leaf_maps] == leaves
+                for mask, t in enumerate(orientations(base)):
+                    for v, u, chis in leaf_maps:
+                        assert t.out_neighbors[v] + t.in_neighbors[v] == (u,)
+                        assert chis[mask] == encode_tree(delete_leaf(t, v)[0]), (base, mask, v)
+
+    @pytest.mark.parametrize("max_n, made", [(8, 84), (9, 174)])
+    def test_each_table_made_once_and_dropped_by_size(self, max_n, made, monkeypatch):
+        # one table per free tree with n <= max_n and per labelled base - v
+        # that is none of them, none made twice; and once a size-n record
+        # is out, no table of size below n - 1 is alive
+        class Table(list):
+            """A chi table that a weak reference can watch."""
+
+        tables = []
+
+        def watched_table(base):
+            table = Table(solver.chi_table(base))
+            tables.append((base, weakref.ref(table)))
+            return table
+
+        monkeypatch.setattr(harness, "chi_table", watched_table)
+        stream = harness.stream_leaf_deletion(max_n)
+        next(stream)
+        n = 1
+        for rec in stream:
+            if rec["n"] != n:
+                n = rec["n"]
+                gc.collect()
+                alive = [base for base, ref in tables if ref() is not None]
+                assert alive and min(base.n for base in alive) == n - 1, n
+        assert n == max_n
+        assert len(tables) == len({base for base, _ in tables}) == made
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_n9_report_pinned(self, jobs):
