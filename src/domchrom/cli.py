@@ -7,8 +7,10 @@ Each subcommand declares its handler and only the flags it reads: any other
 flag, or a missing required one, is a usage error.  Every subcommand takes
 ``--output``.  ``gen`` has one subcommand per family, each with its own flags.
 A campaign passes its flags to the ``harness`` stream it runs, in this
-process; it takes ``--jobs``, an integer >= 1 (default 1) that is checked
-and selects nothing.  A JSON report is written record by record as the
+process, all but ``--jobs``: an integer >= 1 (default 1) that is checked and
+selects nothing, kept because the benchmark's ``invariance-cli`` workload
+passes it.  ``orientations`` lists every mask unless ``--min`` or ``--max``
+picks one extreme.  A JSON report is written record by record as the
 campaign yields them.  An ``--output`` regular file is written beside its
 path and moved into place only once complete, so a run that fails leaves no
 file; stdout and devices are written directly.
@@ -209,9 +211,9 @@ def _add_family(families, name: str, summary: str, build) -> argparse.ArgumentPa
     return p
 
 
-#: Namespace keys that the CLI itself reads; a campaign passes every other key
-#: (its flags' dests are the stream's parameter names) to its ``harness`` stream.
-_CLI_KEYS = frozenset({"command", "run", "output", "format"})
+#: Namespace keys that no stream reads; a campaign passes every other key (its
+#: flags' dests are the stream's parameter names) to its ``harness`` stream.
+_CLI_KEYS = frozenset({"command", "run", "output", "format", "jobs"})
 
 
 def _add_campaign(sub, name: str, summary: str, stream) -> argparse.ArgumentParser:
@@ -301,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--min", action="store_true")
     group.add_argument("--max", action="store_true")
-    group.add_argument("--all", action="store_true")
 
     p = _add_campaign(
         sub, "invariance", "reversal-invariance campaign", harness.stream_reversal_invariance

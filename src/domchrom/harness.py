@@ -5,8 +5,7 @@ emits one record per instance that carries the instance's compact code, so
 each record replays on its own.  A counterexample never aborts a sweep; it
 lands in the summary and flips the ``holds`` flag.  Every campaign runs in
 the calling process, in enumeration order, so reports are byte-identical
-across reruns.  Each still takes ``jobs``, an integer >= 1 that it checks
-and that selects nothing.
+across reruns.
 
 Each campaign is a stream (``stream_*``, see :mod:`reports`): it checks its
 parameters, yields its name and params, then each record as it is built,
@@ -81,13 +80,11 @@ from .solver import chi_table, solve_exact
 from .trees import BaseTree, OrientedTree, _walk, delete_leaf
 
 
-def _map_ordered(fn, payloads: list, jobs: int):
-    """Yield ``fn`` of each payload in payload order.  ``jobs`` must be an
-    integer >= 1, and selects nothing: every campaign runs in this process."""
-    jobs = _int(jobs, "jobs", ValueError)
-    if jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    yield from map(fn, payloads)
+def _map_ordered(fn, payloads: list):
+    """``fn`` of each payload, lazily and in payload order: the one table
+    pass of an orientation sweep, under a name that perfbench/tracing.py
+    wraps."""
+    return map(fn, payloads)
 
 
 def _summary(instances: int, counterexamples: list, **extra) -> dict:
@@ -110,9 +107,9 @@ def _certify(t: OrientedTree, chi: int):
     return result
 
 
-def _from_tables(build, bases: list[BaseTree], jobs: int):
+def _from_tables(build, bases: list[BaseTree]):
     """Each ``build(base, chi_table(base))``, the tables made in one pass."""
-    return map(build, bases, _map_ordered(chi_table, bases, jobs))
+    return map(build, bases, _map_ordered(chi_table, bases))
 
 
 def _arc_table(base: BaseTree) -> list[tuple[int, str, int, str]]:
@@ -206,7 +203,7 @@ def _invariance_records(base: BaseTree, table: list) -> list[dict]:
     ]
 
 
-def stream_reversal_invariance(max_n: int, jobs: int = 1):
+def stream_reversal_invariance(max_n: int):
     """The campaign stream of :func:`check_reversal_invariance`."""
     max_n = _int(max_n, "max_n")
     if not (1 <= max_n <= 10):
@@ -216,7 +213,7 @@ def stream_reversal_invariance(max_n: int, jobs: int = 1):
     counterexamples = []
     max_chi = -1
     instances = 0
-    for base, group in zip(bases, _from_tables(_invariance_records, bases, jobs)):
+    for base, group in zip(bases, _from_tables(_invariance_records, bases)):
         instances += len(group)
         for rec in group:
             if not rec["equal"] or not rec.get("rooted_ok", True):
@@ -233,7 +230,7 @@ def stream_reversal_invariance(max_n: int, jobs: int = 1):
     return _summary(instances, counterexamples, max_chi=max_chi, max_chi_instance=encode_tree(t))
 
 
-def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
+def check_reversal_invariance(max_n: int) -> ExperimentReport:
     """Compare chi of every orientation of every free tree up to ``max_n``
     with chi of its reversal.
 
@@ -245,7 +242,7 @@ def check_reversal_invariance(max_n: int, jobs: int = 1) -> ExperimentReport:
     them also carry the rooted formula n - leaves + 1, which
     :func:`_rooted_formulas` reads off one walk per root of the base tree.
     """
-    return ExperimentReport.from_stream(stream_reversal_invariance(max_n, jobs))
+    return ExperimentReport.from_stream(stream_reversal_invariance(max_n))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +340,7 @@ def _leafdel_records(base: BaseTree, tables: dict) -> list[dict]:
     return records
 
 
-def stream_leaf_deletion(max_n: int, jobs: int = 1):
+def stream_leaf_deletion(max_n: int):
     """The campaign stream of :func:`check_leaf_deletion`."""
     max_n = _int(max_n, "max_n")
     if not (2 <= max_n <= 9):
@@ -354,7 +351,7 @@ def stream_leaf_deletion(max_n: int, jobs: int = 1):
     n = 1
     counterexamples = []
     instances = 0
-    for base, table in zip(bases, _map_ordered(chi_table, bases, jobs)):
+    for base, table in zip(bases, _map_ordered(chi_table, bases)):
         if base.n > n:  # a new size n: no size from n on reads one below n - 1
             n = base.n
             tables = {tree: chis for tree, chis in tables.items() if tree.n == n - 1}
@@ -376,7 +373,7 @@ def stream_leaf_deletion(max_n: int, jobs: int = 1):
     return _summary(instances, counterexamples)
 
 
-def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
+def check_leaf_deletion(max_n: int) -> ExperimentReport:
     """Delete every underlying leaf of every orientation of every free tree.
 
     Records the drop ``delta = chi(T) - chi(T minus leaf)`` and evaluates the
@@ -389,7 +386,7 @@ def check_leaf_deletion(max_n: int, jobs: int = 1) -> ExperimentReport:
     (see :func:`_leaf_maps`).  Only the first counterexample and its
     subtree are built and solved.
     """
-    return ExperimentReport.from_stream(stream_leaf_deletion(max_n, jobs))
+    return ExperimentReport.from_stream(stream_leaf_deletion(max_n))
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +432,11 @@ def _gs_record(base: BaseTree, chis: list) -> dict:
     }
 
 
-def stream_conjecture_gs(m_max: int, k_max: int, n_cap: int = 10, jobs: int = 1):
+def stream_conjecture_gs(m_max: int, k_max: int, n_cap: int = 10):
     """The campaign stream of :func:`explore_conjecture_gs`."""
     m_max, k_max, n_cap = _int(m_max, "m_max"), _int(k_max, "k_max"), _int(n_cap, "n_cap")
     if not (1 <= n_cap <= 10):
-        raise TooLargeError("conjecture exploration supports n_cap <= 10")
+        raise TooLargeError("conjecture exploration supports 1 <= n_cap <= 10")
     bases = [
         gs_base(m, k)
         for m in range(1, m_max + 1)
@@ -454,23 +451,21 @@ def stream_conjecture_gs(m_max: int, k_max: int, n_cap: int = 10, jobs: int = 1)
     yield "gs_minmax", {"m_max": m_max, "k_max": k_max, "n_cap": n_cap}
     keys = ("m", "k", "min_chi", "conjectured_min", "max_chi", "conjectured_max")
     findings = []
-    for rec in _from_tables(_gs_record, bases, jobs):
+    for rec in _from_tables(_gs_record, bases):
         if not rec["min_agrees"] or not rec["max_agrees"]:
             findings.append({key: rec[key] for key in keys})
         yield rec
     return _summary(len(bases), [], findings=findings)
 
 
-def explore_conjecture_gs(
-    m_max: int, k_max: int, n_cap: int = 10, jobs: int = 1
-) -> ExperimentReport:
+def explore_conjecture_gs(m_max: int, k_max: int, n_cap: int = 10) -> ExperimentReport:
     """Exact min/max over all orientations of each generalized star.
 
     Agreement with the conjectured extremes is reported per (m, k);
     disagreements are findings, never failures, so the summary always holds
     when the sweep completes and every witness re-verifies.
     """
-    return ExperimentReport.from_stream(stream_conjecture_gs(m_max, k_max, n_cap, jobs))
+    return ExperimentReport.from_stream(stream_conjecture_gs(m_max, k_max, n_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +494,7 @@ def _star_records(base: BaseTree, table: list) -> list[dict]:
     return records
 
 
-def stream_star_values(m_max: int, jobs: int = 1):
+def stream_star_values(m_max: int):
     """The campaign stream of :func:`check_star_values`."""
     m_max = _int(m_max, "m_max")
     if not (1 <= m_max <= 10):
@@ -508,7 +503,7 @@ def stream_star_values(m_max: int, jobs: int = 1):
     counterexamples = []
     instances = 0
     bases = [star(m) for m in range(1, m_max + 1)]
-    for base, group in zip(bases, _from_tables(_star_records, bases, jobs)):
+    for base, group in zip(bases, _from_tables(_star_records, bases)):
         instances += len(group)
         for rec in group:
             if not rec["ok"]:
@@ -519,13 +514,13 @@ def stream_star_values(m_max: int, jobs: int = 1):
     return _summary(instances, counterexamples)
 
 
-def check_star_values(m_max: int, jobs: int = 1) -> ExperimentReport:
+def check_star_values(m_max: int) -> ExperimentReport:
     """Solve all orientations of stars with up to ``m_max`` leaves.
 
     Expected: every value lies in {2, 3}, with 2 exactly on the two
     orientations whose arcs all agree.
     """
-    return ExperimentReport.from_stream(stream_star_values(m_max, jobs))
+    return ExperimentReport.from_stream(stream_star_values(m_max))
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +574,13 @@ def sample_caterpillar_specs(
     return specs, skipped
 
 
-def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
+def _caterpillar_record(index: int, spec: CaterpillarSpec) -> dict:
     """The record of one caterpillar, its spine read off the spec.  Legs sit
     only on 1..m-2, so the path 0..m-1 is a longest path (the
     lexicographically smallest); ``spine_mask`` orients it, and it is
     directed exactly when that mask is 0 or all ones.  Both constructions
     read their labels off the spec, and are verified on the record's own
     tree, so the tree is built once."""
-    index, spec = payload
     t = caterpillar(spec)
     m = spec.spine_len
     chi = solve_exact(t).chi
@@ -627,12 +621,7 @@ def _caterpillar_record(payload: tuple[int, CaterpillarSpec]) -> dict:
 
 
 def stream_caterpillar_bounds(
-    samples: int,
-    seed: int,
-    n_max: int = 12,
-    spine_min: int = 3,
-    spine_max: int = 8,
-    jobs: int = 1,
+    samples: int, seed: int, n_max: int = 12, spine_min: int = 3, spine_max: int = 8
 ):
     """The campaign stream of :func:`check_caterpillar_bounds`."""
     params = dict(
@@ -643,7 +632,8 @@ def stream_caterpillar_bounds(
     yield "caterpillar_bounds", params
     counterexamples = []
     directed_spines = 0
-    for rec in _map_ordered(_caterpillar_record, list(enumerate(specs)), jobs):
+    for index, spec in enumerate(specs):
+        rec = _caterpillar_record(index, spec)
         if not rec["ok"]:
             counterexamples.append(rec["instance"])
         directed_spines += rec["spine_directed"]
@@ -654,17 +644,12 @@ def stream_caterpillar_bounds(
 
 
 def check_caterpillar_bounds(
-    samples: int,
-    seed: int,
-    n_max: int = 12,
-    spine_min: int = 3,
-    spine_max: int = 8,
-    jobs: int = 1,
+    samples: int, seed: int, n_max: int = 12, spine_min: int = 3, spine_max: int = 8
 ) -> ExperimentReport:
     """Spine lower bound, 2m-1 upper bound, and directed-spine equality on a
     seeded random sample of oriented caterpillars."""
     return ExperimentReport.from_stream(
-        stream_caterpillar_bounds(samples, seed, n_max, spine_min, spine_max, jobs)
+        stream_caterpillar_bounds(samples, seed, n_max, spine_min, spine_max)
     )
 
 
@@ -691,7 +676,7 @@ def _path_min_record(base: BaseTree, chis: list) -> dict:
     }
 
 
-def stream_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1):
+def stream_path_minimum(n_lo: int = 4, n_hi: int = 13):
     """The campaign stream of :func:`check_path_minimum`."""
     n_lo, n_hi = _int(n_lo, "n_lo"), _int(n_hi, "n_hi")
     if not (1 <= n_lo <= n_hi <= 13):
@@ -699,7 +684,7 @@ def stream_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1):
     yield "path_minimum", {"n_lo": n_lo, "n_hi": n_hi}
     counterexamples = []
     bases = [path(n) for n in range(n_lo, n_hi + 1)]
-    for base, rec in zip(bases, _from_tables(_path_min_record, bases, jobs)):
+    for base, rec in zip(bases, _from_tables(_path_min_record, bases)):
         if not rec["equal"]:
             if not counterexamples:
                 _certify(orient(base, rec["min_mask"]), rec["min_chi"])
@@ -708,21 +693,20 @@ def stream_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1):
     return _summary(n_hi - n_lo + 1, counterexamples)
 
 
-def check_path_minimum(n_lo: int = 4, n_hi: int = 13, jobs: int = 1) -> ExperimentReport:
+def check_path_minimum(n_lo: int = 4, n_hi: int = 13) -> ExperimentReport:
     """Exact minimum over all orientations of paths versus the closed form.
 
     Rows with n <= 3 are labeled as extensions of the formula (they come from
     the stored brute-force table rather than the piecewise expression).
     """
-    return ExperimentReport.from_stream(stream_path_minimum(n_lo, n_hi, jobs))
+    return ExperimentReport.from_stream(stream_path_minimum(n_lo, n_hi))
 
 
 # ---------------------------------------------------------------------------
 # rooted-tree formula
 
 
-def _rooted_record(payload: tuple[BaseTree, str, int, str]) -> dict:
-    base, base_code, root, sense = payload
+def _rooted_record(base: BaseTree, base_code: str, root: int, sense: str) -> dict:
     t = rooted_orientation(base, root, sense)
     chi = solve_exact(t).chi
     formula = chi_rooted(t)
@@ -740,28 +724,28 @@ def _rooted_record(payload: tuple[BaseTree, str, int, str]) -> dict:
     }
 
 
-def stream_rooted_formula(max_n: int, jobs: int = 1):
+def stream_rooted_formula(max_n: int):
     """The campaign stream of :func:`check_rooted_formula`."""
     max_n = _int(max_n, "max_n")
     if not (1 <= max_n <= 10):
         raise TooLargeError("rooted sweep supports 1 <= max_n <= 10")
     yield "rooted_formula", {"max_n": max_n}
-    payloads = []
+    counterexamples = []
+    instances = 0
     for n in range(1, max_n + 1):
         for base in free_trees(n):
             code = encode_base(base)
             for root in range(n):
                 for sense in ("out", "in"):
-                    payloads.append((base, code, root, sense))
-    counterexamples = []
-    for rec in _map_ordered(_rooted_record, payloads, jobs):
-        if not rec["equal"]:
-            counterexamples.append(rec["instance"])
-        yield rec
-    return _summary(len(payloads), counterexamples)
+                    rec = _rooted_record(base, code, root, sense)
+                    instances += 1
+                    if not rec["equal"]:
+                        counterexamples.append(rec["instance"])
+                    yield rec
+    return _summary(instances, counterexamples)
 
 
-def check_rooted_formula(max_n: int, jobs: int = 1) -> ExperimentReport:
+def check_rooted_formula(max_n: int) -> ExperimentReport:
     """Out- and in-orientations from every root of every free tree, solved
     exactly and compared against n - leaves + 1."""
-    return ExperimentReport.from_stream(stream_rooted_formula(max_n, jobs))
+    return ExperimentReport.from_stream(stream_rooted_formula(max_n))

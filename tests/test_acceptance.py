@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+from domchrom.cli import cli_main
 from domchrom.coloring import DominatorCertificate, verify_dominator
 from domchrom.formulas import (
     build_layered_gs,
@@ -51,7 +52,7 @@ def _emit(cid: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_path_minimum_table():
     start = time.perf_counter()
-    report = check_path_minimum(4, 13, jobs=1)
+    report = check_path_minimum(4, 13)
     elapsed = time.perf_counter() - start
     mismatches = [r for r in report.records if not r["equal"]]
     ok = not mismatches and elapsed < 300.0
@@ -66,7 +67,7 @@ def test_criterion_1_path_minimum_table():
 
 
 def test_criterion_2_rooted_tree_formula():
-    report = check_rooted_formula(10, jobs=1)
+    report = check_rooted_formula(10)
     bad = [r for r in report.records if not r["equal"]]
     _emit(
         2,
@@ -126,7 +127,7 @@ def _first_records(records: list[dict]) -> list[dict]:
 
 
 def test_criterion_3_reversal_invariance():
-    report = check_reversal_invariance(9, jobs=1)
+    report = check_reversal_invariance(9)
     records = report.records
     unequal = [r for r in records if not r["equal"]]
     rooted = [r for r in records if "rooted_formula" in r]
@@ -168,7 +169,7 @@ def test_criterion_3_reversal_invariance():
 
 
 def test_criterion_4_leaf_deletion_rules():
-    report = check_leaf_deletion(8, jobs=1)
+    report = check_leaf_deletion(8)
     records = report.records
     unpredicted = [r for r in records if r["delta"] == 1 and not r["drop_predicted"]]
     applicable = [r for r in records if r["source_rule_applicable"]]
@@ -220,7 +221,7 @@ def test_criterion_4_leaf_deletion_rules():
 
 
 def test_criterion_5_star_values():
-    report = check_star_values(10, jobs=1)
+    report = check_star_values(10)
     bad = [r for r in report.records if not r["ok"]]
     _emit(
         5,
@@ -266,7 +267,7 @@ def test_criterion_6_generalized_star_formulas():
 
 
 def test_criterion_7_caterpillar_bounds():
-    report = check_caterpillar_bounds(200, seed=CATERPILLAR_SEED, n_max=12, jobs=1)
+    report = check_caterpillar_bounds(200, seed=CATERPILLAR_SEED, n_max=12)
     bad = [r for r in report.records if not r["ok"]]
     directed = [r for r in report.records if r["spine_directed"]]
     directed_bad = [r for r in directed if r["directed_ok"] is not True]
@@ -301,29 +302,33 @@ def test_criterion_8_oracle_equivalence():
     assert not mismatches, mismatches[:3]
 
 
-def test_criterion_9_determinism_and_parallel_equivalence():
-    first = check_star_values(6, jobs=1)
-    second = check_star_values(6, jobs=1)
-    parallel = check_star_values(6, jobs=4)
-    inv_seq = check_reversal_invariance(5, jobs=1)
-    inv_par = check_reversal_invariance(5, jobs=4)
+def test_criterion_9_determinism_and_parallel_equivalence(tmp_path):
+    first = check_star_values(6)
+    second = check_star_values(6)
     same_rerun = first.to_json() == second.to_json()
-    same_jobs = (
-        first.to_json() == parallel.to_json()
-        and inv_seq.to_json() == inv_par.to_json()
-        and first.to_csv() == parallel.to_csv()
+
+    def run(argv: list[str], fmt: str, jobs: str) -> tuple[int, bytes]:
+        out = tmp_path / "report"
+        code = cli_main([*argv, "--format", fmt, "--jobs", jobs, "--output", str(out)])
+        return code, out.read_bytes()
+
+    # --jobs is read only by the CLI, which runs every campaign in one process
+    same_jobs = all(
+        run(argv, fmt, "4") == run(argv, fmt, "1")
+        for argv in (["star", "--m-max", "6"], ["invariance", "--max-n", "5"])
+        for fmt in ("json", "csv")
     )
     _emit(
         9,
         same_rerun and same_jobs,
-        "byte-identical reruns and --jobs 4 output equal to --jobs 1",
+        "byte-identical reruns and CLI --jobs 4 output equal to --jobs 1",
     )
     assert same_rerun
     assert same_jobs
 
 
 def test_criterion_10_conjecture_explorer():
-    report = explore_conjecture_gs(9, 9, n_cap=10, jobs=1)
+    report = explore_conjecture_gs(9, 9, n_cap=10)
     expected_pairs = {
         (m, k)
         for m in range(1, 10)

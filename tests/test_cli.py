@@ -132,7 +132,8 @@ def test_orientations_validates_only_the_file(p5_file, monkeypatch):
 
 
 # SHA-256 of ``orientations`` on the directed 12-vertex path in each format,
-# recorded while the command still solved every mask
+# recorded while the command still solved every mask, and before ``--all``
+# (which printed these same bytes) was removed
 ORIENTATIONS_P12_DIGESTS = {
     "text": "35b6ea04e2e5a5cda9fbdd2b3d0132ac8ae3041a3564143dd4e0cbccaaca2658",
     "json": "d42a9b1c4c9b5703f2e33dce4e7fb17743d3d7429004a74e87043e6771273387",
@@ -258,37 +259,36 @@ def test_caterpillar_campaign_rejects_an_empty_spine_range(extra, capsys):
         ["caterpillar", "--samples", "0"],
         ["caterpillar", "--samples", "-2"],
         ["star", "--m-max", "0"],
+        ["conjecture", "--m-max", "2", "--k-max", "2", "--n-cap", "0"],
     ],
 )
 def test_campaign_with_an_empty_corpus_exits_two(argv, tmp_path, capsys):
     # a zero-instance report would say the claim holds; refuse it, as star does
     out = tmp_path / "r.json"
     assert cli_main([*argv, "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert not out.exists()
+    if argv[-2:] == ["--n-cap", "0"]:  # the cap's guard names both its bounds
+        assert "supports 1 <= n_cap <= 10" in err
 
 
 # each campaign subcommand at small parameters, and the library report of the
-# same parameters at the given job count
+# same parameters
 STREAMED = [
     pytest.param(
         ["invariance", "--max-n", "5"],
-        lambda jobs: harness.check_reversal_invariance(5, jobs), id="invariance",
+        lambda: harness.check_reversal_invariance(5), id="invariance",
     ),
-    pytest.param(
-        ["leafdel", "--max-n", "5"],
-        lambda jobs: harness.check_leaf_deletion(5, jobs), id="leafdel",
-    ),
+    pytest.param(["leafdel", "--max-n", "5"], lambda: harness.check_leaf_deletion(5), id="leafdel"),
     pytest.param(
         ["conjecture", "--m-max", "3", "--k-max", "3", "--n-cap", "9"],
-        lambda jobs: harness.explore_conjecture_gs(3, 3, 9, jobs), id="conjecture",
+        lambda: harness.explore_conjecture_gs(3, 3, 9), id="conjecture",
     ),
-    pytest.param(
-        ["star", "--m-max", "4"], lambda jobs: harness.check_star_values(4, jobs), id="star"
-    ),
+    pytest.param(["star", "--m-max", "4"], lambda: harness.check_star_values(4), id="star"),
     pytest.param(
         ["caterpillar", "--samples", "30", "--seed", "4"],
-        lambda jobs: harness.check_caterpillar_bounds(30, 4, jobs=jobs), id="caterpillar",
+        lambda: harness.check_caterpillar_bounds(30, 4), id="caterpillar",
     ),
 ]
 
@@ -297,7 +297,7 @@ STREAMED = [
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("argv, check", STREAMED)
 def test_streamed_report_equals_the_collected_one(argv, check, jobs, fmt, tmp_path):
-    report = check(jobs)
+    report = check()  # the CLI's --jobs selects nothing
     out = tmp_path / "r.out"
     code = cli_main([*argv, "--jobs", str(jobs), "--format", fmt, "--output", str(out)])
     assert code == (0 if report.holds else 1)
@@ -530,6 +530,7 @@ def test_solve_reports_tau_and_bound(p5_file, capsys):
         ["conjecture", "--m-max", "2", "--k-max", "2", "--seed", "1"],
         ["star", "--m-max", "2", "--format", "text"],
         ["caterpillar", "--samples", "2", "--format", "text"],
+        ["orientations", "TREE", "--all"],
     ],
 )
 def test_flags_a_command_does_not_read_exit_two(argv, p5_file, capsys):
@@ -584,15 +585,15 @@ def test_gen_outputs_pinned(capsys):
 
 
 def test_import_loads_no_process_pool(tmp_path):
-    # every campaign runs in the calling process, whatever jobs it is given,
-    # so neither importing the package nor running a campaign loads a pool
+    # every campaign runs in the calling process, whatever --jobs the CLI is
+    # given, so neither importing the package nor running a campaign loads a pool
     code = (
         "import sys, domchrom, domchrom.cli, domchrom.harness; "
         "out = sys.argv[1]; "
         "code = domchrom.cli.cli_main("
         "['invariance', '--max-n', '5', '--jobs', '2', '--output', out]); "
         "assert code == 1, code; "
-        "assert domchrom.harness.check_caterpillar_bounds(30, 4, jobs=2).holds; "
+        "assert domchrom.harness.check_caterpillar_bounds(30, 4).holds; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )

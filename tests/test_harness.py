@@ -10,6 +10,7 @@ from functools import partial
 import pytest
 
 from domchrom import formulas, harness, io, reports, solver
+from domchrom.cli import cli_main
 from domchrom.coloring import DominatorCertificate, recheck_certificate, verify_dominator
 from domchrom.errors import SpecInvalidError, SpineNotDirectedError, TooLargeError
 from domchrom.formulas import directed_spine_coloring
@@ -56,6 +57,14 @@ from domchrom.trees import (
 import orbits
 from conftest import caterpillar_layouts, count_validations, orientations, reference_longest_path
 from orbits import class_chis
+
+
+def _cli_report(argv: list[str], tmp_path, fmt: str = "json") -> str:
+    """The report that the CLI writes for ``argv`` in ``fmt``."""
+    out = tmp_path / f"report.{fmt}"
+    assert cli_main([*argv, "--format", fmt, "--output", str(out)]) in (0, 1)
+    return out.read_text()
+
 
 def record_builds(monkeypatch) -> list[str]:
     """The oriented canonical code of every tree built from here on, by the
@@ -326,10 +335,10 @@ class TestLeafDeletion:
 
 
 class TestLeafDeletionMemo:
-    def test_jobs_and_reruns_byte_identical(self):
-        seq = check_leaf_deletion(6, jobs=1).to_json()
-        assert check_leaf_deletion(6, jobs=2).to_json() == seq
-        assert check_leaf_deletion(6, jobs=1).to_json() == seq
+    def test_jobs_and_reruns_byte_identical(self, tmp_path):
+        seq = check_leaf_deletion(6).to_json()
+        assert check_leaf_deletion(6).to_json() == seq
+        assert _cli_report(["leafdel", "--max-n", "6", "--jobs", "2"], tmp_path) == seq
 
     def test_records_match_fresh_solves(self):
         for rec in check_leaf_deletion(6).records:
@@ -479,10 +488,9 @@ class TestLeafDeletionMemo:
         assert n == max_n
         assert len(tables) == len({base for base, _ in tables}) == made
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_n9_report_pinned(self, jobs):
+    def test_n9_report_pinned(self):
         # recorded with the per-class memo that the class tables replaced
-        text = check_leaf_deletion(9, jobs=jobs).to_json()
+        text = check_leaf_deletion(9).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == LEAFDEL_9_SHA256
 
 
@@ -683,23 +691,17 @@ class TestDeterminismAndJobs:
         b = check_reversal_invariance(5).to_json()
         assert a == b
 
-    def test_jobs_equivalence(self):
-        seq = check_star_values(4, jobs=1)
-        par = check_star_values(4, jobs=4)
-        assert seq.to_json() == par.to_json()
-        assert seq.to_csv() == par.to_csv()
+    # only the CLI reads --jobs, and it selects nothing
+    def test_jobs_equivalence(self, tmp_path):
+        seq = check_star_values(4)
+        argv = ["star", "--m-max", "4", "--jobs", "4"]
+        assert _cli_report(argv, tmp_path) == seq.to_json()
+        assert _cli_report(argv, tmp_path, "csv") == seq.to_csv()
 
-    def test_library_campaigns_reject_bad_jobs(self):
-        for jobs in (0, -3, 1.5, "2"):
-            with pytest.raises(ValueError, match="jobs"):
-                check_star_values(2, jobs=jobs)
-        with pytest.raises(ValueError, match="jobs"):
-            check_leaf_deletion(3, jobs=0)
-
-    def test_jobs_equivalence_invariance(self):
-        seq = check_reversal_invariance(4, jobs=1)
-        par = check_reversal_invariance(4, jobs=3)
-        assert seq.to_json() == par.to_json()
+    def test_jobs_equivalence_invariance(self, tmp_path):
+        seq = check_reversal_invariance(4)
+        argv = ["invariance", "--max-n", "4", "--jobs", "3"]
+        assert _cli_report(argv, tmp_path) == seq.to_json()
 
     def test_json_round_trip(self):
         rep = check_star_values(3)
@@ -742,12 +744,11 @@ STREAMS = [
 ]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("stream, check, args", STREAMS)
-def test_written_stream_equals_the_collected_report(stream, check, args, jobs):
+def test_written_stream_equals_the_collected_report(stream, check, args):
     report = check(*args)
     pieces = []
-    summary = write_json(stream(*args, jobs=jobs), pieces.append)
+    summary = write_json(stream(*args), pieces.append)
     assert "".join(pieces) == report.to_json()
     assert summary == report.summary
 
@@ -761,7 +762,6 @@ def test_a_stream_reads_its_params_before_its_first_record():
     assert next(stream)["m"] == 1
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
     "check, args",
     [
@@ -772,19 +772,19 @@ def test_a_stream_reads_its_params_before_its_first_record():
         pytest.param(check_path_minimum, (4, 7), id="path"),
     ],
 )
-def test_an_orientation_sweep_maps_only_class_tables(check, args, jobs, monkeypatch):
+def test_an_orientation_sweep_maps_only_class_tables(check, args, monkeypatch):
     # the chi table of each base tree (the state tables of solver.chi_table,
     # which replaced the per-class tables) is made in one pass per campaign,
     # and every record is built from them
     calls = []
     original = harness._map_ordered
 
-    def spy(fn, payloads, jobs):
+    def spy(fn, payloads):
         calls.append((fn, payloads))
-        return original(fn, payloads, jobs)
+        return original(fn, payloads)
 
     monkeypatch.setattr(harness, "_map_ordered", spy)
-    assert check(*args, jobs=jobs).records
+    assert check(*args).records
     assert len(calls) == 1
     (fn, payloads), = calls
     assert fn is solver.chi_table

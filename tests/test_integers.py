@@ -98,7 +98,6 @@ READERS = [
     pytest.param(
         lambda x: check_caterpillar_bounds(3, x), SpecInvalidError, id="cat-bounds-seed"
     ),
-    pytest.param(lambda x: check_star_values(2, jobs=x), ValueError, id="jobs"),
     # trees and colorings
     pytest.param(lambda x: build_tree(x, [(0, 1)]), NotATreeError, id="vertex-count"),
     pytest.param(lambda x: build_tree(3, [(0, 1), (1, x)]), BadVertexIdError, id="arc-vertex"),
