@@ -488,10 +488,14 @@ class TestLeafDeletionMemo:
         assert n == max_n
         assert len(tables) == len({base for base, _ in tables}) == made
 
-    def test_n9_report_pinned(self):
-        # recorded with the per-class memo that the class tables replaced
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_n9_report_pinned(self, jobs, tmp_path):
+        # recorded with the per-class memo that the class tables replaced;
+        # the CLI's --jobs selects nothing, so it writes the same bytes
         text = check_leaf_deletion(9).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == LEAFDEL_9_SHA256
+        argv = ["leafdel", "--max-n", "9", "--jobs", str(jobs)]
+        assert _cli_report(argv, tmp_path) == text
 
 
 class TestGsExplorer:
@@ -744,13 +748,16 @@ STREAMS = [
 ]
 
 
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("stream, check, args", STREAMS)
-def test_written_stream_equals_the_collected_report(stream, check, args):
+def test_written_stream_equals_the_collected_report(stream, check, args, runs):
+    # every campaign runs in this one process, so a repeat run writes the same
     report = check(*args)
-    pieces = []
-    summary = write_json(stream(*args), pieces.append)
-    assert "".join(pieces) == report.to_json()
-    assert summary == report.summary
+    for _ in range(runs):
+        pieces = []
+        summary = write_json(stream(*args), pieces.append)
+        assert "".join(pieces) == report.to_json()
+        assert summary == report.summary
 
 
 def test_a_stream_reads_its_params_before_its_first_record():
@@ -762,6 +769,7 @@ def test_a_stream_reads_its_params_before_its_first_record():
     assert next(stream)["m"] == 1
 
 
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize(
     "check, args",
     [
@@ -772,10 +780,11 @@ def test_a_stream_reads_its_params_before_its_first_record():
         pytest.param(check_path_minimum, (4, 7), id="path"),
     ],
 )
-def test_an_orientation_sweep_maps_only_class_tables(check, args, monkeypatch):
+def test_an_orientation_sweep_maps_only_class_tables(check, args, runs, monkeypatch):
     # the chi table of each base tree (the state tables of solver.chi_table,
     # which replaced the per-class tables) is made in one pass per campaign,
-    # and every record is built from them
+    # a repeat run in the same process included, and every record is built
+    # from them
     calls = []
     original = harness._map_ordered
 
@@ -784,11 +793,12 @@ def test_an_orientation_sweep_maps_only_class_tables(check, args, monkeypatch):
         return original(fn, payloads)
 
     monkeypatch.setattr(harness, "_map_ordered", spy)
-    assert check(*args).records
-    assert len(calls) == 1
-    (fn, payloads), = calls
-    assert fn is solver.chi_table
-    assert payloads and all(isinstance(base, BaseTree) for base in payloads)
+    for _ in range(runs):
+        assert check(*args).records
+    assert len(calls) == runs
+    for fn, payloads in calls:
+        assert fn is solver.chi_table
+        assert payloads and all(isinstance(base, BaseTree) for base in payloads)
 
 
 @pytest.mark.parametrize(
