@@ -6,9 +6,9 @@ base tree (bitmask per edge), and one representative per isomorphism class
 of free trees up to a size cap.  Bit i of a mask flips edge i in every
 family, and each mask is read in one pass (:func:`mask_bits`).  A tree
 derived from a validated base tree (an orientation, every generalized-star
-scheme among them, a canonical form, a one-leaf extension) or from a
-validated caterpillar spec is built by the trees' private ``_trusted``
-constructors and not validated again.
+scheme among them, a canonical form) or from a validated caterpillar spec,
+and a tree read off a level sequence or a Prüfer sequence, is built by the
+trees' private ``_trusted`` constructors and not validated again.
 """
 
 from __future__ import annotations
@@ -336,28 +336,81 @@ def oriented_canonical_code(t: OrientedTree) -> str:
 def free_trees(n: int) -> list[BaseTree]:
     """One canonically labeled representative per isomorphism class.
 
-    Grows trees one leaf at a time, deduplicating by canonical code at every
-    size; output is sorted by code, so the order is stable across runs.  One
-    AHU pass per grown tree gives both its code and, when the code is new,
-    its canonical form.
+    :func:`_free_level_sequences` names each free tree exactly once; each is
+    built once, as a tree by construction, and canonicalized by one AHU pass
+    per center.  Output is sorted by code, so the order is stable across
+    runs.
     """
     n = _int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _FREE_TREE_CAP:
         raise TooLargeError(f"free-tree enumeration capped at n <= {_FREE_TREE_CAP}")
-    level: dict[str, BaseTree] = {"()": BaseTree(1, ())}
-    for size in range(2, n + 1):
-        nxt: dict[str, BaseTree] = {}
-        for tree in level.values():
-            for v in range(size - 1):
-                edges = tuple(sorted((*tree.edges, (v, size - 1))))
-                grown = BaseTree._trusted(size, edges)
-                code, root, children = _canonical(grown)
-                if code not in nxt:
-                    nxt[code] = _relabeled(grown, _labels(root, children))
-        level = nxt
-    return [level[code] for code in sorted(level)]
+    if n == 1:
+        return [BaseTree._trusted(1, ())]
+    found = []
+    for levels in _free_level_sequences(n):
+        last = [0] * n  # the latest vertex at each level, the root at 0
+        edges = []
+        for v in range(1, n):
+            edges.append((last[levels[v] - 1], v))
+            last[levels[v]] = v
+        tree = BaseTree._trusted(n, tuple(sorted(edges)))
+        code, root, children = _canonical(tree)
+        found.append((code, _relabeled(tree, _labels(root, children))))
+    found.sort(key=lambda pair: pair[0])
+    return [tree for _, tree in found]
+
+
+def _free_level_sequences(n: int):
+    """Each free tree on ``n >= 2`` vertices exactly once, as a level
+    sequence: the depth of each vertex in a preorder walk from a center,
+    subtrees in decreasing order (Wright, Richmond, Odlyzko and McKay,
+    "Constant time generation of free trees", SIAM J. Comput. 1986).
+
+    A rooted tree's sequence stands for a free tree when its root has two
+    or more children and the first child's subtree (``left``) is no higher
+    than the rest of the tree, and, at equal heights, no larger, and at
+    equal sizes no later in lexicographic order.  From a sequence that
+    fails, one jump reaches the next that holds; from one that holds, the
+    successor of Beyer and Hedetniemi (1980) gives the next rooted tree.
+    """
+    levels = [*range(n // 2 + 1), *range(1, (n + 1) // 2)]  # the path
+    while True:
+        split = _second_child(levels)
+        left = [level - 1 for level in levels[1:split]]
+        rest = [0, *levels[split:]]
+        if (max(left), len(left), left) > (max(rest), len(rest), rest):
+            deep = levels[split - 1] > 2
+            levels = _rooted_successor(levels, split - 1)
+            if deep:  # the new left subtree's height, as a path at the end
+                height = max(levels[1 : _second_child(levels)])
+                levels[n - height :] = range(1, height + 1)
+        yield levels
+        p = n - 1
+        while levels[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        levels = _rooted_successor(levels, p)
+
+
+def _second_child(levels: list[int]) -> int:
+    """The position of the root's second child, or the length if it has none."""
+    return levels.index(1, 2) if 1 in levels[2:] else len(levels)
+
+
+def _rooted_successor(levels: list[int], p: int) -> list[int]:
+    """The level sequence after ``levels`` in the order of Beyer and
+    Hedetniemi, changed from position ``p`` on: from p, the sequence repeats
+    its part from the parent of p."""
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = levels[:p]
+    for i in range(p, len(levels)):
+        out.append(out[i - p + q])
+    return out
 
 
 # ---------------------------------------------------------------------------

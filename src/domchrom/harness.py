@@ -17,9 +17,13 @@ each ``check_*`` function collects its stream into an
 Five campaigns name every orientation of a base tree.  Each reads chi
 from :func:`solver.chi_table`, which gives chi of every mask of a base tree
 from one bottom-up pass over subtree states, with no tree built and no
-solve.  A record reads its values from that table by mask and builds
-nothing; a reversal-invariance record reads its rooted formula from a dict
-over the at most 2n rooted masks of its base tree (:func:`_rooted_formulas`).
+solve.  The tables of one sweep share their steps: inside
+:func:`solver._shared_steps`, every table of a tree on n vertices, leaf
+deletion's base - v included, reuses one step table for n, which goes when
+the sweep ends.  A record reads its values from its base tree's table by
+mask and builds nothing; a reversal-invariance record reads its rooted
+formula from a dict over the at most 2n rooted masks of its base tree
+(:func:`_rooted_formulas`).
 The reversal-invariance, leaf-deletion and star records, one per mask, read
 their instance codes from a second table per base tree, :func:`_arc_table`:
 every arc that either direction of an edge gives, sorted once and with its
@@ -76,7 +80,7 @@ from .generators import (
 from .io import _arc_texts, _code, certificate_to_obj, encode_arcs, encode_base, encode_tree
 from .io import decode_tree  # unused here; perfbench/tracing.py wraps this name
 from .reports import ExperimentReport
-from .solver import chi_table, solve_exact
+from .solver import _shared_steps, chi_table, solve_exact
 from .trees import BaseTree, OrientedTree, _walk, delete_leaf
 
 
@@ -108,8 +112,10 @@ def _certify(t: OrientedTree, chi: int):
 
 
 def _from_tables(build, bases: list[BaseTree]):
-    """Each ``build(base, chi_table(base))``, the tables made in one pass."""
-    return map(build, bases, _map_ordered(chi_table, bases))
+    """Each ``build(base, chi_table(base))``, the tables made in one pass
+    on the campaign's step tables."""
+    with _shared_steps():
+        yield from map(build, bases, _map_ordered(chi_table, bases))
 
 
 def _arc_table(base: BaseTree) -> list[tuple[int, str, int, str]]:
@@ -351,25 +357,26 @@ def stream_leaf_deletion(max_n: int):
     n = 1
     counterexamples = []
     instances = 0
-    for base, table in zip(bases, _map_ordered(chi_table, bases)):
-        if base.n > n:  # a new size n: no size from n on reads one below n - 1
-            n = base.n
-            tables = {tree: chis for tree, chis in tables.items() if tree.n == n - 1}
-        tables[base] = table
-        group = _leafdel_records(base, tables)
-        instances += len(group)
-        leaves = len(group) >> len(base.edges)  # records run by mask, then by leaf
-        for i, rec in enumerate(group):
-            if rec["violations"]:
-                if not counterexamples:  # the first one is certified, subtree too
-                    t = orient(base, i // leaves)
-                    _certify(t, rec["chi"])
-                    _certify(delete_leaf(t, rec["leaf"])[0], rec["chi_sub"])
-                counterexamples.append(
-                    {"instance": rec["instance"], "leaf": rec["leaf"],
-                     "violations": rec["violations"]}
-                )
-            yield rec
+    with _shared_steps():
+        for base, table in zip(bases, _map_ordered(chi_table, bases)):
+            if base.n > n:  # a new size n: no size from n on reads one below n - 1
+                n = base.n
+                tables = {tree: chis for tree, chis in tables.items() if tree.n == n - 1}
+            tables[base] = table
+            group = _leafdel_records(base, tables)
+            instances += len(group)
+            leaves = len(group) >> len(base.edges)  # records run by mask, then by leaf
+            for i, rec in enumerate(group):
+                if rec["violations"]:
+                    if not counterexamples:  # the first one is certified, subtree too
+                        t = orient(base, i // leaves)
+                        _certify(t, rec["chi"])
+                        _certify(delete_leaf(t, rec["leaf"])[0], rec["chi_sub"])
+                    counterexamples.append(
+                        {"instance": rec["instance"], "leaf": rec["leaf"],
+                         "violations": rec["violations"]}
+                    )
+                yield rec
     return _summary(instances, counterexamples)
 
 

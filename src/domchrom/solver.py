@@ -38,7 +38,8 @@ cross-validation oracle for small instances.  The backtracking kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import compress
 from typing import Iterable
 
@@ -406,23 +407,86 @@ def _finish(acc: tuple, direction: int, inf: int) -> tuple:
     return min(in_u + u1, xs + n1, inf + n1, xc + n1), tau
 
 
+class _Steps:
+    """The steps of :func:`chi_table` for trees on n vertices, on states
+    interned to ints.  Accumulator i is ``accs[i]``, 0 the one before any
+    child, and hand j is ``hands[j]``.  ``folds[i]`` maps each hand folded
+    into accumulator i so far to the accumulator that it gives, and
+    ``sent[direction][i]`` is what accumulator i hands its parent across an
+    arc in ``direction`` (a hand, or at the root chi), -1 until asked."""
+
+    def __init__(self, n: int) -> None:
+        self.inf = n + 1
+        start = _empty(self.inf)
+        self.accs = [start]
+        self.acc_ids = {start: 0}
+        self.folds: list[dict[int, int]] = [{}]
+        self.hands: list[tuple] = []
+        self.hand_ids: dict[tuple, int] = {}
+        self.sent = ([-1], [-1], [-1])  # by _ROOT, _DOWN, _UP
+
+    def fold(self, i: int, j: int) -> int:
+        acc = _fold(self.accs[i], self.hands[j])
+        k = self.acc_ids.setdefault(acc, len(self.accs))
+        if k == len(self.accs):
+            self.accs.append(acc)
+            self.folds.append({})
+            for column in self.sent:
+                column.append(-1)
+        self.folds[i][j] = k
+        return k
+
+    def finish(self, i: int, direction: int) -> int:
+        out = _finish(self.accs[i], direction, self.inf)
+        if direction == _ROOT:
+            m, tau = out
+            k = m + 1 if m == tau else tau + 2
+        else:
+            k = self.hand_ids.setdefault(out, len(self.hands))
+            if k == len(self.hands):
+                self.hands.append(out)
+        self.sent[direction][i] = k
+        return k
+
+
+# The step tables of the running campaign, by n (see _shared_steps).
+_CAMPAIGN_STEPS: ContextVar[dict[int, _Steps] | None] = ContextVar(
+    "campaign_steps", default=None
+)
+
+
+@contextmanager
+def _shared_steps():
+    """Within the block, each :func:`chi_table` of a tree on n vertices
+    reuses one step table for n.  The tables go when the block ends, so
+    none outlives the campaign that holds it."""
+    _CAMPAIGN_STEPS.set({})
+    try:
+        yield
+    finally:
+        _CAMPAIGN_STEPS.set(None)
+
+
 def chi_table(base: BaseTree) -> list[int]:
     """χ of every orientation of ``base``, by mask, from one bottom-up pass.
 
     :func:`_fold` and :func:`_finish` restate the step of :func:`_least_family`
-    on states, memoized per base tree.  Rooted at a center, each vertex maps
-    each state it can hand its parent to the partial masks that reach it,
-    folded into its parent's and reused where nothing reads them again.  No
+    on states.  Rooted at a center, each vertex maps each state it can hand
+    its parent to the partial masks that reach it, folded into its parent's
+    and reused where nothing reads them again.  Each step is taken once per
+    table of steps (:class:`_Steps`): a new one per call, or inside
+    :func:`_shared_steps` the campaign's one for trees of this size.  No
     tree is built and no coloring made, so an entry carries no certificate.
     Capped at n <= 26.
     """
     n = base.n
     if n > _MASK_WIDTH_CAP:
         raise TooLargeError(f"orientation masks capped at n <= {_MASK_WIDTH_CAP}")
-    inf = n + 1
-    start = _empty(inf)
-    fold = lru_cache(maxsize=None)(_fold)
-    finish = lru_cache(maxsize=None)(partial(_finish, inf=inf))
+    shared = _CAMPAIGN_STEPS.get()
+    steps = _Steps(n) if shared is None else shared.get(n)
+    if steps is None:
+        steps = shared[n] = _Steps(n)
+    folds, sent = steps.folds, steps.sent
     order, parent, _ = _walk(_centers(base.adjacency)[0], base.adjacency)
     bit = {edge: i for i, edge in enumerate(base.edges)}
     accs: list[dict | None] = [None] * n
@@ -431,24 +495,33 @@ def chi_table(base: BaseTree) -> list[int]:
         flip = 1 << bit[(v, p) if v < p else (p, v)]
         # bit 1: the larger end is the tail; adding 0 goes last, reusing lists
         sides = ((_UP, flip), (_DOWN, 0)) if v > p else ((_DOWN, flip), (_UP, 0))
-        acc, into = accs[v] or {start: [0]}, accs[p]
+        acc, into = accs[v] or {0: [0]}, accs[p]
         accs[v] = None
         merged: dict = {}
-        for before, prefixes in (into or {start: [0]}).items():
-            for direction, add in sides:
-                for state, masks in acc.items():
+        for direction, add in sides:
+            column = sent[direction]
+            hands = [
+                (column[state] if column[state] >= 0 else steps.finish(state, direction), masks)
+                for state, masks in acc.items()
+            ]
+            for before, prefixes in (into or {0: [0]}).items():
+                row = folds[before]
+                for hand, masks in hands:
                     if into is not None:
                         masks = [a | b | add for a in prefixes for b in masks]
                     elif add:
                         masks = [m | add for m in masks]
-                    lists = merged.setdefault(fold(before, finish(state, direction)), masks)
+                    after = row.get(hand)
+                    if after is None:
+                        after = steps.fold(before, hand)
+                    lists = merged.setdefault(after, masks)
                     if lists is not masks:
                         lists += masks
         accs[p] = merged
     table = [0] * (1 << len(base.edges))
-    for state, masks in (accs[order[0]] or {start: [0]}).items():
-        m, tau = finish(state, _ROOT)
-        chi = m + 1 if m == tau else tau + 2
+    column = sent[_ROOT]
+    for state, masks in (accs[order[0]] or {0: [0]}).items():
+        chi = column[state] if column[state] >= 0 else steps.finish(state, _ROOT)
         for mask in masks:
             table[mask] = chi
     return table

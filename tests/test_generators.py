@@ -43,9 +43,9 @@ def labeled_trees(n: int):
         yield BaseTree(n, sequence_to_edges(seq, n))
 
 
-# expected output of the exhaustive labeled-tree oracle (see test below,
-# which recomputes the small entries from scratch)
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
+# free trees on n = 1..12 vertices (OEIS A000055); the exhaustive
+# labeled-tree oracle below recomputes the small entries from scratch
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
 
 # SHA-256 over the arcs of gs(GsSpec(m, k, scheme)) for m, k <= 7 and the
 # out, in and layered schemes (see test_gs_schemes_pinned)
@@ -255,12 +255,20 @@ class TestOrientations:
 class TestFreeTrees:
     def test_counts_match_reference(self):
         for n, expected in enumerate(FREE_TREE_COUNTS, start=1):
-            if n <= 10:
-                assert len(free_trees(n)) == expected
+            assert len(free_trees(n)) == expected
 
     def test_counts_match_networkx(self):
-        for n in range(2, 11):
+        for n in range(2, 13):
             assert len(free_trees(n)) == nx.number_of_nonisomorphic_trees(n)
+
+    def test_each_class_generated_once(self):
+        # free_trees keeps one tree per level sequence and drops none, so a
+        # class that the generator met twice would show as a repeated code
+        for n in range(1, len(FREE_TREE_COUNTS) + 1):
+            trees = free_trees(n)
+            codes = [canonical_code(b) for b in trees]
+            assert codes == sorted(set(codes)), n
+            assert all(canonical_form(b) == b for b in trees), n
 
     def test_n4_path_and_star(self):
         codes = {canonical_code(b) for b in free_trees(4)}

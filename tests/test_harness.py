@@ -380,23 +380,27 @@ class TestLeafDeletionMemo:
         assert built == self.first_counterexample_classes(rep)
 
     def test_each_base_tree_validated_once(self, monkeypatch):
-        # the only validations are the one-vertex seeds of free_trees(1..8);
-        # base - v, for each of the 183 (base, leaf) pairs, is derived from an
-        # already validated tree
+        # nothing is validated: free_trees(1..8) builds each tree from a level
+        # sequence, which is a tree by construction, and base - v, for each
+        # of the 183 (base, leaf) pairs, is derived from such a tree
         counts = count_validations(monkeypatch)
         check_leaf_deletion(8)
-        assert counts == {"BaseTree": 8}
+        assert counts == {}
 
     @staticmethod
     def _module_state():
-        return {
-            name: len(value) if isinstance(value, (dict, list, set)) else id(value)
-            for name, value in vars(harness).items()
+        state = {
+            (module.__name__, name): len(value) if isinstance(value, (dict, list, set)) else id(value)
+            for module in (harness, solver)
+            for name, value in vars(module).items()
         }
+        state["campaign steps"] = solver._CAMPAIGN_STEPS.get()
+        return state
 
     def test_memo_empty_after_campaign(self):
-        # no table outlives the call: the module's names and the size of
-        # every container it holds are the same after a campaign
+        # no table outlives the call: the names of harness and solver, the
+        # size of every container they hold and the campaign's step tables
+        # (none outside a campaign) are the same after a campaign
         before = self._module_state()
         check_leaf_deletion(5)
         check_reversal_invariance(5)
@@ -407,6 +411,7 @@ class TestLeafDeletionMemo:
 
         def failing_table(base):
             tables.append(base)
+            assert solver._CAMPAIGN_STEPS.get() is not None
             if len(tables) == 5:
                 raise RuntimeError("solver failed")
             return solver.chi_table(base)
@@ -799,6 +804,32 @@ def test_an_orientation_sweep_maps_only_class_tables(check, args, runs, monkeypa
     for fn, payloads in calls:
         assert fn is solver.chi_table
         assert payloads and all(isinstance(base, BaseTree) for base in payloads)
+
+
+@pytest.mark.parametrize(
+    "check, args, sizes",
+    [
+        pytest.param(check_reversal_invariance, (6,), [1, 2, 3, 4, 5, 6], id="invariance"),
+        pytest.param(check_leaf_deletion, (6,), [1, 2, 3, 4, 5, 6], id="leafdel"),
+        pytest.param(explore_conjecture_gs, (3, 3, 7), [2, 3, 4, 5, 7], id="gs"),
+        pytest.param(check_star_values, (4,), [2, 3, 4, 5], id="star"),
+        pytest.param(check_path_minimum, (4, 7), [4, 5, 6, 7], id="path"),
+    ],
+)
+def test_a_sweep_makes_one_step_table_per_size(check, args, sizes, monkeypatch):
+    # every chi table of a campaign, leaf deletion's base - v included, takes
+    # its steps from the campaign's one table for its size, made when that
+    # size first comes up
+    made = []
+
+    class CountingSteps(solver._Steps):
+        def __init__(self, n):
+            made.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(solver, "_Steps", CountingSteps)
+    assert check(*args).records
+    assert made == sizes
 
 
 @pytest.mark.parametrize(

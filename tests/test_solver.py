@@ -23,6 +23,7 @@ from domchrom.generators import (
 )
 from domchrom.io import encode_tree
 from domchrom.solver import (
+    _CAMPAIGN_STEPS,
     _DOWN,
     _ROOT,
     _UP,
@@ -30,6 +31,7 @@ from domchrom.solver import (
     _empty,
     _finish,
     _fold,
+    _shared_steps,
     brute_force_chi,
     chi_table,
     hitting_set,
@@ -348,6 +350,21 @@ class TestChiTable:
         assert len(table) == 1 << len(base.edges)
         for mask in [0, len(table) - 1, *(rng.randrange(len(table)) for _ in range(200))]:
             assert table[mask] == solve_exact(orient(base, mask)).chi, mask
+
+    def test_one_shared_step_table_equals_fresh_tables(self):
+        # a campaign keeps one step table per size; these bases come in mixed
+        # size order, so each size's steps are reused after other sizes, and
+        # the large bases reach states that no free tree with n <= 10 has
+        bases = [base for n in range(1, 11) for base in free_trees(n)]
+        bases += [path(19), star(16), gs_base(4, 4), random_tree(18, 3), random_tree(21, 5)]
+        random.Random(35).shuffle(bases)
+        with _shared_steps():
+            steps = _CAMPAIGN_STEPS.get()
+            shared = [chi_table(base) for base in bases]
+            assert sorted(steps) == sorted({base.n for base in bases})
+        assert _CAMPAIGN_STEPS.get() is None
+        for base, table in zip(bases, shared):
+            assert table == chi_table(base), base
 
     def test_steps_on_one_orientation_equal_solve_exact(self):
         rng = random.Random(31)
